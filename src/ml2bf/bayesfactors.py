@@ -372,7 +372,9 @@ def ml2_known_variance_from_scalars(
     Along the family ``W = a * outer(beta_hat, beta_hat) + m (X'X)^{-1}``
     the whitened covariance is ``(m+1) I + a u u'`` with ||u||^2 = ssr, so
     the known-variance log Bayes factor collapses to a scalar function of a,
-    maximized here by safeguarded bounded optimization over a >= 0.
+    -log(D)/2 - ssr/(2 sigma2 D) + const in D = m + 1 + a ssr.  It rises up
+    to D = ssr/sigma2 and falls after, so the maximizer over a >= 0 is
+    a* = max(0, 1/sigma2 - (m+1)/ssr), and a* = 0 when ssr = 0.
     """
     m = float(unit_scale)
     if not m > 0:
@@ -382,25 +384,12 @@ def ml2_known_variance_from_scalars(
     if p == 0:
         return 0.0, 0.0
     s = float(ssr)
-
-    def neg_log_bf(a):
-        denom = m + 1.0 + a * s
-        return -(
-            -0.5 * ((p - 1) * math.log(m + 1.0) + math.log(denom))
-            + (s - s / denom) / (2 * sigma2)
-        )
-
-    if s <= 0:
-        a_best = 0.0
-    else:
-        hi = 1.5 / sigma2 + 1.0
-        res = minimize_scalar(
-            neg_log_bf, bounds=(0.0, hi), method="bounded", options={"xatol": 1e-12}
-        )
-        a_best = float(res.x)
-        if neg_log_bf(0.0) < neg_log_bf(a_best):
-            a_best = 0.0
-    return -neg_log_bf(a_best), a_best
+    a_best = max(0.0, 1.0 / sigma2 - (m + 1.0) / s) if s > 0 else 0.0
+    denom = m + 1.0 + a_best * s
+    log_bf = -0.5 * ((p - 1) * math.log(m + 1.0) + math.log(denom)) + (s - s / denom) / (
+        2 * sigma2
+    )
+    return log_bf, a_best
 
 
 def ml2_known_variance_log_bf(

@@ -30,7 +30,8 @@ def _parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", help="output directory")
     parser.add_argument("--methods", help="comma-separated evidence rules, "
                         "e.g. ml,lb,bic,bicprior,zs,ghat")
-    parser.add_argument("--threads", type=int)
+    parser.add_argument("--threads", type=int,
+                        help="worker processes for the replicates, at most the usable cores")
     return parser
 
 

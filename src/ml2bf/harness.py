@@ -8,7 +8,6 @@ so re-running a config reproduces the output files byte for byte.
 
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -38,6 +37,7 @@ from .modelspace import (
     posterior_from_evidence,
 )
 from .nonparametric import STUDY_METHODS, NonparametricConfig, run_study
+from .pool import chunk_bounds, run_chunked
 from .regression import (
     CorrelationSpec,
     Dataset,
@@ -253,19 +253,6 @@ def _mean_se(values):
     return mean, se
 
 
-def _chunk_bounds(total, threads):
-    chunks = max(1, min(total, threads * 4 if threads > 1 else 1))
-    step = (total + chunks - 1) // chunks
-    return [(lo, min(lo + step, total)) for lo in range(0, total, step)]
-
-
-def _run_chunked(worker, jobs, threads):
-    if threads > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(worker, jobs))
-    return [worker(job) for job in jobs]
-
-
 # ---------------------------------------------------------------------------
 # Two-predictor study (average posterior probability of the full model).
 # ---------------------------------------------------------------------------
@@ -389,9 +376,9 @@ def run_table1(cfg: ExperimentConfig) -> list[dict]:
     jobs = [
         (cfg.seed, lo, hi, n_grid, _TABLE1_RS, methods, beta, share, model_prior,
          design_scale, zs_rule)
-        for lo, hi in _chunk_bounds(cfg.replicates, cfg.threads)
+        for lo, hi in chunk_bounds(cfg.replicates, cfg.threads)
     ]
-    for lo, chunk in _run_chunked(_table1_chunk, jobs, cfg.threads):
+    for lo, chunk in run_chunked(_table1_chunk, jobs, cfg.threads):
         probs[lo : lo + chunk.shape[0]] = chunk
     rows = []
     for ni, n in enumerate(n_grid):
@@ -509,9 +496,9 @@ def figure_cell(
     jobs = [
         (design, g_signal, k_active, seed, cell, lo, hi, tuple(methods), _FIG_N,
          _FIG_P, _FIG_RHO, model_prior, zs_rule)
-        for lo, hi in _chunk_bounds(replicates, threads)
+        for lo, hi in chunk_bounds(replicates, threads)
     ]
-    for lo, l_chunk, e_chunk, m_chunk, s_chunk in _run_chunked(_figure_chunk, jobs, threads):
+    for lo, l_chunk, e_chunk, m_chunk, s_chunk in run_chunked(_figure_chunk, jobs, threads):
         sl = slice(lo, lo + l_chunk.shape[0])
         losses[sl], ent[sl], match[sl], size[sl] = l_chunk, e_chunk, m_chunk, s_chunk
     return {"losses": losses, "entropy": ent, "mpm_match": match, "mpm_size": size}

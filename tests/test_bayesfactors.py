@@ -25,6 +25,7 @@ from ml2bf.bayesfactors import (
     log_marginal_null,
     log_marginal_null_known_variance,
     ml2_covariance,
+    ml2_known_variance_from_scalars,
     ml2_known_variance_log_bf,
     zs_posterior_shrinkage,
 )
@@ -303,6 +304,36 @@ class TestKnownVariance:
             assert a == pytest.approx(a_closed, abs=1e-6)
             w = a_closed * np.outer(s.beta_hat, s.beta_hat) + s.n * s.gram_inverse()
             assert log_bf == pytest.approx(log_bf_known_variance(s, w, sigma2), abs=1e-9)
+
+    def test_ml2_known_variance_scalar_maximum(self):
+        def objective(p, ssr, sigma2, m, a):
+            denom = m + 1.0 + a * ssr
+            return -0.5 * ((p - 1) * math.log(m + 1.0) + math.log(denom)) + (
+                ssr - ssr / denom
+            ) / (2 * sigma2)
+
+        rng = np.random.default_rng(31)
+        clamped = interior = 0
+        for _ in range(200):
+            p = int(rng.integers(1, 10))
+            ssr = float(rng.uniform(0.0, 200.0))
+            sigma2 = float(rng.uniform(0.2, 5.0))
+            m = float(rng.uniform(1.0, 100.0))
+            best, a_best = ml2_known_variance_from_scalars(p, ssr, sigma2, m)
+            assert a_best >= 0.0
+            assert best == pytest.approx(objective(p, ssr, sigma2, m, a_best), abs=1e-12)
+            clamped += a_best == 0.0
+            interior += a_best > 0.0
+            for a in np.concatenate([[0.0], rng.exponential(1.0 / sigma2, 50)]):
+                assert objective(p, ssr, sigma2, m, a) <= best + 1e-12 * (1.0 + abs(best))
+        assert clamped and interior
+        # No signal: the unit-information member, a* = 0.
+        assert ml2_known_variance_from_scalars(3, 0.0, 1.0, 20.0) == (
+            pytest.approx(-1.5 * math.log(21.0)), 0.0)
+        # ssr below (m+1) sigma2 clamps a* to 0.
+        best, a_best = ml2_known_variance_from_scalars(2, 10.0, 1.0, 20.0)
+        assert a_best == 0.0
+        assert best == pytest.approx(objective(2, 10.0, 1.0, 20.0, 0.0), abs=1e-14)
 
 
 class TestZellnerSiow:

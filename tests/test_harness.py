@@ -1,6 +1,7 @@
 """Experiment drivers, configuration, CLI, and reproducibility."""
 
 import json
+import os
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from ml2bf.harness import (
     run_bf,
     run_table1,
 )
+from ml2bf.pool import chunk_bounds, run_chunked
 
 
 class TestDeriveStream:
@@ -73,6 +75,24 @@ class TestConfig:
             ExperimentConfig(experiment="nope", seed=0)
         with pytest.raises(ConfigError):
             ExperimentConfig(experiment="table1", seed=0, replicates=0)
+
+
+def _pid(_job):
+    return os.getpid()
+
+
+class TestPool:
+    def test_chunks_cover_replicates_in_order(self):
+        assert chunk_bounds(10, 1) == [(0, 10)]
+        for total, threads in ((10, 3), (5, 4), (1000, 4)):
+            bounds = chunk_bounds(total, threads)
+            assert bounds[0][0] == 0 and bounds[-1][1] == total
+            assert all(hi == lo for (_, hi), (lo, _) in zip(bounds, bounds[1:]))
+
+    def test_workers_capped_at_usable_cores(self, monkeypatch):
+        monkeypatch.setattr("ml2bf.pool.usable_cores", lambda: 1)
+        pids = run_chunked(_pid, range(4), threads=4)
+        assert pids == [os.getpid()] * 4
 
 
 class TestTable1Driver:

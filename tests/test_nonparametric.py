@@ -12,7 +12,10 @@ from ml2bf.modelspace import hpm
 from ml2bf.nonparametric import (
     NonparametricConfig,
     PowerLawPrior,
+    _fit_nested_power_law,
     _fit_power_law,
+    _nested_power_law,
+    _power_law_log_bf,
     _summaries,
     chebyshev_design,
     fit_power_law_prior,
@@ -85,32 +88,40 @@ class TestPowerLawPrior:
         assert prior.c == pytest.approx(1e-4, rel=0.01) and prior.boundary_hit
 
     def test_dense_grid_oracle(self):
+        # Every nested model's fit against a 400 x 400 grid of its evidence.
         rng = np.random.default_rng(1)
         n, k = 100, 15
         _, x, knots = chebyshev_design(n, k)
         y = true_signal(knots) + rng.standard_normal(n)
         _, _, u, _ = _summaries(y, x)
+        params, fitted, _, _ = _fit_nested_power_law(u, 1.0, n)
         prior, fitted_val = _fit_power_law(u, 1.0, n)
+        assert fitted_val == fitted[-1]
+        assert (math.log10(prior.c), prior.a) == pytest.approx(tuple(params[-1]), rel=1e-12, abs=1e-12)
 
         log10c = np.linspace(-4, 4, 400)
         a_grid = np.linspace(0, 6, 400)
         kappa = n / 2
         idx = np.arange(1.0, k + 1.0)
-        best = -np.inf
-        arg = None
+        best = np.full(k, -np.inf)
+        arg = np.zeros((k, 2))
         u_sq = u**2
         for aa in a_grid:
             d = 10.0 ** log10c[:, None] * idx[None, :] ** (-aa)
             m = 1.0 + kappa * d
-            vals = -0.5 * np.log(m).sum(axis=1) + (u_sq.sum() - (u_sq[None, :] / m).sum(axis=1)) / 2.0
-            j = int(np.argmax(vals))
-            if vals[j] > best:
-                best, arg = vals[j], (log10c[j], aa)
+            # Column j-1: the evidence of the model with coordinates 1..j.
+            vals = np.cumsum(-0.5 * np.log(m) + (u_sq[None, :] - u_sq[None, :] / m) / 2.0, axis=1)
+            rows = np.argmax(vals, axis=0)
+            top = vals[rows, np.arange(k)]
+            better = top > best
+            best[better] = top[better]
+            arg[better] = np.stack([log10c[rows], np.full(k, aa)], axis=1)[better]
+        assert np.all(fitted >= best - 1e-9)
         cell_c = log10c[1] - log10c[0]
         cell_a = a_grid[1] - a_grid[0]
-        assert abs(math.log10(prior.c) - arg[0]) <= 2 * cell_c
-        assert abs(prior.a - arg[1]) <= 2 * cell_a
-        assert fitted_val >= best - 1e-9
+        # The size-1 evidence does not depend on a; deeper models pin both.
+        assert np.all(np.abs(params[:, 0] - arg[:, 0]) <= 2 * cell_c)
+        assert np.all(np.abs(params[1:, 1] - arg[1:, 1]) <= 2 * cell_a)
 
     def test_probe_maximality(self):
         rng = np.random.default_rng(2)
@@ -118,7 +129,7 @@ class TestPowerLawPrior:
         _, x, knots = chebyshev_design(n, k)
         y = true_signal(knots) + rng.standard_normal(n)
         _, _, u, _ = _summaries(y, x)
-        prior, fitted_val = _fit_power_law(u, 1.0, n)
+        _, fitted, _, _ = _fit_nested_power_law(u, 1.0, n)
         kappa = n / 2
         idx = np.arange(1.0, k + 1.0)
         u_sq = u**2
@@ -126,8 +137,43 @@ class TestPowerLawPrior:
             c = 10.0 ** rng.uniform(-4, 4)
             a = rng.uniform(0, 6)
             m = 1.0 + kappa * c * idx**-a
-            val = -0.5 * np.log(m).sum() + (u_sq.sum() - (u_sq / m).sum()) / 2.0
-            assert val <= fitted_val + 1e-9
+            vals = np.cumsum(-0.5 * np.log(m) + (u_sq - u_sq / m) / 2.0)
+            assert np.all(vals <= fitted + 1e-9)
+
+    def test_analytic_derivatives_match_finite_differences(self):
+        rng = np.random.default_rng(9)
+        n, k, sigma2 = 80, 12, 1.5
+        _, x, knots = chebyshev_design(n, k)
+        y = true_signal(knots) + math.sqrt(sigma2) * rng.standard_normal(n)
+        _, _, u, _ = _summaries(y, x)
+        u_sq = u**2
+        sizes = np.arange(1, k + 1)
+        params = np.stack([rng.uniform(-3, 3, k), rng.uniform(0.2, 5, k)], axis=1)
+        value, shrink, grad, hess = _nested_power_law(
+            u_sq / (2 * sigma2), n / 2, sizes, params, derivatives=True
+        )
+
+        def oracle(j, point):
+            return float(_power_law_log_bf(u_sq[:j], n / 2, sigma2, point[:1], point[1:])[0])
+
+        step = 1e-4
+        for j in sizes:
+            point = params[j - 1]
+            assert value[j - 1] == pytest.approx(oracle(j, point), rel=1e-12, abs=1e-12)
+            d = 10.0 ** point[0] * np.arange(1.0, j + 1.0) ** -point[1]
+            np.testing.assert_allclose(shrink[j - 1, :j], 1 - 1 / (1 + n / 2 * d), rtol=1e-9, atol=1e-15)
+            assert np.all(shrink[j - 1, j:] == 0.0)
+            for r in range(2):
+                e_r = step * np.eye(2)[r]
+                fd = (oracle(j, point + e_r) - oracle(j, point - e_r)) / (2 * step)
+                assert grad[j - 1, r] == pytest.approx(fd, rel=1e-6, abs=1e-7)
+                for c in range(2):
+                    e_c = step * np.eye(2)[c]
+                    fd2 = (
+                        oracle(j, point + e_r + e_c) - oracle(j, point + e_r - e_c)
+                        - oracle(j, point - e_r + e_c) + oracle(j, point - e_r - e_c)
+                    ) / (4 * step**2)
+                    assert hess[j - 1, r, c] == pytest.approx(fd2, rel=1e-4, abs=1e-5)
 
     def test_isotropic_special_case_matches_general_marginal(self):
         # a = 0 collapses to W = c I; cross-check against the generic
@@ -139,7 +185,6 @@ class TestPowerLawPrior:
         ds = orthogonalize(Dataset.with_intercept(y, x))
         stats = fit_suffstats(ds, range(k))
         from ml2bf.bayesfactors import log_bf_known_variance
-        from ml2bf.nonparametric import _power_law_log_bf
 
         _, _, u, _ = _summaries(y, x)
         for c in (0.01, 1.0, 7.5):
@@ -241,6 +286,10 @@ class TestRunStudy:
             assert by[(method, "mpm")]["avg_loss"] <= by[(method, "hpm")]["avg_loss"] + 0.05
             assert by[(method, "bma")]["avg_size"] == ""
         assert rows == run_study(cfg)  # deterministic
+
+    def test_worker_count_invariance(self):
+        cfg = NonparametricConfig(n=30, k=29, sigma2=1.0, replicates=10, seed=5)
+        assert run_study(cfg, threads=1) == run_study(cfg, threads=3)
 
     def test_integrated_loss_variant_runs(self):
         cfg = NonparametricConfig(n=30, k=29, sigma2=1.0, replicates=5, seed=4)
