@@ -12,7 +12,9 @@ __version__ = "0.1.0"
 from .regression import (
     CorrelationSpec,
     Dataset,
+    ModelTable,
     SuffStats,
+    fit_models,
     fit_suffstats,
     load_dataset_csv,
     make_correlated_design,
@@ -23,6 +25,7 @@ from .bayesfactors import (
     PriorMethod,
     QuadratureConfig,
     QuadratureError,
+    evidence,
     log_bf_aic,
     log_bf_bic,
     log_bf_bic_prior,
@@ -33,7 +36,6 @@ from .bayesfactors import (
     log_bf_ml2,
     log_bf_zs,
     log_bf_zs_laplace,
-    log_evidence,
     log_marginal_fixed_cov,
     log_marginal_known_variance,
     log_marginal_null,

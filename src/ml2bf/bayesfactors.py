@@ -4,6 +4,9 @@ Everything is computed and returned in the natural-log domain; conversion to
 probabilities happens only at the model-space layer.  A perfect fit
 (r2 indistinguishable from 1) is reported as +inf, an explicit
 overwhelming-evidence marker, never as a silent overflow.
+
+The scalar ``log_bf_*`` functions score one ``SuffStats``; ``evidence``
+scores every model of a ``ModelTable`` at once with the same branches.
 """
 
 import math
@@ -14,7 +17,7 @@ from scipy.linalg import cho_factor, cho_solve, solve_triangular
 from scipy.optimize import minimize_scalar
 from scipy.special import expit, gammaln
 
-from .regression import SuffStats
+from .regression import ModelTable, SuffStats
 
 __all__ = [
     "Ml2Covariance",
@@ -39,7 +42,7 @@ __all__ = [
     "ml2_known_variance_log_bf",
     "zs_evidence_batch",
     "zs_posterior_shrinkage",
-    "log_evidence",
+    "evidence",
     "METHOD_KINDS",
 ]
 
@@ -223,6 +226,7 @@ def log_bf_ml2(stats: SuffStats) -> float:
 
 def log_bf_bic(stats: SuffStats) -> float:
     """Log Bayes factor implied by treating exp(-BIC/2) as the marginal."""
+    _require_scope(stats)
     if stats.p == 0:
         return 0.0
     if stats.r2 >= R2_SATURATION:
@@ -233,6 +237,7 @@ def log_bf_bic(stats: SuffStats) -> float:
 
 def log_bf_bic_prior(stats: SuffStats) -> float:
     """Log Bayes factor of the MLE-centered unit-information normal prior."""
+    _require_scope(stats)
     if stats.p == 0:
         return 0.0
     if stats.r2 >= R2_SATURATION:
@@ -244,6 +249,7 @@ def log_bf_bic_prior(stats: SuffStats) -> float:
 
 def log_bf_aic(stats: SuffStats) -> float:
     """Log Bayes factor from exp(-AIC/2) with the criterion -2*loglik + 2p."""
+    _require_scope(stats)
     if stats.p == 0:
         return 0.0
     if stats.r2 >= R2_SATURATION:
@@ -427,6 +433,7 @@ def ml2_known_variance_shrinkage(
 
 _ZS_GRID = np.linspace(-30.0, 80.0, 551)
 _ZS_LOG_WINDOW = 45.0  # integrand below exp(-45) of the peak is negligible
+_ZS_BLOCK = 256  # models per quadrature block
 
 
 def _zs_log_integrand(t, n, q, p, omr2):
@@ -468,12 +475,19 @@ def zs_evidence_batch(
     q = n - p0
     pw = p_arr[work][:, None]
     ow = omr2[work][:, None]
-    psi_grid = _zs_log_integrand(_ZS_GRID[None, :], n, q, pw, ow)
-    shift = psi_grid.max(axis=1)
-    inside = psi_grid >= shift[:, None] - _ZS_LOG_WINDOW
+    # Models are processed in blocks, which bounds the working set; every
+    # step is per model except the shared panel and node counts.
+    blocks = [slice(lo, lo + _ZS_BLOCK) for lo in range(0, pw.shape[0], _ZS_BLOCK)]
     n_grid = _ZS_GRID.shape[0]
-    ilo = np.maximum(inside.argmax(axis=1) - 1, 0)
-    ihi = np.minimum(n_grid - 1 - inside[:, ::-1].argmax(axis=1) + 1, n_grid - 1)
+    shift = np.empty(pw.shape[0])
+    ilo = np.empty(pw.shape[0], dtype=np.intp)
+    ihi = np.empty(pw.shape[0], dtype=np.intp)
+    for b in blocks:
+        psi_grid = _zs_log_integrand(_ZS_GRID[None, :], n, q, pw[b], ow[b])
+        shift[b] = psi_grid.max(axis=1)
+        inside = psi_grid >= shift[b, None] - _ZS_LOG_WINDOW
+        ilo[b] = np.maximum(inside.argmax(axis=1) - 1, 0)
+        ihi[b] = np.minimum(n_grid - 1 - inside[:, ::-1].argmax(axis=1) + 1, n_grid - 1)
     t_lo = _ZS_GRID[ilo]
     t_hi = _ZS_GRID[ihi]
     width = t_hi - t_lo
@@ -484,13 +498,17 @@ def zs_evidence_batch(
 
     def integrate(nodes_per_panel):
         z, wz = np.polynomial.legendre.leggauss(nodes_per_panel)
-        h = (width / panels)[:, None, None]
         offsets = np.arange(panels)[None, :, None] + (z[None, None, :] + 1.0) / 2.0
-        tt = t_lo[:, None, None] + h * offsets
-        ww = 0.5 * h * wz[None, None, :]
-        vals = np.exp(_zs_log_integrand(tt, n, q, pw3, ow3) - shift[:, None, None])
-        total = (ww * vals).sum(axis=(1, 2))
-        weighted = (ww * vals * expit(tt)).sum(axis=(1, 2)) if want_shrinkage else None
+        total = np.empty(shift.shape)
+        weighted = np.empty(shift.shape) if want_shrinkage else None
+        for b in blocks:
+            h = (width[b] / panels)[:, None, None]
+            tt = t_lo[b, None, None] + h * offsets
+            ww = 0.5 * h * wz[None, None, :]
+            vals = np.exp(_zs_log_integrand(tt, n, q, pw3[b], ow3[b]) - shift[b, None, None])
+            total[b] = (ww * vals).sum(axis=(1, 2))
+            if want_shrinkage:
+                weighted[b] = (ww * vals * expit(tt)).sum(axis=(1, 2))
         return total, weighted
 
     nodes = 12
@@ -536,13 +554,14 @@ def log_bf_zs_laplace(stats: SuffStats) -> float:
     _require_scope(stats)
     if stats.p == 0:
         return 0.0
-    r2 = stats.r2
-    if r2 >= R2_SATURATION:
+    if stats.r2 >= R2_SATURATION:
         return math.inf
-    q = stats.n - stats.p0
-    p = stats.p
-    n = stats.n
-    omr2 = _one_minus_r2(stats)
+    return zs_laplace_from_scalars(stats.n, stats.p0, stats.p, _one_minus_r2(stats))
+
+
+def zs_laplace_from_scalars(n: int, p0: int, p: int, omr2: float) -> float:
+    """Scalar core of ``log_bf_zs_laplace`` for p >= 1 and r2 below saturation."""
+    q = n - p0
 
     def neg_log_f(g):
         return -(
@@ -574,21 +593,88 @@ def zs_posterior_shrinkage(stats: SuffStats, cfg: QuadratureConfig | None = None
     return float(shrink[0])
 
 
-def log_evidence(stats: SuffStats, method: PriorMethod) -> float:
-    """Null-based log evidence of one model under the chosen rule."""
+def evidence(method, table: ModelTable, want_shrinkage: bool = False,
+             zs_rule: str = "exact"):
+    """Null-based log evidence of every model in ``table`` under one rule.
+
+    ``method`` is a ``PriorMethod`` or its name.  The closed forms (ml2, lb,
+    bic, bicprior, aic, ghat) are array expressions over each model's size,
+    r2 and 1 - r2, with the branches and the +inf saturation marker of the
+    scalar ``log_bf_*`` functions.  Zellner-Siow runs as one batched
+    quadrature (``zs_rule="exact"``) or through the Laplace approximation
+    model by model (``"laplace"``).
+
+    With ``want_shrinkage`` it returns ``(log_evidence, shrinkage)``: the
+    posterior-mean factor on each model's least-squares coefficients.  That
+    is ``shrinkage_factor_ml2`` for ml2, g/(1+g) for lb, ghat/(1+ghat) for
+    ghat (0 where ghat is clamped at 0, 1 where the fit saturates), and the
+    exact mixture's E[g/(1+g)] for zs whichever ``zs_rule`` is used (1 where
+    the quadrature reports saturation); it is 1 for BIC, BIC-prior, AIC and
+    for null models.
+    """
+    if isinstance(method, str):
+        method = PriorMethod.parse(method)
     kind = method.kind
-    if kind == "ml2":
-        return log_bf_ml2(stats)
-    if kind == "lb":
-        return log_bf_gprior(stats, float(stats.n) if method.g is None else method.g)
-    if kind == "bic":
-        return log_bf_bic(stats)
-    if kind == "bicprior":
-        return log_bf_bic_prior(stats)
+    if zs_rule not in ("exact", "laplace"):
+        raise ValueError(f"unknown zs_rule {zs_rule!r}")
+    n, p0, sizes = table.n, table.p0, table.sizes
+    q = n - p0
+    over = np.flatnonzero(n <= p0 + sizes)
+    if over.size:
+        i = int(over[0])
+        raise ValueError(f"model {i}: insufficient sample size: n={n}, p0={p0}, "
+                         f"p={sizes[i]}")
+    r2, omr2 = table.r2, table.one_minus_r2
+    log_ev = np.zeros(len(table))
+    shrink = np.ones(len(table))
+    active = sizes > 0
+    saturated = active & (r2 >= R2_SATURATION)
+    work = active & ~saturated
+    log_ev[saturated] = np.inf
+    k, r2w, ow = sizes[work].astype(np.float64), r2[work], omr2[work]
+
     if kind == "zs":
-        return log_bf_zs(stats, method.quadrature)
-    if kind == "ghat":
-        return log_bf_local_eb(stats)[0]
-    if kind == "aic":
-        return log_bf_aic(stats)
-    raise ValueError(f"unknown evidence rule {kind!r}")
+        if want_shrinkage:
+            exact, zshr = zs_evidence_batch(n, p0, sizes, omr2, method.quadrature, True)
+            shrink = np.where(np.isnan(zshr), 1.0, zshr)
+        elif zs_rule == "exact":
+            exact = zs_evidence_batch(n, p0, sizes, omr2, method.quadrature)
+        if zs_rule == "exact":
+            log_ev = exact
+        else:
+            for i in np.flatnonzero(work):
+                log_ev[i] = zs_laplace_from_scalars(n, p0, int(sizes[i]), float(omr2[i]))
+    elif kind in ("ml2", "lb"):
+        g = float(n) if method.g is None else method.g
+        values = 0.5 * (q - k) * math.log1p(g) - 0.5 * q * np.log1p(g * ow)
+        if kind == "lb":
+            shrink[active] = g / (1.0 + g)
+        else:
+            knot = (n + 1) / (2 * n - p0)
+            upper = r2w > knot
+            if upper.any():
+                log_phi = ((k[upper] - 1) * math.log(n + 1) + q * math.log(q)
+                           - (q - 1) * math.log(q - 1))
+                values[upper] = (-0.5 * log_phi - 0.5 * np.log(r2w[upper])
+                                 - 0.5 * (q - 1) * np.log(ow[upper]))
+            if want_shrinkage:
+                ra = r2[active]
+                shrink_a = np.full(ra.shape, n / (n + 1.0))
+                above = ra > knot
+                shrink_a[above] = 1.0 - (1.0 - ra[above]) / ((n - p0 - 1) * ra[above])
+                shrink[active] = shrink_a
+        log_ev[work] = values
+    elif kind == "bic":
+        log_ev[work] = -0.5 * k * math.log(n) - 0.5 * n * np.log(ow)
+    elif kind == "bicprior":
+        log_ev[work] = -0.5 * k * math.log(n + 1) - 0.5 * q * np.log(ow)
+    elif kind == "aic":
+        log_ev[work] = -0.5 * n * np.log(ow) - k
+    elif kind == "ghat":
+        g_hat = np.maximum(0.0, (q * r2w - k) / (k * ow))
+        values = 0.5 * (q - k) * np.log1p(g_hat) - 0.5 * q * np.log1p(g_hat * ow)
+        log_ev[work] = np.where((values > 0.0) & (g_hat > 0.0), values, 0.0)
+        shrink[work] = g_hat / (1.0 + g_hat)
+    else:
+        raise ValueError(f"unknown evidence rule {kind!r}")
+    return (log_ev, shrink) if want_shrinkage else log_ev

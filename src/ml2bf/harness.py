@@ -15,19 +15,7 @@ import numpy as np
 
 from . import __version__
 from .anova import ANOVA_METHODS, AnovaTruth, simulate_consistency
-from .bayesfactors import (
-    PriorMethod,
-    QuadratureConfig,
-    log_bf_aic,
-    log_bf_bic,
-    log_bf_bic_prior,
-    log_bf_gprior,
-    log_bf_local_eb,
-    log_bf_ml2,
-    log_bf_zs_laplace,
-    zs_evidence_batch,
-)
-from .estimation import shrinkage_factor_ml2
+from .bayesfactors import PriorMethod, evidence
 from .modelspace import (
     ModelSpace,
     entropy,
@@ -42,10 +30,25 @@ from .regression import (
     CorrelationSpec,
     Dataset,
     correlated_design_from_raw,
-    fit_suffstats,
+    fit_models,
     load_dataset_csv,
     orthogonalize,
 )
+
+# Not called here: perfbench/bench_trace.py wraps these names on this module
+# to time the per-model layers, so they stay importable from it.
+from .bayesfactors import (  # noqa: F401
+    log_bf_aic,
+    log_bf_bic,
+    log_bf_bic_prior,
+    log_bf_gprior,
+    log_bf_local_eb,
+    log_bf_ml2,
+    log_bf_zs_laplace,
+    zs_evidence_batch,
+)
+from .estimation import shrinkage_factor_ml2  # noqa: F401
+from .regression import fit_suffstats  # noqa: F401
 
 __all__ = [
     "ExperimentConfig",
@@ -199,10 +202,13 @@ def _parse_methods(cfg, default, allowed=None):
     tokens = cfg.methods or default
     parsed = []
     for tok in tokens:
-        kind = PriorMethod.parse(tok).kind if allowed is None else tok.strip().lower()
         if allowed is None:
-            parsed.append(kind)
+            try:
+                parsed.append(PriorMethod.parse(tok).kind)
+            except ValueError as exc:
+                raise ConfigError(str(exc))
         else:
+            kind = tok.strip().lower()
             if kind == "ml":
                 kind = "ml2"
             if kind not in allowed:
@@ -261,51 +267,19 @@ _TABLE1_NS = (5, 10, 15, 20)
 _TABLE1_RS = (-0.9, 0.9)
 
 
-def _evidence_batch(stats_list, method_kind, zs_cfg=None, want_shrinkage=False,
-                    zs_rule="exact"):
-    """Evidence (and optionally posterior-mean shrinkage) for a model batch.
+def _all_subsets_space(p, cfg: ExperimentConfig, default_prior) -> ModelSpace:
+    try:
+        return ModelSpace.all_subsets(p, model_prior=cfg.overrides.get("model_prior",
+                                                                       default_prior))
+    except ValueError as exc:
+        raise ConfigError(str(exc))
 
-    ``zs_rule`` selects the Zellner-Siow evaluation: ``exact`` quadrature or
-    the classical ``laplace`` approximation on the g axis.  Posterior-mean
-    shrinkage always comes from the exact mixture.
-    """
-    n_models = len(stats_list)
-    shrink = np.ones(n_models)
-    if method_kind == "zs":
-        if zs_rule not in ("exact", "laplace"):
-            raise ConfigError(f"unknown zs_rule {zs_rule!r}")
-        if want_shrinkage or zs_rule == "exact":
-            n, p0 = stats_list[0].n, stats_list[0].p0
-            p_sizes = [s.p for s in stats_list]
-            omr2 = [s.sse / s.total_ss if s.total_ss > 0 else 1.0 for s in stats_list]
-            log_ev, zshr = zs_evidence_batch(n, p0, p_sizes, omr2, zs_cfg, True)
-            shrink = np.where(np.isnan(zshr), 1.0, zshr)
-        if zs_rule == "laplace":
-            log_ev = np.array([log_bf_zs_laplace(s) for s in stats_list])
-        return log_ev, shrink
-    log_ev = np.empty(n_models)
-    for i, s in enumerate(stats_list):
-        if method_kind == "ml2":
-            log_ev[i] = log_bf_ml2(s)
-            if want_shrinkage and s.p > 0:
-                shrink[i] = shrinkage_factor_ml2(s)
-        elif method_kind == "lb":
-            log_ev[i] = log_bf_gprior(s, float(s.n)) if s.p > 0 else 0.0
-            shrink[i] = s.n / (s.n + 1.0)
-        elif method_kind == "bic":
-            log_ev[i] = log_bf_bic(s)
-        elif method_kind == "bicprior":
-            log_ev[i] = log_bf_bic_prior(s)
-        elif method_kind == "aic":
-            log_ev[i] = log_bf_aic(s)
-        elif method_kind == "ghat":
-            value, g_hat = log_bf_local_eb(s)
-            log_ev[i] = value
-            if s.p > 0 and math.isfinite(g_hat):
-                shrink[i] = g_hat / (1.0 + g_hat)
-        else:
-            raise ConfigError(f"unknown method {method_kind!r}")
-    return log_ev, shrink
+
+def _zs_rule(cfg: ExperimentConfig, default) -> str:
+    zs_rule = cfg.overrides.get("zs_rule", default)
+    if zs_rule not in ("exact", "laplace"):
+        raise ConfigError(f"unknown zs_rule {zs_rule!r}")
+    return zs_rule
 
 
 def _table1_chunk(args):
@@ -342,9 +316,9 @@ def _table1_chunk(args):
                     x = x * math.sqrt((n - 1.0) / n)
                 y = x @ beta + eps
                 ds = orthogonalize(Dataset.with_intercept(y, x))
-                stats = [fit_suffstats(ds, m) for m in models]
+                table = fit_models(ds, models)
                 for mi, method in enumerate(methods):
-                    log_ev, _ = _evidence_batch(stats, method, zs_rule=zs_rule)
+                    log_ev = evidence(method, table, zs_rule=zs_rule)
                     posterior = posterior_from_evidence(models, log_ev, space)
                     out[rep - lo, ni, ri, mi] = posterior.posterior_prob[full_index]
     return lo, out
@@ -367,11 +341,11 @@ def run_table1(cfg: ExperimentConfig) -> list[dict]:
     n_grid = tuple(cfg.get_int_list("n_grid", _TABLE1_NS))
     beta = (cfg.get_float("beta1", 5.0), cfg.get_float("beta2", 5.0))
     share = cfg.get_bool("share_noise_across_n", False)
-    model_prior = cfg.overrides.get("model_prior", "uniform_size")
+    model_prior = _all_subsets_space(2, cfg, "uniform_size").model_prior
     design_scale = cfg.overrides.get("design_scale", "corrected")
     if design_scale not in ("corrected", "uncorrected"):
         raise ConfigError(f"unknown design_scale {design_scale!r}")
-    zs_rule = cfg.overrides.get("zs_rule", "laplace")
+    zs_rule = _zs_rule(cfg, "laplace")
     probs = np.empty((cfg.replicates, len(n_grid), len(_TABLE1_RS), len(methods)))
     jobs = [
         (cfg.seed, lo, hi, n_grid, _TABLE1_RS, methods, beta, share, model_prior,
@@ -430,7 +404,6 @@ def _figure_chunk(args):
     ent = np.empty((hi - lo, len(methods)))
     match = np.empty((hi - lo, len(methods)))
     mpm_size = np.empty((hi - lo, len(methods)))
-    zs_cfg = QuadratureConfig()
     for rep in range(lo, hi):
         rng = derive_stream(seed, (*cell, rep))
         raw = rng.standard_normal((n, p))
@@ -441,18 +414,14 @@ def _figure_chunk(args):
             beta[list(active)] = rng.normal(0.0, math.sqrt(g_signal), size=k_active)
         y = _FIG_ALPHA + x @ beta + rng.standard_normal(n)
         ds = orthogonalize(Dataset.with_intercept(y, x))
-        stats = [fit_suffstats(ds, m) for m in models]
+        table = fit_models(ds, models)
         gram_full = x.T @ x
         for mi, method in enumerate(methods):
-            log_ev, shrink = _evidence_batch(stats, method, zs_cfg, want_shrinkage=True,
-                                             zs_rule=zs_rule)
+            log_ev, shrink = evidence(method, table, want_shrinkage=True, zs_rule=zs_rule)
             posterior = posterior_from_evidence(models, log_ev, space)
-            estimates = np.zeros((len(models), p))
-            for i, (model, s) in enumerate(zip(models, stats)):
-                if s.p:
-                    estimates[i, list(model)] = shrink[i] * s.beta_hat
+            estimates = shrink[:, None] * table.beta
             hpm_model = hpm(posterior)
-            mpm_model = mpm(posterior)
+            mpm_model = mpm(posterior, table.mask)
             bma_coef = posterior.posterior_prob @ estimates
             for si, delta in enumerate(
                 (estimates[model_index[hpm_model]], estimates[model_index[mpm_model]], bma_coef)
@@ -517,8 +486,8 @@ def run_figure_sims(cfg: ExperimentConfig) -> list[dict]:
     diag = cfg.experiment == "figure_diag"
     g_values = [float(t) for t in str(cfg.overrides.get("g_grid", "5,25")).split(",")]
     k_values = cfg.get_int_list("k_grid", range(0, _FIG_P + 1))
-    model_prior = cfg.overrides.get("model_prior", "uniform_models")
-    zs_rule = cfg.overrides.get("zs_rule", "exact")
+    model_prior = _all_subsets_space(_FIG_P, cfg, "uniform_models").model_prior
+    zs_rule = _zs_rule(cfg, "exact")
     rows = []
     for g_signal in g_values:
         for k_active in k_values:
@@ -646,11 +615,13 @@ def run_bf(dataset_path, cfg: ExperimentConfig) -> dict:
     except (ValueError, OSError) as exc:
         raise ConfigError(str(exc))
     ds = orthogonalize(dataset)
-    space = ModelSpace.all_subsets(
-        ds.p, model_prior=cfg.overrides.get("model_prior", "uniform_models")
-    )
-    models = space.models()
-    stats = [fit_suffstats(ds, m) for m in models]
+    space = _all_subsets_space(ds.p, cfg, "uniform_models")
+    if ds.n <= ds.p0 + ds.p:
+        raise ConfigError(
+            f"insufficient sample size: the full model needs n > {ds.p0 + ds.p} rows "
+            f"({ds.p0} common and {ds.p} candidate predictors), the dataset has {ds.n}"
+        )
+    table = fit_models(ds, space.models())
     result = {
         "dataset": str(dataset_path),
         "n": ds.n,
@@ -659,13 +630,12 @@ def run_bf(dataset_path, cfg: ExperimentConfig) -> dict:
         "methods": {},
     }
     for method in methods:
-        log_ev, _ = _evidence_batch(stats, method, QuadratureConfig())
-        posterior = posterior_from_evidence(models, log_ev, space)
+        posterior = posterior_from_evidence(table.models, evidence(method, table), space)
         result["methods"][method] = {
             "models": posterior.to_json_obj(),
             "hpm": list(hpm(posterior)),
-            "mpm": list(mpm(posterior)),
-            "inclusion_probs": [float(v) for v in inclusion_probs(posterior)],
+            "mpm": list(mpm(posterior, table.mask)),
+            "inclusion_probs": [float(v) for v in inclusion_probs(posterior, table.mask)],
         }
     if cfg.output_dir:
         outdir = Path(cfg.output_dir)

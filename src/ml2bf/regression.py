@@ -3,12 +3,15 @@
 Every evidence formula downstream is a function of a handful of scalars per
 model (sample size, model dimension, sums of squares) plus the triangular
 factor of the selected Gram matrix.  This module computes those pieces from
-raw data, builds the exactly-correlated simulation designs, and reads
-datasets from CSV.
+raw data, one model at a time (``fit_suffstats``) or for a whole model list
+at once (``fit_models``), builds the exactly-correlated simulation designs,
+and reads datasets from CSV.
 """
 
 import csv
+import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import solve_triangular
@@ -16,9 +19,12 @@ from scipy.linalg import solve_triangular
 __all__ = [
     "Dataset",
     "SuffStats",
+    "ModelTable",
     "CorrelationSpec",
     "orthogonalize",
     "fit_suffstats",
+    "fit_models",
+    "model_mask",
     "make_correlated_design",
     "correlated_design_from_raw",
     "load_dataset_csv",
@@ -226,6 +232,152 @@ def fit_suffstats(dataset: Dataset, subset) -> SuffStats:
     return SuffStats(
         n=n, p0=p0, p=p_i, beta_hat=beta, sse=sse, ssr=ssr, r2=r2, gram_chol=r
     )
+
+
+def model_mask(models, p: int) -> np.ndarray:
+    """Boolean (len(models), p) matrix; row i marks the columns of models[i]."""
+    sizes = [len(m) for m in models]
+    rows = np.repeat(np.arange(len(sizes)), sizes)
+    cols = np.fromiter(itertools.chain.from_iterable(models), dtype=np.intp,
+                       count=rows.size)
+    mask = np.zeros((len(sizes), p), dtype=bool)
+    mask[rows, cols] = True
+    return mask
+
+
+def _canonical_models(models, p):
+    """Models as sorted index tuples, plus their mask; cheap if already sorted."""
+    models = tuple(map(tuple, models))
+    flat = np.fromiter(itertools.chain.from_iterable(models), dtype=np.intp)
+    if flat.size == 0 or (flat.min() >= 0 and flat.max() < p):
+        mask = model_mask(models, p)
+        if np.array_equal(np.nonzero(mask)[1], flat):
+            return models, mask
+    models = tuple(_canonical_subset(m, p) for m in models)
+    return models, model_mask(models, p)
+
+
+@dataclass(frozen=True)
+class ModelTable:
+    """Least-squares fits of many subsets of one dataset, as parallel arrays.
+
+    Row i belongs to ``models[i]``: its size, ``sse`` and ``ssr`` as in
+    ``SuffStats``, its coefficients zero-padded to all p candidate columns
+    (``beta``), and its columns as a boolean row of ``mask``.  The Gram
+    factor and a full ``SuffStats`` are built only on request.
+    """
+
+    dataset: Dataset
+    models: tuple
+    sizes: np.ndarray
+    sse: np.ndarray
+    ssr: np.ndarray
+    beta: np.ndarray
+    mask: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.models)
+
+    @property
+    def n(self) -> int:
+        return self.dataset.n
+
+    @property
+    def p0(self) -> int:
+        return self.dataset.p0
+
+    @cached_property
+    def r2(self) -> np.ndarray:
+        """ssr / (sse + ssr), and 0 where ssr is 0, as ``SuffStats.r2``."""
+        total = self.sse + self.ssr
+        return np.divide(self.ssr, total, out=np.zeros_like(total), where=self.ssr > 0)
+
+    @cached_property
+    def one_minus_r2(self) -> np.ndarray:
+        """sse / (sse + ssr), and 1 where that total is 0."""
+        total = self.sse + self.ssr
+        return np.divide(self.sse, total, out=np.ones_like(total), where=total > 0)
+
+    def gram_chol(self, i: int) -> np.ndarray:
+        """R'R = X'X of model i's columns, R upper triangular with diag(R) >= 0."""
+        cols = list(self.models[i])
+        if not cols:
+            return np.zeros((0, 0))
+        r = np.linalg.qr(self.dataset.x[:, cols], mode="r")
+        return r * np.where(np.diag(r) < 0, -1.0, 1.0)[:, None]
+
+    def suffstats(self, i: int) -> SuffStats:
+        cols = list(self.models[i])
+        return SuffStats(
+            n=self.n, p0=self.p0, p=len(cols), beta_hat=self.beta[i, cols],
+            sse=float(self.sse[i]), ssr=float(self.ssr[i]), r2=float(self.r2[i]),
+            gram_chol=self.gram_chol(i),
+        )
+
+
+def fit_models(dataset: Dataset, models) -> ModelTable:
+    """``fit_suffstats`` for every subset in ``models``, batched by model size.
+
+    The dataset must already be orthogonalized.  The common predictors are
+    projected out of y once, and all models of one size share one stacked
+    QR factorization.  Coefficients, sse and ssr do not depend on the signs
+    QR gives R's rows, so the sign convention applies only in ``gram_chol``.
+    A model that ``fit_suffstats`` rejects raises the same ValueError here,
+    prefixed with the index and columns of the first such model.
+    """
+    n, p0, p = dataset.n, dataset.p0, dataset.p
+    models, mask = _canonical_models(models, p)
+    sizes = np.count_nonzero(mask, axis=1)
+    q0 = _common_basis(dataset.x0)
+    ytilde = dataset.y - q0 @ (q0.T @ dataset.y)
+    col_norms = np.linalg.norm(dataset.x, axis=0)
+
+    too_small = n <= p0 + sizes
+    not_orthogonal = np.zeros(len(models), dtype=bool)
+    if p0 > 0:
+        used = mask.any(axis=0)
+        cross = np.abs(q0.T @ dataset.x[:, used])
+        scale = col_norms[used] * max(np.linalg.norm(q0, axis=0).max(), 1.0)
+        bad = np.zeros(p, dtype=bool)
+        bad[used] = np.any(cross > _ORTHO_CHECK_RTOL * np.maximum(scale, 1e-300), axis=0)
+        not_orthogonal = mask[:, bad].any(axis=1)
+    rank_deficient = np.zeros(len(models), dtype=bool)
+
+    sse = np.full(len(models), float(ytilde @ ytilde))
+    ssr = np.zeros(len(models))
+    beta = np.zeros((len(models), p))
+    xt = np.ascontiguousarray(dataset.x.T)
+    for k in np.unique(sizes[(sizes > 0) & ~too_small]):
+        sel = np.flatnonzero(sizes == k)
+        idx = np.nonzero(mask[sel])[1].reshape(sel.size, k)
+        q, r = np.linalg.qr(xt[idx].transpose(0, 2, 1))
+        diag = np.abs(np.diagonal(r, axis1=1, axis2=2))
+        rank_deficient[sel] = np.any(
+            diag <= RANK_RTOL * np.maximum(col_norms[idx], 1e-300), axis=1)
+        if rank_deficient[sel].any() or not_orthogonal[sel].any():
+            continue
+        u = ytilde @ q
+        resid = ytilde - (q @ u[:, :, None])[:, :, 0]
+        beta[sel[:, None], idx] = np.linalg.solve(r, u[:, :, None])[:, :, 0]
+        sse[sel] = np.einsum("ij,ij->i", resid, resid)
+        ssr[sel] = np.einsum("ij,ij->i", u, u)
+
+    failed = too_small | not_orthogonal | rank_deficient
+    if failed.any():
+        i = int(np.argmax(failed))
+        cols = models[i]
+        if too_small[i]:
+            reason = (f"insufficient sample size: n={n} with p0={p0} and {len(cols)} "
+                      "selected predictors")
+        elif not_orthogonal[i]:
+            reason = "dataset not orthogonalized; call orthogonalize() first"
+        else:
+            reason = f"selected columns {cols} are rank deficient"
+        raise ValueError(f"model {i} (columns {cols}): {reason}")
+    # Signal at the level of squared rounding noise in y is an exact zero.
+    ssr[ssr <= 1e-24 * max(float(dataset.y @ dataset.y), 1.0)] = 0.0
+    return ModelTable(dataset=dataset, models=models, sizes=sizes, sse=sse, ssr=ssr,
+                      beta=beta, mask=mask)
 
 
 @dataclass(frozen=True)

@@ -18,6 +18,7 @@ from ml2bf.harness import (
     run_bf,
     run_table1,
 )
+from ml2bf.modelspace import _MAX_ALL_SUBSETS
 from ml2bf.pool import chunk_bounds, run_chunked
 
 
@@ -134,16 +135,16 @@ class TestTable1Driver:
 class TestEvidenceBatch:
     def test_bic_estimator_is_least_squares(self):
         # Identity shrinkage: the BIC row of the loss studies uses beta_hat.
-        from ml2bf.harness import _evidence_batch
-        from ml2bf.regression import fit_suffstats
+        from ml2bf.bayesfactors import evidence
+        from ml2bf.regression import fit_models
 
         rng = np.random.default_rng(17)
         from util import random_dataset
 
         ds = random_dataset(rng, n=30, p=3)
-        stats = [fit_suffstats(ds, m) for m in [(), (0,), (0, 1, 2)]]
+        table = fit_models(ds, [(), (0,), (0, 1, 2)])
         for method in ("bic", "aic"):
-            _, shrink = _evidence_batch(stats, method, want_shrinkage=True)
+            _, shrink = evidence(method, table, want_shrinkage=True)
             np.testing.assert_array_equal(shrink, np.ones(3))
 
 
@@ -268,3 +269,53 @@ class TestCli:
     def test_methods_flag_validation(self, tmp_path):
         code = main(["anova", "--seed", "1", "--replicates", "2", "--methods", "zs"])
         assert code == 2
+
+    def test_unknown_rule_is_config_error(self, capsys):
+        code = main(["table1", "--seed", "1", "--replicates", "2", "--methods", "bogus"])
+        assert code == 2
+        assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("experiment,key", [
+        ("table1", "model_prior"), ("figure_ar1", "model_prior"), ("bf", "model_prior"),
+        ("table1", "zs_rule"), ("figure_ar1", "zs_rule"),
+    ])
+    def test_bad_setting_is_config_error(self, tmp_path, capsys, experiment, key):
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(f"{key} = bogus\nreplicates = 2\n", encoding="utf-8")
+        argv = [experiment, "--config", str(cfg_path), "--seed", "1"]
+        if experiment == "bf":
+            argv.insert(1, str(_write_data_csv(tmp_path, n=20, p=2)))
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "bogus" in err
+
+    @pytest.mark.parametrize("p", [_MAX_ALL_SUBSETS + 1, 26])
+    def test_too_many_predictors_is_config_error(self, tmp_path, capsys, p):
+        path = _write_data_csv(tmp_path, n=p + 5, p=p)
+        assert main(["bf", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert f"capped at {_MAX_ALL_SUBSETS}" in err
+
+    def test_cap_is_reachable(self, tmp_path):
+        # The largest allowed p runs; that is what the cap's measurements say.
+        cfg = ExperimentConfig(experiment="bf", seed=0, methods=("bic",))
+        path = _write_data_csv(tmp_path, n=_MAX_ALL_SUBSETS + 4, p=_MAX_ALL_SUBSETS)
+        result = run_bf(path, cfg)
+        assert len(result["methods"]["bic"]["models"]) == 2**_MAX_ALL_SUBSETS
+
+    def test_insufficient_sample_size_is_config_error(self, tmp_path, capsys):
+        # n = p0 + p: the intercept and three candidates leave no residual.
+        path = _write_data_csv(tmp_path, n=4, p=3)
+        assert main(["bf", str(path)]) == 2
+        assert "insufficient sample size" in capsys.readouterr().err
+
+
+def _write_data_csv(tmp_path, n, p, seed=0):
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, p))
+    y = 1.0 + x[:, 0] + rng.standard_normal(n)
+    lines = ["y," + ",".join(f"x{j + 1}" for j in range(p))]
+    lines += [",".join(repr(float(v)) for v in (y[i], *x[i])) for i in range(n)]
+    path = tmp_path / "data.csv"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return path
