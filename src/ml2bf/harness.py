@@ -15,7 +15,7 @@ import numpy as np
 
 from . import __version__
 from .anova import ANOVA_METHODS, AnovaTruth, simulate_consistency
-from .bayesfactors import PriorMethod, evidence
+from .bayesfactors import _METHOD_ALIASES, METHOD_KINDS, evidence
 from .modelspace import (
     ModelSpace,
     entropy,
@@ -25,8 +25,9 @@ from .modelspace import (
     posterior_from_evidence,
 )
 from .nonparametric import STUDY_METHODS, NonparametricConfig, run_study
-from .pool import chunk_bounds, run_chunked
+from .pool import chunk_bounds, derive_stream, run_chunked
 from .regression import (
+    RANK_RTOL,
     CorrelationSpec,
     Dataset,
     correlated_design_from_raw,
@@ -126,17 +127,6 @@ class ExperimentConfig:
         return [int(v) for v in raw]
 
 
-def derive_stream(seed: int, replicate) -> np.random.Generator:
-    """Independent, reproducible generator for one replicate of one run.
-
-    The stream is ``PCG64(SeedSequence(seed, spawn_key=key))`` where the key
-    is the replicate index (or tuple of indices): a splittable counter-based
-    derivation, so any replicate's stream can be rebuilt in isolation.
-    """
-    key = replicate if isinstance(replicate, tuple) else (int(replicate),)
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=key)))
-
-
 # ---------------------------------------------------------------------------
 # Config file handling.  Flat key = value lines; '#' starts a comment.
 # ---------------------------------------------------------------------------
@@ -198,22 +188,13 @@ def build_config(experiment, file_values=None, **cli_values) -> ExperimentConfig
     )
 
 
-def _parse_methods(cfg, default, allowed=None):
-    tokens = cfg.methods or default
+def _parse_methods(cfg, default, allowed=METHOD_KINDS):
     parsed = []
-    for tok in tokens:
-        if allowed is None:
-            try:
-                parsed.append(PriorMethod.parse(tok).kind)
-            except ValueError as exc:
-                raise ConfigError(str(exc))
-        else:
-            kind = tok.strip().lower()
-            if kind == "ml":
-                kind = "ml2"
-            if kind not in allowed:
-                raise ConfigError(f"method {tok!r} not available for this experiment")
-            parsed.append(kind)
+    for tok in cfg.methods or default:
+        kind = _METHOD_ALIASES.get(tok.strip().lower(), tok.strip().lower())
+        if kind not in allowed:
+            raise ConfigError(f"method {tok!r} not available for this experiment")
+        parsed.append(kind)
     return tuple(dict.fromkeys(parsed))
 
 
@@ -249,6 +230,16 @@ def _write_sidecar(directory, name, cfg: ExperimentConfig, extra=None):
         obj.update(extra)
     path = Path(directory) / f"{name}.json"
     path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+
+
+def _write_outputs(cfg: ExperimentConfig, name, rows, fieldnames):
+    """``<name>.csv`` and its ``<name>.json`` sidecar in the output directory, if any."""
+    if not cfg.output_dir:
+        return
+    outdir = Path(cfg.output_dir)
+    outdir.mkdir(parents=True, exist_ok=True)
+    write_csv(outdir / f"{name}.csv", rows, fieldnames)
+    _write_sidecar(outdir, name, cfg)
 
 
 def _mean_se(values):
@@ -369,15 +360,8 @@ def run_table1(cfg: ExperimentConfig) -> list[dict]:
                         "replicates": cfg.replicates,
                     }
                 )
-    if cfg.output_dir:
-        outdir = Path(cfg.output_dir)
-        outdir.mkdir(parents=True, exist_ok=True)
-        write_csv(
-            outdir / "table1.csv",
-            rows,
-            ["n", "r", "method", "avg_prob_true", "se", "replicates"],
-        )
-        _write_sidecar(outdir, "table1", cfg)
+    _write_outputs(cfg, "table1", rows,
+                   ["n", "r", "method", "avg_prob_true", "se", "replicates"])
     return rows
 
 
@@ -521,18 +505,12 @@ def run_figure_sims(cfg: ExperimentConfig) -> list[dict]:
                                 "replicates": cfg.replicates,
                             }
                         )
-    if cfg.output_dir:
-        outdir = Path(cfg.output_dir)
-        outdir.mkdir(parents=True, exist_ok=True)
-        if diag:
-            fields = ["design", "g", "k", "method", "avg_entropy", "se_entropy",
-                      "mpm_match_rate", "se_match", "avg_mpm_size", "se_size",
-                      "replicates"]
-        else:
-            fields = ["design", "g", "k", "method", "selector", "avg_loss", "se",
-                      "replicates"]
-        write_csv(outdir / f"{cfg.experiment}.csv", rows, fields)
-        _write_sidecar(outdir, cfg.experiment, cfg)
+    if diag:
+        fields = ["design", "g", "k", "method", "avg_entropy", "se_entropy",
+                  "mpm_match_rate", "se_match", "avg_mpm_size", "se_size", "replicates"]
+    else:
+        fields = ["design", "g", "k", "method", "selector", "avg_loss", "se", "replicates"]
+    _write_outputs(cfg, cfg.experiment, rows, fields)
     return rows
 
 
@@ -550,15 +528,8 @@ def run_anova_experiment(cfg: ExperimentConfig) -> list[dict]:
     rows = simulate_consistency(
         AnovaTruth(tau2), r, p_grid, cfg.replicates, cfg.seed, methods
     )
-    if cfg.output_dir:
-        outdir = Path(cfg.output_dir)
-        outdir.mkdir(parents=True, exist_ok=True)
-        write_csv(
-            outdir / "anova.csv",
-            rows,
-            ["p", "method", "avg_prob_true", "se", "replicates", "tau2", "r"],
-        )
-        _write_sidecar(outdir, "anova", cfg)
+    _write_outputs(cfg, "anova", rows,
+                   ["p", "method", "avg_prob_true", "se", "replicates", "tau2", "r"])
     return rows
 
 
@@ -589,16 +560,9 @@ def run_shibata_experiment(cfg: ExperimentConfig) -> list[dict]:
         refit_per_model=cfg.get_bool("powerlaw_refit_per_model", True),
         loss_kind=cfg.overrides.get("loss_kind", "coefficient"),
     )
-    if cfg.output_dir:
-        outdir = Path(cfg.output_dir)
-        outdir.mkdir(parents=True, exist_ok=True)
-        write_csv(
-            outdir / "shibata.csv",
-            rows,
-            ["scenario", "method", "selector", "avg_loss", "se_loss", "avg_size",
-             "se_size", "replicates", "seed"],
-        )
-        _write_sidecar(outdir, "shibata", cfg)
+    _write_outputs(cfg, "shibata", rows,
+                   ["scenario", "method", "selector", "avg_loss", "se_loss", "avg_size",
+                    "se_size", "replicates", "seed"])
     return rows
 
 
@@ -614,13 +578,23 @@ def run_bf(dataset_path, cfg: ExperimentConfig) -> dict:
         dataset, labels = load_dataset_csv(dataset_path)
     except (ValueError, OSError) as exc:
         raise ConfigError(str(exc))
-    ds = orthogonalize(dataset)
+    try:
+        ds = orthogonalize(dataset)
+    except ValueError as exc:
+        raise ConfigError(f"{exc}: the x0_* columns are linearly dependent")
     space = _all_subsets_space(ds.p, cfg, "uniform_models")
     if ds.n <= ds.p0 + ds.p:
         raise ConfigError(
             f"insufficient sample size: the full model needs n > {ds.p0 + ds.p} rows "
             f"({ds.p0} common and {ds.p} candidate predictors), the dataset has {ds.n}"
         )
+    # What is left of each column after projecting out the common predictors
+    # and the columns before it.
+    left = np.abs(np.diagonal(np.linalg.qr(ds.x, mode="r")))
+    dependent = left <= RANK_RTOL * np.linalg.norm(dataset.x, axis=0)
+    if dependent.any():
+        raise ConfigError(f"linearly dependent columns: {', '.join(np.array(labels)[dependent])} "
+                          "(each a combination of the common and earlier candidate columns)")
     table = fit_models(ds, space.models())
     result = {
         "dataset": str(dataset_path),

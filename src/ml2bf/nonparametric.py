@@ -24,7 +24,7 @@ from scipy.special import expit
 
 from .bayesfactors import ml2_known_variance_from_scalars
 from .modelspace import ModelPosterior, ModelSpace, hpm, mpm, posterior_from_evidence
-from .pool import chunk_bounds, run_chunked
+from .pool import chunk_bounds, derive_stream, run_chunked
 
 __all__ = [
     "NonparametricConfig",
@@ -515,9 +515,7 @@ def _study_chunk(args):
     losses = np.empty((hi - lo, len(methods), len(_SELECTORS)))
     sizes = np.empty((hi - lo, len(methods), 2))
     for rep in range(lo, hi):
-        rng = np.random.Generator(
-            np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(rep,)))
-        )
+        rng = derive_stream(seed, rep)
         y = signal + math.sqrt(sigma2) * rng.standard_normal(n)
         metrics = _replicate_metrics(y, x, loss_fn, methods, sigma2, refit_per_model)
         for mi, method in enumerate(methods):

@@ -1,14 +1,27 @@
-"""Replicate chunks and the process pool that runs them.
+"""Replicate streams, replicate chunks and the process pool that runs them.
 
-The chunk bounds depend only on the replicate count and the requested
-worker count, and results come back in chunk order, so outputs do not
-depend on how many processes actually run.
+Each replicate draws from its own stream, the chunk bounds depend only on
+the replicate count and the requested worker count, and results come back
+in chunk order, so outputs do not depend on how many processes actually run.
 """
 
 import os
 from concurrent.futures import ProcessPoolExecutor
 
-__all__ = ["chunk_bounds", "run_chunked", "usable_cores"]
+import numpy as np
+
+__all__ = ["chunk_bounds", "derive_stream", "run_chunked", "usable_cores"]
+
+
+def derive_stream(seed: int, replicate) -> np.random.Generator:
+    """Independent, reproducible generator for one replicate of one run.
+
+    The stream is ``PCG64(SeedSequence(seed, spawn_key=key))`` where the key
+    is the replicate index (or tuple of indices): a splittable counter-based
+    derivation, so any replicate's stream can be rebuilt in isolation.
+    """
+    key = replicate if isinstance(replicate, tuple) else (int(replicate),)
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=key)))
 
 
 def usable_cores() -> int:

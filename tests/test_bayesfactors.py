@@ -5,11 +5,13 @@ import math
 import numpy as np
 import pytest
 from scipy import integrate
+from scipy.optimize import minimize_scalar
 
 from ml2bf.bayesfactors import (
     PriorMethod,
     QuadratureConfig,
     QuadratureError,
+    _zs_mode,
     log_bf_aic,
     log_bf_bic,
     log_bf_bic_prior,
@@ -399,6 +401,58 @@ class TestZellnerSiow:
             s = make_stats(20, 1, 3, float(rng.uniform(0, 0.99)))
             shr = zs_posterior_shrinkage(s)
             assert 0.0 < shr < 1.0
+
+
+def _zs_log_f(g, n, q, p, w):
+    """Log of BF(g) pi(g) for the Zellner-Siow mixture, written out in g."""
+    return (0.5 * (q - p) * np.log1p(g) - 0.5 * q * np.log1p(w * g) + 0.5 * np.log(n / 2.0)
+            - 0.5 * np.log(np.pi) - 1.5 * np.log(g) - n / (2.0 * g))
+
+
+class TestZellnerSiowLaplace:
+    def test_invariance_under_column_transformations(self):
+        # The acceptance invariance protocol, for the Laplace rule.
+        rng = np.random.default_rng(41)
+        for _ in range(4):
+            ds = random_dataset(rng, n=40, p=4, beta_scale=2.0)
+            base = log_bf_zs_laplace(fit_suffstats(ds, range(4)))
+            for _ in range(50):
+                a = rng.standard_normal((4, 4))
+                while np.linalg.cond(a) > 1e3:
+                    a = rng.standard_normal((4, 4))
+                tds = orthogonalize(Dataset(y=ds.y, x0=ds.x0, x=ds.x @ a))
+                got = log_bf_zs_laplace(fit_suffstats(tds, range(4)))
+                assert got == pytest.approx(base, rel=1e-8, abs=1e-10)
+
+    @pytest.mark.parametrize("omr2", [1e-11, 1e-12, 1e-13])
+    def test_near_saturation_tracks_quadrature(self, omr2):
+        # The mode moves out to g ~ 1/(1 - r2); no bound on g may stop it.
+        for n, p in [(2000, 3), (200, 10)]:
+            s = make_stats(n, 1, p, 1.0 - omr2)
+            assert log_bf_zs_laplace(s) == pytest.approx(log_bf_zs(s), rel=1e-3)
+
+    def test_mode_is_the_maximum_and_a_stationary_point(self):
+        rng = np.random.default_rng(42)
+        t_grid = np.linspace(-25.0, 45.0, 7001)
+        for _ in range(3000):
+            n = int(np.exp(rng.uniform(math.log(3), math.log(3000))))
+            p0 = int(rng.integers(0, min(3, n - 2) + 1))
+            q = n - p0
+            p = int(rng.integers(1, q))
+            w = 10.0 ** rng.uniform(-13.5, 0.0)
+            g0 = float(_zs_mode(n, p0, np.array([float(p)]), np.array([w]))[0])
+            top = _zs_log_f(g0, n, q, p, w)
+            grid = _zs_log_f(np.exp(np.concatenate([t_grid, math.log(g0) + t_grid * 1e-4])),
+                             n, q, p, w).max()
+            res = minimize_scalar(lambda t: -_zs_log_f(math.exp(t), n, q, p, w),
+                                  bounds=(t_grid[0], t_grid[-1]), method="bounded",
+                                  options={"xatol": 1e-12})
+            # Rounding in f itself is about 1e-16 of its largest term.
+            tol = 1e-12 * max(1.0, 0.5 * q * math.log1p(g0))
+            assert top >= max(grid, -res.fun) - tol, (n, p0, p, w)
+            terms = np.array([0.5 * (q - p) / (1 + g0), -0.5 * q * w / (1 + w * g0),
+                              -1.5 / g0, n / (2 * g0**2)])
+            assert abs(terms.sum()) <= 1e-10 * np.abs(terms).sum(), (n, p0, p, w)
 
 
 class TestPriorMethod:

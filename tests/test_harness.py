@@ -6,6 +6,7 @@ import os
 import numpy as np
 import pytest
 
+from ml2bf import bayesfactors, nonparametric
 from ml2bf.cli import main
 from ml2bf.harness import (
     ConfigError,
@@ -16,6 +17,7 @@ from ml2bf.harness import (
     load_config_file,
     run_anova_experiment,
     run_bf,
+    run_experiment,
     run_table1,
 )
 from ml2bf.modelspace import _MAX_ALL_SUBSETS
@@ -309,6 +311,47 @@ class TestCli:
         assert main(["bf", str(path)]) == 2
         assert "insufficient sample size" in capsys.readouterr().err
 
+
+    @pytest.mark.parametrize("case,named", [
+        ("copy", "x3"), ("combination", "x3"), ("common", "x0_*"),
+    ])
+    def test_dependent_columns_are_config_error(self, tmp_path, capsys, case, named):
+        rng = np.random.default_rng(5)
+        n = 20
+        x = rng.standard_normal((n, 3))
+        cols = {"y": 1.0 + x[:, 0] + rng.standard_normal(n)}
+        if case == "common":
+            cols["x0_a"], cols["x0_b"] = np.ones(n), np.full(n, 2.0)
+        elif case == "copy":
+            x[:, 2] = x[:, 0]
+        else:
+            x[:, 2] = 2.0 * x[:, 0] - 3.0 * x[:, 1] + 5.0
+        cols.update({f"x{j + 1}": x[:, j] for j in range(3)})
+        lines = [",".join(cols)]
+        lines += [",".join(repr(float(c[i])) for c in cols.values()) for i in range(n)]
+        path = tmp_path / "data.csv"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert main(["bf", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "linearly dependent" in err and named in err
+
+
+class TestNoGeneralPurposeOptimizer:
+    def test_experiments_run_without_scipy_optimizers(self, monkeypatch):
+        # The names stay importable for the benchmark's tracer; no program
+        # path may call them, every maximum it needs has a closed form or
+        # the batched power-law fit.
+        def refuse(*args, **kwargs):
+            raise AssertionError("a general-purpose optimizer was called")
+
+        monkeypatch.setattr(bayesfactors, "minimize_scalar", refuse)
+        monkeypatch.setattr(nonparametric, "minimize", refuse)
+        for zs_rule in ("laplace", "exact"):
+            run_experiment(build_config("table1", {"zs_rule": zs_rule, "n_grid": "5,10"},
+                                        seed=1, replicates=2))
+        run_experiment(build_config("figure_ar1", {"g_grid": "5", "k_grid": "0,3"},
+                                    seed=1, replicates=1))
+        run_experiment(build_config("shibata", {"n": "30", "k": "9"}, seed=1, replicates=2))
 
 def _write_data_csv(tmp_path, n, p, seed=0):
     rng = np.random.default_rng(seed)
