@@ -85,10 +85,12 @@ class ModelSpace:
     def log_prior(self, models) -> np.ndarray:
         if self.model_prior == "uniform_models":
             return np.zeros(len(models))
-        sizes = np.array([len(m) for m in models])
-        counts = {s: int(np.sum(sizes == s)) for s in set(sizes.tolist())}
-        n_sizes = len(counts)
-        return np.array([-math.log(n_sizes) - math.log(counts[s]) for s in sizes])
+        sizes = np.fromiter(map(len, models), dtype=np.intp, count=len(models))
+        counts = np.bincount(sizes)
+        n_sizes = np.count_nonzero(counts)
+        per_size = np.array([-math.log(n_sizes) - math.log(c) if c else 0.0
+                             for c in counts.tolist()])
+        return per_size[sizes]
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 """Closed-form evidence: worked values, oracles, and structural properties."""
 
+import itertools
 import math
 
 import numpy as np
@@ -11,7 +12,13 @@ from ml2bf.bayesfactors import (
     PriorMethod,
     QuadratureConfig,
     QuadratureError,
+    _GAUSS_W,
+    _KRONROD_W,
+    _KRONROD_X,
+    _zs_kronrod,
+    _zs_log_integrand,
     _zs_mode,
+    _zs_window,
     log_bf_aic,
     log_bf_bic,
     log_bf_bic_prior,
@@ -29,9 +36,10 @@ from ml2bf.bayesfactors import (
     ml2_covariance,
     ml2_known_variance_from_scalars,
     ml2_known_variance_log_bf,
+    zs_evidence_batch,
     zs_posterior_shrinkage,
 )
-from ml2bf.regression import Dataset, fit_suffstats, orthogonalize
+from ml2bf.regression import Dataset, fit_models, fit_suffstats, orthogonalize
 
 from util import make_stats, random_dataset
 
@@ -401,6 +409,79 @@ class TestZellnerSiow:
             s = make_stats(20, 1, 3, float(rng.uniform(0, 0.99)))
             shr = zs_posterior_shrinkage(s)
             assert 0.0 < shr < 1.0
+
+
+class TestZellnerSiowKronrod:
+    def test_qk21_constants(self):
+        # The Kronrod rule integrates polynomials of degree 31 exactly and
+        # its odd nodes carry the 10-point Gauss-Legendre rule.
+        z, wz = np.polynomial.legendre.leggauss(10)
+        np.testing.assert_allclose(_KRONROD_X[1::2], z, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(_GAUSS_W, wz, rtol=0, atol=1e-15)
+        for k in range(32):
+            exact = 0.0 if k % 2 else 2.0 / (k + 1)
+            assert _KRONROD_W @ _KRONROD_X**k == pytest.approx(exact, abs=1e-15)
+
+    def test_value_does_not_depend_on_batch_mates(self):
+        # Each model has its own panels, so scoring it inside a table (in any
+        # row order, across model blocks) gives its one-model value.
+        rng = np.random.default_rng(51)
+        for n, p in [(15, 4), (60, 6), (200, 9)]:
+            ds = random_dataset(rng, n=n, p=p, beta_scale=2.0)
+            models = [c for size in range(p + 1) for c in itertools.combinations(range(p), size)]
+            table = fit_models(ds, models)
+            order = rng.permutation(len(table))
+            sizes, omr2 = table.sizes[order], table.one_minus_r2[order]
+            log_bf, shrink = zs_evidence_batch(n, 1, sizes, omr2, want_shrinkage=True)
+            one = np.array([zs_evidence_batch(n, 1, [k], [w], want_shrinkage=True)
+                            for k, w in zip(sizes, omr2)])[:, :, 0]
+            active = sizes > 0
+            np.testing.assert_array_max_ulp(log_bf, one[:, 0], maxulp=4)
+            np.testing.assert_array_max_ulp(shrink[active], one[active, 1], maxulp=4)
+
+    def test_forced_refinement_matches_quad(self):
+        # A tolerance just below the median first-pass estimate makes about
+        # half the models double their panels; those must still match an
+        # adaptive scipy quadrature and the others must not move.
+        rng = np.random.default_rng(52)
+        n, p0 = 3000, 1
+        q = n - p0
+        sizes = rng.integers(1, 21, size=40).astype(np.float64)
+        omr2 = np.exp(rng.uniform(math.log(1e-3), 0.0, size=40))
+        shift, t_lo, width = _zs_window(n, q, sizes, omr2)
+        panels = np.maximum(1, np.ceil(width).astype(np.intp))
+        _, first, _ = _zs_kronrod(n, q, sizes, omr2, shift, t_lo, width, panels, False)
+        tol = float(np.median(first)) * (1.0 - 1e-9)
+        refined = first > tol
+        assert 10 <= refined.sum() <= 30
+
+        base = zs_evidence_batch(n, p0, sizes, omr2, want_shrinkage=True)
+        got = zs_evidence_batch(n, p0, sizes, omr2, QuadratureConfig(relative_tolerance=tol),
+                                want_shrinkage=True)
+        for b, r in zip(base, got):
+            np.testing.assert_array_equal(r[~refined], b[~refined])
+        for i in np.flatnonzero(refined):
+            def f(t):
+                return math.exp(_zs_log_integrand(t, n, q, sizes[i], omr2[i]) - shift[i])
+
+            grid = np.linspace(t_lo[i], t_lo[i] + width[i], 2001)
+            mode = float(grid[np.argmax([f(t) for t in grid])])
+            kw = dict(points=[mode], epsabs=0.0, epsrel=1e-13, limit=1000)
+            val, _ = integrate.quad(f, mode - 60.0, mode + 100.0, **kw)
+            wval, _ = integrate.quad(lambda t: f(t) / (1.0 + math.exp(-t)),
+                                     mode - 60.0, mode + 100.0, **kw)
+            ref = shift[i] + math.log(val)
+            assert abs(got[0][i] - ref) <= 1e-12 * max(1.0, abs(ref)), i
+            assert got[1][i] == pytest.approx(wval / val, rel=1e-12), i
+
+    def test_budget_exhaustion_reports_last_estimate(self):
+        s = make_stats(10, 1, 2, 0.5)
+        for cfg in [QuadratureConfig(node_count=32, relative_tolerance=1e-15),
+                    QuadratureConfig(relative_tolerance=1e-15)]:
+            with pytest.raises(QuadratureError) as info:
+                log_bf_zs(s, cfg)
+            # Estimates are floored at 50 machine epsilons, as in QUADPACK.
+            assert 50 * np.finfo(float).eps <= info.value.residual < 1e-13
 
 
 def _zs_log_f(g, n, q, p, w):

@@ -52,6 +52,23 @@ class TestModelSpace:
         for total in by_size.values():
             assert total == pytest.approx(1 / 3)
 
+    def test_uniform_size_prior_matches_counting_formula(self):
+        def counted(models):
+            sizes = [len(m) for m in models]
+            counts = {s: sizes.count(s) for s in set(sizes)}
+            return np.array([-math.log(len(counts)) - math.log(counts[s]) for s in sizes])
+
+        rng = np.random.default_rng(61)
+        spaces = [ModelSpace.all_subsets(p, model_prior="uniform_size") for p in (0, 1, 5, 10)]
+        spaces += [ModelSpace.nested(k, include_null=null) for k in (1, 7, 79)
+                   for null in (False, True)]
+        for space in spaces:
+            models = space.models()
+            shuffled = [models[i] for i in rng.permutation(len(models))]
+            partial = shuffled[: max(1, len(models) // 3)]
+            for group in (models, shuffled, partial):
+                np.testing.assert_array_equal(space.log_prior(group), counted(group))
+
 
 class TestPosterior:
     def test_equal_evidence_symmetry(self):
