@@ -422,15 +422,6 @@ def ml2_known_variance_log_bf(
     return ml2_known_variance_from_scalars(stats.p, stats.ssr, sigma2, scale)
 
 
-def ml2_known_variance_shrinkage(
-    stats: SuffStats, sigma2: float, unit_scale: float | None = None
-) -> float:
-    """Posterior-mean shrinkage factor of the known-variance type II ML prior."""
-    _, a = ml2_known_variance_log_bf(stats, sigma2, unit_scale)
-    m = float(stats.n if unit_scale is None else unit_scale)
-    return 1.0 - 1.0 / (m + 1.0 + a * stats.ssr)
-
-
 # ---------------------------------------------------------------------------
 # Zellner-Siow evidence via the scale-mixture representation.
 #
@@ -551,11 +542,13 @@ def zs_evidence_batch(
     cfg: QuadratureConfig | None = None,
     want_shrinkage: bool = False,
 ):
-    """Zellner-Siow log Bayes factors for a batch of models on one dataset.
+    """Zellner-Siow log Bayes factors for a batch of models sharing n and p0.
 
     Returns the array of log Bayes factors and, when requested, the
     posterior expectation of g/(1+g) per model (the posterior-mean shrinkage
-    factor; NaN for null models).
+    factor; NaN for null models), in the shape of ``p_sizes`` and
+    ``one_minus_r2`` (one model list, or the (R, m) models of R stacked
+    replicates).
 
     Each model's window gets ceil(width) panels of the 21-point
     Gauss-Kronrod rule, evaluated once; a model whose Kronrod-Gauss gap
@@ -632,10 +625,11 @@ def _zs_mode(n: int, p0: int, k, w):
 
 
 def zs_laplace_batch(n: int, p0: int, p_sizes, one_minus_r2):
-    """Zellner-Siow log Bayes factors for a batch of models on one dataset,
-    by Laplace approximation at the closed-form mode g0 (``_zs_mode``):
-    f(g0) + log(2 pi / -f''(g0)) / 2 for the log integrand f, with the
-    analytic -f''(g) = (q-p)/(2(1+g)^2) - q w^2/(2(1+wg)^2) - 3/(2g^2) + n/g^3
+    """Zellner-Siow log Bayes factors for a batch of models sharing n and p0
+    (any one shape, as ``zs_evidence_batch``), by Laplace approximation at
+    the closed-form mode g0 (``_zs_mode``): f(g0) + log(2 pi / -f''(g0)) / 2
+    for the log integrand f, with the analytic
+    -f''(g) = (q-p)/(2(1+g)^2) - q w^2/(2(1+wg)^2) - 3/(2g^2) + n/g^3
     where q = n - p0 and w = 1 - r2."""
     p_arr, omr2, log_bf, work = _zs_batch(p_sizes, one_minus_r2)
     q = n - p0
@@ -698,6 +692,10 @@ def evidence(method, table: ModelTable, want_shrinkage: bool = False,
     exact mixture's E[g/(1+g)] for zs whichever ``zs_rule`` is used (1 where
     the quadrature reports saturation); it is 1 for BIC, BIC-prior, AIC and
     for null models.
+
+    The table of a stacked dataset gives (R, m) arrays, row j scoring
+    replicate j; every value depends only on its own model's n, p0, size
+    and r2, so each row is bit for bit the single-dataset result.
     """
     if isinstance(method, str):
         method = PriorMethod.parse(method)
@@ -712,8 +710,9 @@ def evidence(method, table: ModelTable, want_shrinkage: bool = False,
         raise ValueError(f"model {i}: insufficient sample size: n={n}, p0={p0}, "
                          f"p={sizes[i]}")
     r2, omr2 = table.r2, table.one_minus_r2
-    log_ev = np.zeros(len(table))
-    shrink = np.ones(len(table))
+    sizes = np.broadcast_to(sizes, r2.shape)
+    log_ev = np.zeros(r2.shape)
+    shrink = np.ones(r2.shape)
     active = sizes > 0
     saturated = active & (r2 >= R2_SATURATION)
     work = active & ~saturated

@@ -109,10 +109,10 @@ class ExperimentConfig:
             raise ConfigError("threads must be at least 1")
 
     def get_float(self, key, default):
-        return float(self.overrides.get(key, default))
+        return _parse(key, self.overrides.get(key, default), float, "a number")
 
     def get_int(self, key, default):
-        return int(self.overrides.get(key, default))
+        return _parse(key, self.overrides.get(key, default), int, "an integer")
 
     def get_bool(self, key, default):
         raw = self.overrides.get(key, default)
@@ -120,11 +120,27 @@ class ExperimentConfig:
             return raw
         return str(raw).strip().lower() in ("1", "true", "yes", "on")
 
-    def get_int_list(self, key, default):
+    def get_list(self, key, default, parse, need, valid=None):
+        """The values of the list setting ``key`` (commas or spaces between
+        them), each parsed and checked before any work starts."""
         raw = self.overrides.get(key, default)
-        if isinstance(raw, str):
-            return [int(tok) for tok in raw.replace(",", " ").split()]
-        return [int(v) for v in raw]
+        tokens = raw.replace(",", " ").split() if isinstance(raw, str) else list(raw)
+        if not tokens:
+            raise ConfigError(f"{key} lists no values")
+        return [_parse(key, tok, parse, need, valid) for tok in tokens]
+
+
+def _parse(key, raw, parse, need, valid=None):
+    """``parse(raw)``, or a ConfigError naming the setting and the value if
+    that fails or ``valid`` rejects the result."""
+    try:
+        value = parse(raw)
+        ok = valid is None or valid(value)
+    except (TypeError, ValueError):
+        ok = False
+    if not ok:
+        raise ConfigError(f"{key}: {raw!r} is not {need}")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -274,6 +290,8 @@ def _zs_rule(cfg: ExperimentConfig, default) -> str:
 
 
 def _table1_chunk(args):
+    """Posterior probability of the full model for replicates lo..hi-1: per
+    (n, r), one stacked design, fit, evidence and posterior over them all."""
     (seed, lo, hi, n_grid, r_values, methods, beta, share_noise, model_prior,
      design_scale, zs_rule) = args
     beta = np.asarray(beta)
@@ -282,6 +300,12 @@ def _table1_chunk(args):
     space = ModelSpace.all_subsets(p, model_prior=model_prior)
     models = space.models()
     full_index = models.index(tuple(range(p)))
+    specs = [CorrelationSpec.explicit([[1.0, r], [r, 1.0]]) if p == 2
+             else CorrelationSpec.identity() for r in r_values]
+    # Every replicate's draws, from the same streams in the same order as
+    # drawing them one dataset at a time.
+    raw = [np.empty((hi - lo, n, p)) for n in n_grid]
+    eps = [np.empty((hi - lo, n)) for n in n_grid]
     n_max = max(n_grid)
     for rep in range(lo, hi):
         if share_noise:
@@ -290,28 +314,26 @@ def _table1_chunk(args):
             eps_max = rng.standard_normal(n_max)
         for ni, n in enumerate(n_grid):
             if share_noise:
-                raw, eps = raw_max[:n], eps_max[:n]
+                raw[ni][rep - lo], eps[ni][rep - lo] = raw_max[:n], eps_max[:n]
             else:
                 rng = derive_stream(seed, (n, rep))
-                raw = rng.standard_normal((n, p))
-                eps = rng.standard_normal(n)
-            for ri, r in enumerate(r_values):
-                corr = np.array([[1.0, r], [r, 1.0]]) if p == 2 else None
-                spec = (
-                    CorrelationSpec.explicit(corr)
-                    if corr is not None
-                    else CorrelationSpec.identity()
-                )
-                x = correlated_design_from_raw(raw, spec)
+                raw[ni][rep - lo] = rng.standard_normal((n, p))
+                eps[ni][rep - lo] = rng.standard_normal(n)
+    for ni, n in enumerate(n_grid):
+        for ri, spec in enumerate(specs):
+            try:
+                x = correlated_design_from_raw(raw[ni], spec)
                 if design_scale == "corrected":
                     x = x * math.sqrt((n - 1.0) / n)
-                y = x @ beta + eps
-                ds = orthogonalize(Dataset.with_intercept(y, x))
-                table = fit_models(ds, models)
-                for mi, method in enumerate(methods):
-                    log_ev = evidence(method, table, zs_rule=zs_rule)
-                    posterior = posterior_from_evidence(models, log_ev, space)
-                    out[rep - lo, ni, ri, mi] = posterior.posterior_prob[full_index]
+                y = x @ beta + eps[ni]
+                table = fit_models(orthogonalize(Dataset.with_intercept(y, x)), models)
+            except ValueError as exc:
+                raise ValueError(f"n={n}, r={r_values[ri]}, stack of replicates "
+                                 f"{lo}..{hi - 1}: {exc}") from None
+            for mi, method in enumerate(methods):
+                log_ev = evidence(method, table, zs_rule=zs_rule)
+                posterior = posterior_from_evidence(models, log_ev, space)
+                out[:, ni, ri, mi] = posterior.posterior_prob[:, full_index]
     return lo, out
 
 
@@ -329,7 +351,9 @@ def run_table1(cfg: ExperimentConfig) -> list[dict]:
     ``zs_rule = exact``.
     """
     methods = _parse_methods(cfg, _DEFAULT_METHODS)
-    n_grid = tuple(cfg.get_int_list("n_grid", _TABLE1_NS))
+    n_grid = tuple(cfg.get_list("n_grid", _TABLE1_NS, int,
+                                "an integer above 3 (the full model has an intercept "
+                                "and two predictors)", lambda n: n > 3))
     beta = (cfg.get_float("beta1", 5.0), cfg.get_float("beta2", 5.0))
     share = cfg.get_bool("share_noise_across_n", False)
     model_prior = _all_subsets_space(2, cfg, "uniform_size").model_prior
@@ -418,6 +442,37 @@ def _figure_chunk(args):
     return lo, losses, ent, match, mpm_size
 
 
+def _figure_jobs(design, g_signal, k_active, seed, replicates, methods, threads,
+                 model_prior, zs_rule):
+    """One cell's chunk jobs for ``_figure_chunk``; the chunk bounds depend
+    only on the replicate count and ``threads``."""
+    if design not in ("orthogonal", "ar1"):
+        raise ConfigError(f"unknown design {design!r}")
+    # Deterministic stream-key component (Python's hash() is salted per run).
+    cell = (
+        (0 if design == "orthogonal" else 1),
+        int(round(1000 * float(g_signal))),
+        int(k_active),
+    )
+    return [
+        (design, g_signal, k_active, seed, cell, lo, hi, tuple(methods), _FIG_N,
+         _FIG_P, _FIG_RHO, model_prior, zs_rule)
+        for lo, hi in chunk_bounds(replicates, threads)
+    ]
+
+
+def _figure_arrays(chunks, replicates, n_methods):
+    """One cell's chunk results as the per-replicate arrays of ``figure_cell``."""
+    losses = np.empty((replicates, n_methods, len(_SELECTORS)))
+    ent = np.empty((replicates, n_methods))
+    match = np.empty((replicates, n_methods))
+    size = np.empty((replicates, n_methods))
+    for lo, l_chunk, e_chunk, m_chunk, s_chunk in chunks:
+        sl = slice(lo, lo + l_chunk.shape[0])
+        losses[sl], ent[sl], match[sl], size[sl] = l_chunk, e_chunk, m_chunk, s_chunk
+    return {"losses": losses, "entropy": ent, "mpm_match": match, "mpm_size": size}
+
+
 def figure_cell(
     design: str,
     g_signal: float,
@@ -434,27 +489,9 @@ def figure_cell(
     Returns dict with arrays ``losses`` (replicates, methods, selectors in
     hpm/mpm/bma order), ``entropy``, ``mpm_match``, ``mpm_size``.
     """
-    if design not in ("orthogonal", "ar1"):
-        raise ConfigError(f"unknown design {design!r}")
-    # Deterministic stream-key component (Python's hash() is salted per run).
-    cell = (
-        (0 if design == "orthogonal" else 1),
-        int(round(1000 * float(g_signal))),
-        int(k_active),
-    )
-    losses = np.empty((replicates, len(methods), len(_SELECTORS)))
-    ent = np.empty((replicates, len(methods)))
-    match = np.empty((replicates, len(methods)))
-    size = np.empty((replicates, len(methods)))
-    jobs = [
-        (design, g_signal, k_active, seed, cell, lo, hi, tuple(methods), _FIG_N,
-         _FIG_P, _FIG_RHO, model_prior, zs_rule)
-        for lo, hi in chunk_bounds(replicates, threads)
-    ]
-    for lo, l_chunk, e_chunk, m_chunk, s_chunk in run_chunked(_figure_chunk, jobs, threads):
-        sl = slice(lo, lo + l_chunk.shape[0])
-        losses[sl], ent[sl], match[sl], size[sl] = l_chunk, e_chunk, m_chunk, s_chunk
-    return {"losses": losses, "entropy": ent, "mpm_match": match, "mpm_size": size}
+    jobs = _figure_jobs(design, g_signal, k_active, seed, replicates, methods, threads,
+                        model_prior, zs_rule)
+    return _figure_arrays(run_chunked(_figure_chunk, jobs, threads), replicates, len(methods))
 
 
 def run_figure_sims(cfg: ExperimentConfig) -> list[dict]:
@@ -463,22 +500,28 @@ def run_figure_sims(cfg: ExperimentConfig) -> list[dict]:
     ``figure_ortho`` and ``figure_ar1`` emit average losses per method and
     selector; ``figure_diag`` emits posterior entropy, the rate at which the
     median probability model equals the truth, and its average size, on the
-    AR(1) design.
+    AR(1) design.  The chunks of every cell run in one process pool.
     """
     methods = _parse_methods(cfg, _DEFAULT_METHODS)
     design = "orthogonal" if cfg.experiment == "figure_ortho" else "ar1"
     diag = cfg.experiment == "figure_diag"
-    g_values = [float(t) for t in str(cfg.overrides.get("g_grid", "5,25")).split(",")]
-    k_values = cfg.get_int_list("k_grid", range(0, _FIG_P + 1))
+    g_values = cfg.get_list("g_grid", "5,25", float, "a finite signal variance of at least 0",
+                            lambda g: math.isfinite(g) and g >= 0)
+    k_values = cfg.get_list("k_grid", range(0, _FIG_P + 1), int,
+                            f"an active-predictor count from 0 to {_FIG_P}",
+                            lambda k: 0 <= k <= _FIG_P)
     model_prior = _all_subsets_space(_FIG_P, cfg, "uniform_models").model_prior
     zs_rule = _zs_rule(cfg, "exact")
+    jobs = [job for g_signal in g_values for k_active in k_values
+            for job in _figure_jobs(design, g_signal, k_active, cfg.seed, cfg.replicates,
+                                    methods, cfg.threads, model_prior, zs_rule)]
+    results = iter(run_chunked(_figure_chunk, jobs, cfg.threads))
+    cell_chunks = len(chunk_bounds(cfg.replicates, cfg.threads))
     rows = []
     for g_signal in g_values:
         for k_active in k_values:
-            cell = figure_cell(
-                design, g_signal, k_active, cfg.seed, cfg.replicates, methods,
-                cfg.threads, model_prior, zs_rule,
-            )
+            cell = _figure_arrays([next(results) for _ in range(cell_chunks)],
+                                  cfg.replicates, len(methods))
             for mi, method in enumerate(methods):
                 if diag:
                     e_mean, e_se = _mean_se(cell["entropy"][:, mi])
@@ -524,7 +567,8 @@ def run_anova_experiment(cfg: ExperimentConfig) -> list[dict]:
     methods = _parse_methods(cfg, ANOVA_METHODS, allowed=set(ANOVA_METHODS))
     tau2 = cfg.get_float("tau2", 0.25)
     r = cfg.get_int("r", 5)
-    p_grid = cfg.get_int_list("p_grid", (100, 300, 1000, 3000, 10000))
+    p_grid = cfg.get_list("p_grid", (100, 300, 1000, 3000, 10000), int,
+                          "a group count of at least 1", lambda p: p >= 1)
     rows = simulate_consistency(
         AnovaTruth(tau2), r, p_grid, cfg.replicates, cfg.seed, methods
     )

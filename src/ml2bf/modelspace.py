@@ -118,26 +118,33 @@ def posterior_from_evidence(models, log_ev, space: ModelSpace) -> ModelPosterior
     """Apply the model prior to log evidences and normalize.
 
     A +inf evidence marker hands probability one to the marked model (the
-    tie-break picks one if several are marked).
+    tie-break picks one if several are marked).  ``log_ev`` of shape (R, m)
+    holds R stacked replicates' evidences over the same models; each row is
+    normalized on its own, bit for bit as alone, and the posterior's arrays
+    keep the (R, m) shape.
     """
     models = tuple(tuple(m) for m in models)
     log_ev = np.asarray(log_ev, dtype=np.float64)
     if len(models) == 0:
         raise ValueError("empty model list")
-    if log_ev.shape != (len(models),):
+    if log_ev.ndim not in (1, 2) or log_ev.shape[-1] != len(models):
         raise ValueError("log evidence length must match the model list")
-    probs = np.zeros(len(models))
-    if np.any(np.isposinf(log_ev)):
-        marked = [m for m, le in zip(models, log_ev) if np.isposinf(le)]
-        winner = min(marked, key=_model_order)
-        probs[models.index(winner)] = 1.0
-    else:
-        scores = log_ev + space.log_prior(models)
-        scores -= scores.max()
+    rows = log_ev.reshape(-1, len(models))
+    probs = np.zeros(rows.shape)
+    marked = np.isposinf(rows)
+    saturated = marked.any(axis=1)
+    if not saturated.all():
+        scores = rows[~saturated] + space.log_prior(models)
+        scores -= scores.max(axis=1, keepdims=True)
         weights = np.exp(scores)
-        probs = weights / weights.sum()
+        probs[~saturated] = weights / weights.sum(axis=1, keepdims=True)
+    if saturated.any():
+        rank = np.argsort(sorted(range(len(models)), key=lambda i: _model_order(models[i])))
+        winners = np.where(marked[saturated], rank, len(models)).argmin(axis=1)
+        probs[np.flatnonzero(saturated), winners] = 1.0
     return ModelPosterior(
-        models=models, log_evidence=log_ev, posterior_prob=probs, space=space
+        models=models, log_evidence=log_ev, posterior_prob=probs.reshape(log_ev.shape),
+        space=space
     )
 
 

@@ -4,8 +4,9 @@ Every evidence formula downstream is a function of a handful of scalars per
 model (sample size, model dimension, sums of squares) plus the triangular
 factor of the selected Gram matrix.  This module computes those pieces from
 raw data, one model at a time (``fit_suffstats``) or for a whole model list
-at once (``fit_models``), builds the exactly-correlated simulation designs,
-and reads datasets from CSV.
+at once (``fit_models``, also over a leading axis of stacked replicates),
+builds the exactly-correlated simulation designs, and reads datasets from
+CSV.
 """
 
 import csv
@@ -58,6 +59,11 @@ class Dataset:
     y : (n,) response.
     x0 : (n, p0) common predictors shared by every model; p0 may be 0.
     x : (n, p) candidate predictors that models select subsets of.
+
+    A 3-d ``x`` stacks R datasets of the same shape on a leading replicate
+    axis: ``x`` is (R, n, p), ``y`` is (R, n) and ``x0`` is (R, n, p0) or
+    one (n, p0) matrix shared by every replicate.  ``orthogonalize`` and
+    ``fit_models`` treat each replicate exactly as they treat it alone.
     """
 
     y: np.ndarray
@@ -65,39 +71,55 @@ class Dataset:
     x: np.ndarray
 
     def __post_init__(self):
-        y = np.asarray(self.y, dtype=np.float64).reshape(-1)
-        n = y.shape[0]
+        x = np.asarray(self.x, dtype=np.float64)
+        y = np.asarray(self.y, dtype=np.float64)
+        if x.ndim == 3:
+            if y.shape != x.shape[:2]:
+                raise ValueError("a stacked dataset needs y of shape (R, n) for x of shape "
+                                 "(R, n, p)")
+        else:
+            y = y.reshape(-1)
+            x = _as_matrix(x, "x")
+        n = y.shape[-1]
         if n < 1:
             raise ValueError("empty response")
-        x0 = (
-            np.zeros((n, 0))
-            if self.x0 is None or np.size(self.x0) == 0
-            else _as_matrix(self.x0, "x0")
-        )
-        x = _as_matrix(self.x, "x")
-        if x0.shape[0] != n or x.shape[0] != n:
+        if self.x0 is None or np.size(self.x0) == 0:
+            x0 = np.zeros((n, 0))
+        else:
+            x0 = np.asarray(self.x0, dtype=np.float64)
+            x0 = x0 if x0.ndim == 3 else _as_matrix(x0, "x0")
+        if x0.shape[-2] != n or x.shape[-2] != n:
             raise ValueError("predictor row counts must match len(y)")
+        if x0.shape[:-2] not in ((), y.shape[:-1]):
+            raise ValueError("x0 must be shared by the replicates or stacked like x")
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "x0", x0)
         object.__setattr__(self, "x", x)
 
     @property
     def n(self) -> int:
-        return self.y.shape[0]
+        return self.y.shape[-1]
 
     @property
     def p0(self) -> int:
-        return self.x0.shape[1]
+        return self.x0.shape[-1]
 
     @property
     def p(self) -> int:
-        return self.x.shape[1]
+        return self.x.shape[-1]
+
+    @property
+    def replicates(self) -> int | None:
+        """R for a stacked dataset, None for a single one."""
+        return self.y.shape[0] if self.y.ndim == 2 else None
 
     @classmethod
     def with_intercept(cls, y, x) -> "Dataset":
         """Dataset whose only common predictor is an intercept column."""
-        y = np.asarray(y, dtype=np.float64).reshape(-1)
-        return cls(y=y, x0=np.ones((y.shape[0], 1)), x=x)
+        y = np.asarray(y, dtype=np.float64)
+        if np.ndim(x) != 3:
+            y = y.reshape(-1)
+        return cls(y=y, x0=np.ones((y.shape[-1], 1)), x=x)
 
 
 @dataclass(frozen=True)
@@ -141,14 +163,26 @@ class SuffStats:
         return rinv @ rinv.T
 
 
+def _raise_first(failed, message):
+    """Raise ``ValueError(message)`` where ``failed`` (one flag, or one per
+    stacked replicate) is set, naming the first failing replicate."""
+    failed = np.asarray(failed)
+    if failed.any():
+        if failed.ndim:
+            message = f"replicate {int(np.argmax(failed))}: {message}"
+        raise ValueError(message)
+
+
 def _common_basis(x0):
-    """Orthonormal basis of span(x0); raises on rank deficiency."""
-    if x0.shape[1] == 0:
-        return np.zeros((x0.shape[0], 0))
+    """Orthonormal basis of span(x0), per replicate if x0 is stacked; raises
+    on rank deficiency."""
+    if x0.shape[-1] == 0:
+        return np.zeros(x0.shape)
     q0, r0 = np.linalg.qr(x0)
-    col_norms = np.linalg.norm(x0, axis=0)
-    if np.any(np.abs(np.diag(r0)) <= RANK_RTOL * np.maximum(col_norms, 1e-300)):
-        raise ValueError("degenerate common predictors")
+    col_norms = np.linalg.norm(x0, axis=-2)
+    diag = np.abs(np.diagonal(r0, axis1=-2, axis2=-1))
+    _raise_first(np.any(diag <= RANK_RTOL * np.maximum(col_norms, 1e-300), axis=-1),
+                 "degenerate common predictors")
     return q0
 
 
@@ -158,14 +192,16 @@ def orthogonalize(dataset: Dataset) -> Dataset:
     Returns a dataset whose candidate matrix satisfies x0'x = 0 (each entry
     below 1e-10 times the product of the column norms); the response and
     common predictors are untouched.  With a single intercept column this is
-    ordinary centering.
+    ordinary centering.  A stacked dataset is projected replicate by
+    replicate, in one batched product.
     """
     if dataset.p0 == 0:
         return dataset
     q0 = _common_basis(dataset.x0)
-    x_new = dataset.x - q0 @ (q0.T @ dataset.x)
+    q0t = np.swapaxes(q0, -1, -2)
+    x_new = dataset.x - q0 @ (q0t @ dataset.x)
     # One more pass kills the O(eps * kappa) residue of the first projection.
-    x_new -= q0 @ (q0.T @ x_new)
+    x_new -= q0 @ (q0t @ x_new)
     return Dataset(y=dataset.y, x0=dataset.x0, x=x_new)
 
 
@@ -185,6 +221,8 @@ def fit_suffstats(dataset: Dataset, subset) -> SuffStats:
     null model: p = 0, ssr = 0, r2 = 0 and sse equal to the total sum of
     squares about the common-predictor fit.
     """
+    if dataset.replicates is not None:
+        raise ValueError("fit_suffstats needs a single dataset; fit_models takes stacked ones")
     cols = _canonical_subset(subset, dataset.p)
     p_i = len(cols)
     n, p0 = dataset.n, dataset.p0
@@ -265,6 +303,10 @@ class ModelTable:
     ``SuffStats``, its coefficients zero-padded to all p candidate columns
     (``beta``), and its columns as a boolean row of ``mask``.  The Gram
     factor and a full ``SuffStats`` are built only on request.
+
+    The table of a stacked dataset (``replicates`` = R) has ``sse`` and
+    ``ssr`` of shape (R, m) and ``beta`` of shape (R, m, p), row j holding
+    replicate j's fits; ``models``, ``sizes`` and ``mask`` are shared.
     """
 
     dataset: Dataset
@@ -286,6 +328,10 @@ class ModelTable:
     def p0(self) -> int:
         return self.dataset.p0
 
+    @property
+    def replicates(self) -> int | None:
+        return self.dataset.replicates
+
     @cached_property
     def r2(self) -> np.ndarray:
         """ssr / (sse + ssr), and 0 where ssr is 0, as ``SuffStats.r2``."""
@@ -299,7 +345,10 @@ class ModelTable:
         return np.divide(self.sse, total, out=np.ones_like(total), where=total > 0)
 
     def gram_chol(self, i: int) -> np.ndarray:
-        """R'R = X'X of model i's columns, R upper triangular with diag(R) >= 0."""
+        """R'R = X'X of model i's columns, R upper triangular with diag(R) >= 0
+        (single-dataset tables)."""
+        if self.replicates is not None:
+            raise ValueError("gram_chol needs a single-dataset table")
         cols = list(self.models[i])
         if not cols:
             return np.zeros((0, 0))
@@ -308,10 +357,11 @@ class ModelTable:
 
     def suffstats(self, i: int) -> SuffStats:
         cols = list(self.models[i])
+        gram_chol = self.gram_chol(i)
         return SuffStats(
             n=self.n, p0=self.p0, p=len(cols), beta_hat=self.beta[i, cols],
             sse=float(self.sse[i]), ssr=float(self.ssr[i]), r2=float(self.r2[i]),
-            gram_chol=self.gram_chol(i),
+            gram_chol=gram_chol,
         )
 
 
@@ -320,62 +370,80 @@ def fit_models(dataset: Dataset, models) -> ModelTable:
 
     The dataset must already be orthogonalized.  The common predictors are
     projected out of y once, and all models of one size share one stacked
-    QR factorization.  Coefficients, sse and ssr do not depend on the signs
-    QR gives R's rows, so the sign convention applies only in ``gram_chol``.
-    A model that ``fit_suffstats`` rejects raises the same ValueError here,
-    prefixed with the index and columns of the first such model.
+    QR factorization, over the replicates too when the dataset is stacked:
+    each replicate's fits are bit for bit those of fitting it alone.
+    Coefficients, sse and ssr do not depend on the signs QR gives R's rows,
+    so the sign convention applies only in ``gram_chol``.  A model that
+    ``fit_suffstats`` rejects raises the same ValueError here, prefixed with
+    the index and columns of the first such model (and, when stacked, of the
+    first replicate that has one).
     """
     n, p0, p = dataset.n, dataset.p0, dataset.p
     models, mask = _canonical_models(models, p)
+    m = len(models)
     sizes = np.count_nonzero(mask, axis=1)
+    # The single dataset is the one-replicate stack.
+    stacked = dataset.replicates is not None
+    y = dataset.y if stacked else dataset.y[None]
+    x = dataset.x if stacked else dataset.x[None]
+    reps = y.shape[0]
     q0 = _common_basis(dataset.x0)
-    ytilde = dataset.y - q0 @ (q0.T @ dataset.y)
-    col_norms = np.linalg.norm(dataset.x, axis=0)
+    q0t = np.swapaxes(q0, -1, -2)
+    ytilde = y - (q0 @ (q0t @ y[..., None]))[..., 0]
+    col_norms = np.linalg.norm(x, axis=-2)
 
     too_small = n <= p0 + sizes
-    not_orthogonal = np.zeros(len(models), dtype=bool)
+    not_orthogonal = np.zeros((reps, m), dtype=bool)
     if p0 > 0:
         used = mask.any(axis=0)
-        cross = np.abs(q0.T @ dataset.x[:, used])
-        scale = col_norms[used] * max(np.linalg.norm(q0, axis=0).max(), 1.0)
-        bad = np.zeros(p, dtype=bool)
-        bad[used] = np.any(cross > _ORTHO_CHECK_RTOL * np.maximum(scale, 1e-300), axis=0)
-        not_orthogonal = mask[:, bad].any(axis=1)
-    rank_deficient = np.zeros(len(models), dtype=bool)
+        cross = np.abs(q0t @ x[..., used])
+        q0_scale = np.maximum(np.linalg.norm(q0, axis=-2).max(axis=-1), 1.0)
+        scale = col_norms[:, used] * np.reshape(q0_scale, (-1, 1))
+        bad = np.zeros((reps, p), dtype=bool)
+        bad[:, used] = np.any(
+            cross > _ORTHO_CHECK_RTOL * np.maximum(scale, 1e-300)[:, None, :], axis=1)
+        not_orthogonal = (bad[:, None, :] & mask).any(axis=-1)
+    rank_deficient = np.zeros((reps, m), dtype=bool)
 
-    sse = np.full(len(models), float(ytilde @ ytilde))
-    ssr = np.zeros(len(models))
-    beta = np.zeros((len(models), p))
-    xt = np.ascontiguousarray(dataset.x.T)
+    tss = (ytilde[:, None, :] @ ytilde[:, :, None])[:, 0]
+    sse = np.repeat(tss, m, axis=1)
+    ssr = np.zeros((reps, m))
+    beta = np.zeros((reps, m, p))
+    xt = np.ascontiguousarray(np.swapaxes(x, -1, -2))
     for k in np.unique(sizes[(sizes > 0) & ~too_small]):
         sel = np.flatnonzero(sizes == k)
         idx = np.nonzero(mask[sel])[1].reshape(sel.size, k)
-        q, r = np.linalg.qr(xt[idx].transpose(0, 2, 1))
-        diag = np.abs(np.diagonal(r, axis1=1, axis2=2))
-        rank_deficient[sel] = np.any(
-            diag <= RANK_RTOL * np.maximum(col_norms[idx], 1e-300), axis=1)
-        if rank_deficient[sel].any() or not_orthogonal[sel].any():
+        q, r = np.linalg.qr(np.swapaxes(xt[:, idx], -1, -2))
+        diag = np.abs(np.diagonal(r, axis1=-2, axis2=-1))
+        rank_deficient[:, sel] = np.any(
+            diag <= RANK_RTOL * np.maximum(col_norms[:, idx], 1e-300), axis=-1)
+        if rank_deficient[:, sel].any() or not_orthogonal[:, sel].any():
             continue
-        u = ytilde @ q
-        resid = ytilde - (q @ u[:, :, None])[:, :, 0]
-        beta[sel[:, None], idx] = np.linalg.solve(r, u[:, :, None])[:, :, 0]
-        sse[sel] = np.einsum("ij,ij->i", resid, resid)
-        ssr[sel] = np.einsum("ij,ij->i", u, u)
+        u = (ytilde[:, None, None, :] @ q)[..., 0, :]
+        resid = ytilde[:, None, :] - (q @ u[..., None])[..., 0]
+        beta[:, sel[:, None], idx] = np.linalg.solve(r, u[..., None])[..., 0]
+        sse[:, sel] = np.einsum("...j,...j->...", resid, resid)
+        ssr[:, sel] = np.einsum("...j,...j->...", u, u)
 
     failed = too_small | not_orthogonal | rank_deficient
     if failed.any():
-        i = int(np.argmax(failed))
+        j = int(np.argmax(failed.any(axis=1)))
+        i = int(np.argmax(failed[j]))
         cols = models[i]
         if too_small[i]:
             reason = (f"insufficient sample size: n={n} with p0={p0} and {len(cols)} "
                       "selected predictors")
-        elif not_orthogonal[i]:
+        elif not_orthogonal[j, i]:
             reason = "dataset not orthogonalized; call orthogonalize() first"
         else:
             reason = f"selected columns {cols} are rank deficient"
-        raise ValueError(f"model {i} (columns {cols}): {reason}")
+        prefix = f"replicate {j}: " if stacked else ""
+        raise ValueError(f"{prefix}model {i} (columns {cols}): {reason}")
     # Signal at the level of squared rounding noise in y is an exact zero.
-    ssr[ssr <= 1e-24 * max(float(dataset.y @ dataset.y), 1.0)] = 0.0
+    yy = (y[:, None, :] @ y[:, :, None])[:, 0]
+    ssr[ssr <= 1e-24 * np.maximum(yy, 1.0)] = 0.0
+    if not stacked:
+        sse, ssr, beta = sse[0], ssr[0], beta[0]
     return ModelTable(dataset=dataset, models=models, sizes=sizes, sse=sse, ssr=ssr,
                       beta=beta, mask=mask)
 
@@ -445,17 +513,18 @@ def correlated_design_from_raw(raw: np.ndarray, spec: CorrelationSpec) -> np.nda
     to exact unit 1/n sample variance, and the result is multiplied by the
     transposed Cholesky factor of the target correlation.  The returned X is
     centered and satisfies (X'X)/n = target to floating-point accuracy.
+    Raw draws of shape (R, n, p) give R designs from one batched SVD, each
+    as it would be alone; a rank-deficient one is named by its index.
     """
     raw = np.asarray(raw, dtype=np.float64)
-    if raw.ndim != 2:
-        raise ValueError("raw draws must be a 2-d array")
-    n, p = raw.shape
+    if raw.ndim not in (2, 3):
+        raise ValueError("raw draws must be a 2-d array, or 3-d with a leading replicate axis")
+    n, p = raw.shape[-2:]
     if n <= p:
         raise ValueError(f"need n > p for the orthogonalization step, got n={n}, p={p}")
-    z = raw - raw.mean(axis=0)
+    z = raw - raw.mean(axis=-2, keepdims=True)
     u, s, _ = np.linalg.svd(z, full_matrices=False)
-    if s[-1] <= 1e-12 * s[0]:
-        raise ValueError("raw draws are numerically rank deficient")
+    _raise_first(s[..., -1] <= 1e-12 * s[..., 0], "raw draws are numerically rank deficient")
     scores = np.sqrt(n) * u
     chol = np.linalg.cholesky(spec.matrix_for(p))
     return scores @ chol.T

@@ -105,6 +105,19 @@ class TestTable1Driver:
         rows2 = run_table1(ExperimentConfig(**base, threads=3, overrides={"n_grid": "5,10"}))
         assert rows1 == rows2
 
+    def test_uneven_chunks_byte_identical(self, tmp_path):
+        # Each chunk is one stack: 11 replicates make one stack of 11 at one
+        # thread, stacks of 2, 2, 2, 2, 2 and 1 at two, and 11 of 1 at three.
+        assert [hi - lo for lo, hi in chunk_bounds(11, 2)] == [2, 2, 2, 2, 2, 1]
+        csv = []
+        for threads in (1, 2, 3):
+            out = tmp_path / str(threads)
+            run_table1(ExperimentConfig(experiment="table1", seed=11, replicates=11,
+                                        threads=threads, output_dir=str(out),
+                                        overrides={"n_grid": "4,9"}))
+            csv.append((out / "table1.csv").read_bytes())
+        assert csv[0] == csv[1] == csv[2]
+
     def test_share_noise_flag(self):
         base = dict(experiment="table1", seed=5, replicates=6)
         default = run_table1(
@@ -157,6 +170,19 @@ class TestFigureDriver:
         assert cell["entropy"].shape == (6, 2)
         again = figure_cell("ar1", 5.0, 3, seed=9, replicates=6, methods=("bic", "ml2"))
         np.testing.assert_array_equal(cell["losses"], again["losses"])
+
+    def test_worker_count_invariance(self):
+        # All cells' chunks share one pool; the rows must not see it.
+        rows = [
+            run_experiment(build_config("figure_ar1", {"g_grid": "5", "k_grid": "0,3"},
+                                        seed=2, replicates=5, threads=threads))
+            for threads in (1, 3)
+        ]
+        assert rows[0] == rows[1] and len(rows[0]) == 2 * 4 * 3
+        cell = figure_cell("ar1", 5.0, 3, seed=2, replicates=5, threads=3)
+        means = [r["avg_loss"] for r in rows[0] if r["k"] == 3]
+        assert means == [float(cell["losses"][:, mi, si].mean())
+                         for mi in range(4) for si in range(3)]
 
     def test_null_cell_losses_small_and_comparable(self):
         cell = figure_cell("orthogonal", 5.0, 0, seed=2, replicates=30,
@@ -290,6 +316,22 @@ class TestCli:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert "config error" in err and "bogus" in err
+
+    @pytest.mark.parametrize("experiment,setting,named", [
+        ("table1", "n_grid = 5,3", "n_grid: '3'"), ("table1", "n_grid = 5,x", "n_grid: 'x'"),
+        ("figure_ar1", "k_grid = 9", "k_grid: '9'"),
+        ("figure_ar1", "k_grid = -1", "k_grid: '-1'"),
+        ("figure_ar1", "g_grid = abc", "g_grid: 'abc'"),
+        ("anova", "p_grid = 30,x", "p_grid: 'x'"), ("anova", "tau2 = abc", "tau2: 'abc'"),
+        ("table1", "beta1 = abc", "beta1: 'abc'"),
+    ])
+    def test_bad_value_is_config_error(self, tmp_path, capsys, experiment, setting, named):
+        # Each is checked before any work starts, not met as a numerical failure.
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(f"{setting}\nreplicates = 2\n", encoding="utf-8")
+        assert main([experiment, "--config", str(cfg_path), "--seed", "1"]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and named in err
 
     @pytest.mark.parametrize("p", [_MAX_ALL_SUBSETS + 1, 26])
     def test_too_many_predictors_is_config_error(self, tmp_path, capsys, p):

@@ -1,5 +1,6 @@
 """Batched fit (``fit_models``) and evidence kernel (``evidence``) against the
-scalar oracles ``fit_suffstats`` and ``log_bf_*``."""
+scalar oracles ``fit_suffstats`` and ``log_bf_*``, and stacked replicates
+against one dataset at a time."""
 
 import math
 
@@ -24,7 +25,9 @@ from ml2bf.bayesfactors import (
 )
 from ml2bf.estimation import shrinkage_factor_ml2
 from ml2bf.modelspace import (
+    ModelPosterior,
     ModelSpace,
+    hpm,
     inclusion_probs,
     mpm,
     posterior_from_evidence,
@@ -34,6 +37,7 @@ from ml2bf.regression import (
     Dataset,
     ModelTable,
     SuffStats,
+    correlated_design_from_raw,
     fit_models,
     fit_suffstats,
     make_correlated_design,
@@ -310,3 +314,174 @@ def _any_dataset(p):
     rng = np.random.default_rng(p)
     return orthogonalize(Dataset.with_intercept(rng.standard_normal(p + 3),
                                                 rng.standard_normal((p + 3, p))))
+
+
+@st.composite
+def stacked_datasets(draw, max_p=5):
+    """R datasets of one shape, alone and stacked on a leading replicate axis.
+
+    Each replicate draws its own response, so one stack can mix noisy rows,
+    saturated rows (noiseless: r2 -> 1, the +inf marker) and constant rows
+    (ssr = 0 for every model, an exact tie under ghat), at scales far
+    apart, so a replicate's exact-zero rule for ssr must use its own
+    response's scale.  The common
+    predictors (none, an intercept, or an intercept and one more column) are
+    shared by the replicates or drawn for each one.
+    """
+    p = draw(st.integers(1, max_p))
+    p0 = draw(st.integers(0, 2))
+    shared_x0 = draw(st.booleans())
+    n = draw(st.one_of(st.just(p0 + p + 1), st.integers(p0 + p + 1, 40)))
+    signals = draw(st.lists(st.tuples(st.sampled_from(["noisy", "noiseless", "constant"]),
+                                      st.sampled_from([1.0, 1.0, 1e-8, 1e8])),
+                            min_size=1, max_size=5))
+    rho = draw(st.sampled_from([0.0, 0.9, -0.99]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def common():
+        x0 = rng.standard_normal((n, p0))
+        x0[:, :1] = 1.0
+        return x0
+
+    x0_shared = common()
+    singles = []
+    for signal, scale in signals:
+        x = make_correlated_design(n, p, CorrelationSpec.ar1(rho), rng)
+        beta = rng.normal(0.0, 2.0, p)
+        beta[rng.random(p) < 0.4] = 0.0
+        x0 = x0_shared if shared_x0 else common()
+        y = x @ beta + (2.5 if p0 else 0.0)
+        if signal == "noisy":
+            y = y + rng.standard_normal(n)
+        elif signal == "constant":
+            y = np.full(n, 2.5)
+        singles.append(Dataset(y=scale * y, x0=x0 if p0 else None, x=x))
+    x0 = x0_shared if shared_x0 else np.stack([d.x0 for d in singles])
+    stacked = Dataset(y=np.stack([d.y for d in singles]), x0=x0 if p0 else None,
+                      x=np.stack([d.x for d in singles]))
+    return singles, stacked
+
+
+def _scorings():
+    """Every rule, both Zellner-Siow rules, with and without shrinkage."""
+    for method in (*sorted(_RULES), "zs"):
+        for zs_rule in ("exact", "laplace") if method == "zs" else ("exact",):
+            for want in (False, True):
+                yield method, zs_rule, want
+
+
+def _assert_stack_matches(singles, stacked):
+    """Stacked orthogonalize, fit, evidence and posterior equal the
+    one-dataset calls bit for bit, row by row; returns the stacked table."""
+    ortho = orthogonalize(stacked)
+    alone = [orthogonalize(d) for d in singles]
+    np.testing.assert_array_equal(ortho.x, np.stack([d.x for d in alone]))
+    space = ModelSpace.all_subsets(stacked.p)
+    models = space.models()
+    table = fit_models(ortho, models)
+    tables = [fit_models(d, models) for d in alone]
+    assert table.replicates == len(singles) and table.models == tables[0].models
+    for name in ("sse", "ssr", "beta", "r2", "one_minus_r2"):
+        np.testing.assert_array_equal(getattr(table, name),
+                                      np.stack([getattr(t, name) for t in tables]))
+    for method, zs_rule, want in _scorings():
+        got = evidence(method, table, want_shrinkage=want, zs_rule=zs_rule)
+        each = [evidence(method, t, want_shrinkage=want, zs_rule=zs_rule) for t in tables]
+        if want:
+            np.testing.assert_array_equal(got[1], np.stack([e[1] for e in each]))
+            got, each = got[0], [e[0] for e in each]
+        np.testing.assert_array_equal(got, np.stack(each))
+        post = posterior_from_evidence(models, got, space)
+        assert post.posterior_prob.shape == got.shape
+        for j, log_ev in enumerate(each):
+            single = posterior_from_evidence(models, log_ev, space)
+            np.testing.assert_array_equal(post.posterior_prob[j], single.posterior_prob)
+    return table
+
+
+class TestReplicateAxis:
+    @settings(max_examples=60, **_SETTINGS)
+    @given(stacked_datasets())
+    def test_stack_matches_one_dataset_at_a_time(self, case):
+        _assert_stack_matches(*case)
+
+    def test_saturated_tied_and_minimal_rows(self):
+        # n = p0 + p + 1; a noisy row, a saturated row and a constant row.
+        rng = np.random.default_rng(4)
+        n, p = 5, 3
+        singles = []
+        for signal in ("noisy", "noiseless", "constant"):
+            x = make_correlated_design(n, p, CorrelationSpec.ar1(0.5), rng)
+            y = 1.0 + x @ np.array([2.0, 0.0, -1.0])
+            y = {"noisy": y + rng.standard_normal(n), "noiseless": y,
+                 "constant": np.full(n, 1.0)}[signal]
+            singles.append(Dataset.with_intercept(y, x))
+        stacked = Dataset.with_intercept(np.stack([d.y for d in singles]),
+                                         np.stack([d.x for d in singles]))
+        table = _assert_stack_matches(singles, stacked)
+        bic = evidence("bic", table)
+        assert np.all(np.isfinite(bic[0])) and np.isposinf(bic[1]).any()
+        ghat = evidence("ghat", table)
+        assert np.all(ghat[2] == 0.0)  # every model ties with the empty one
+        space = ModelSpace.all_subsets(p)
+        post = posterior_from_evidence(table.models, ghat, space)
+        row = ModelPosterior(models=post.models, log_evidence=ghat[2],
+                             posterior_prob=post.posterior_prob[2], space=space)
+        assert hpm(row) == ()
+
+    def test_posterior_rows_keep_ties_and_markers(self):
+        space = ModelSpace.all_subsets(2, model_prior="uniform_size")
+        models = space.models()  # (), (0,), (1,), (0, 1)
+        rows = np.array([
+            [0.0, 1.5, 1.5, -2.0],              # exact tie of the two one-predictor models
+            [0.0, np.inf, np.inf, np.inf],      # several markers: the tie-break picks (0,)
+            [0.0, 0.0, 0.0, np.inf],            # one marker
+            [3.0, 3.0, 3.0, 3.0],
+        ])
+        post = posterior_from_evidence(models, rows, space)
+        winners = []
+        for j, log_ev in enumerate(rows):
+            single = posterior_from_evidence(models, log_ev, space)
+            np.testing.assert_array_equal(post.posterior_prob[j], single.posterior_prob)
+            row = ModelPosterior(models=post.models, log_evidence=log_ev,
+                                 posterior_prob=post.posterior_prob[j], space=space)
+            assert hpm(row) == hpm(single)
+            winners.append(hpm(row))
+        assert winners == [(0,), (0,), (0, 1), ()]
+        with pytest.raises(ValueError, match="length must match"):
+            posterior_from_evidence(models, rows[:, :3], space)
+
+    def test_rank_deficient_replicate_is_named(self):
+        rng = np.random.default_rng(1)
+        n, p = 10, 4
+        x = rng.standard_normal((3, n, p))
+        y = rng.standard_normal((3, n))
+        x[2, :, 3] = x[2, :, 1]
+        models = _all_subsets(p)
+        with pytest.raises(ValueError) as alone:
+            fit_models(orthogonalize(Dataset.with_intercept(y[2], x[2])), models)
+        with pytest.raises(ValueError) as stacked:
+            fit_models(orthogonalize(Dataset.with_intercept(y, x)), models)
+        assert str(stacked.value) == f"replicate 2: {alone.value}"
+
+        raw = rng.standard_normal((3, n, 2))
+        raw[1, :, 1] = 2.0 * raw[1, :, 0]
+        spec = CorrelationSpec.explicit([[1.0, 0.9], [0.9, 1.0]])
+        with pytest.raises(ValueError) as alone:
+            correlated_design_from_raw(raw[1], spec)
+        with pytest.raises(ValueError) as stacked:
+            correlated_design_from_raw(raw, spec)
+        assert str(stacked.value) == f"replicate 1: {alone.value}"
+        designs = correlated_design_from_raw(raw[[0, 2]], spec)
+        np.testing.assert_array_equal(designs[1], correlated_design_from_raw(raw[2], spec))
+
+    def test_stacked_shapes_are_checked(self):
+        x = np.zeros((2, 6, 3))
+        with pytest.raises(ValueError, match="stacked dataset needs y"):
+            Dataset(y=np.zeros(6), x0=None, x=x)
+        with pytest.raises(ValueError, match="x0 must be shared"):
+            Dataset(y=np.zeros((2, 6)), x0=np.ones((3, 6, 1)), x=x)
+        stacked = Dataset.with_intercept(np.zeros((2, 6)), x)
+        assert stacked.replicates == 2 and (stacked.n, stacked.p0, stacked.p) == (6, 1, 3)
+        with pytest.raises(ValueError, match="single dataset"):
+            fit_suffstats(stacked, (0,))
