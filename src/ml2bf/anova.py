@@ -11,8 +11,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
+from .modelspace import ModelSpace, posterior_from_evidence
 from .pool import derive_stream
 
 __all__ = [
@@ -127,6 +127,7 @@ def consistency_threshold(method: str, r: int) -> float:
 
 
 _LOG_BF = {"ml2": _log_bf_ml2, "fixed_normal": _log_bf_fixed_normal, "bic": _log_bf_bic}
+_TWO_MODELS = ModelSpace.nested(1, include_null=True, model_prior="uniform_models")
 
 
 def simulate_consistency(
@@ -146,7 +147,7 @@ def simulate_consistency(
     if replicates < 1:
         raise ValueError("need at least one replicate")
     rows = []
-    null_true = truth.tau2 == 0.0
+    true_model = 0 if truth.tau2 == 0.0 else 1  # column 0: the null model, log BF 0
     for p in p_grid:
         p = int(p)
         mu = truth.mu(p)
@@ -163,8 +164,9 @@ def simulate_consistency(
                 norm2[i - start] = mu_hat @ mu_hat
             for m in methods:
                 log_bf = _LOG_BF[m](p, r, norm2)
-                prob_full = expit(log_bf)
-                probs[m][start:stop] = 1.0 - prob_full if null_true else prob_full
+                log_ev = np.stack([np.zeros_like(log_bf), log_bf], axis=1)
+                post = posterior_from_evidence(_TWO_MODELS.models(), log_ev, _TWO_MODELS)
+                probs[m][start:stop] = post.posterior_prob[:, true_model]
             start = stop
         for m in methods:
             vals = probs[m]

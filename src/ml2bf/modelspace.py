@@ -136,8 +136,9 @@ def posterior_from_evidence(models, log_ev, space: ModelSpace) -> ModelPosterior
     if not saturated.all():
         scores = rows[~saturated] + space.log_prior(models)
         scores -= scores.max(axis=1, keepdims=True)
-        weights = np.exp(scores)
-        probs[~saturated] = weights / weights.sum(axis=1, keepdims=True)
+        with np.errstate(under="ignore"):  # an underflowing weight is negligible
+            weights = np.exp(scores)
+            probs[~saturated] = weights / weights.sum(axis=1, keepdims=True)
     if saturated.any():
         rank = np.argsort(sorted(range(len(models)), key=lambda i: _model_order(models[i])))
         winners = np.where(marked[saturated], rank, len(models)).argmin(axis=1)

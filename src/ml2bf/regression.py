@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 __all__ = [
     "Dataset",
@@ -157,10 +156,13 @@ class SuffStats:
 
     def gram_inverse(self) -> np.ndarray:
         """(X'X)^{-1} of the selected columns, from the stored factor."""
-        if self.p == 0:
-            return np.zeros((0, 0))
-        rinv = solve_triangular(self.gram_chol, np.eye(self.p))
-        return rinv @ rinv.T
+        return inverse_from_factor(self.gram_chol)
+
+
+def inverse_from_factor(r) -> np.ndarray:
+    """(R'R)^{-1} from the triangular factor R; (0, 0) for an empty R."""
+    rinv = np.linalg.solve(r, np.eye(r.shape[0]))
+    return rinv @ rinv.T
 
 
 def _raise_first(failed, message):
@@ -259,7 +261,7 @@ def fit_suffstats(dataset: Dataset, subset) -> SuffStats:
     q = q * signs
     r = r * signs[:, None]
     u = q.T @ ytilde
-    beta = solve_triangular(r, u)
+    beta = np.linalg.solve(r, u)
     resid = ytilde - q @ u
     sse = float(resid @ resid)
     ssr = float(u @ u)
@@ -410,7 +412,8 @@ def fit_models(dataset: Dataset, models) -> ModelTable:
     ssr = np.zeros((reps, m))
     beta = np.zeros((reps, m, p))
     xt = np.ascontiguousarray(np.swapaxes(x, -1, -2))
-    for k in np.unique(sizes[(sizes > 0) & ~too_small]):
+    # The sizes present, without np.unique: it imports numpy.ma on first use.
+    for k in np.flatnonzero(np.bincount(sizes[(sizes > 0) & ~too_small])):
         sel = np.flatnonzero(sizes == k)
         idx = np.nonzero(mask[sel])[1].reshape(sel.size, k)
         q, r = np.linalg.qr(np.swapaxes(xt[:, idx], -1, -2))

@@ -1,6 +1,7 @@
 """Grouped-means evidence, consistency thresholds, and simulation."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -157,6 +158,21 @@ class TestSimulation:
         for row in rows1:
             assert 0.0 <= row["avg_prob_true"] <= 1.0
             assert row["se"] >= 0.0
+
+    def test_overwhelming_evidence_gives_exact_probabilities(self):
+        # p = 2000 groups of r = 10: ||mu_hat||^2 is about 200 under the null
+        # and 2200 at tau2 = 1, a few tens either way, so every rule's log
+        # Bayes factor lies beyond -750 or +750 and its weight underflows.
+        p, r = 2000, 10
+        for log_bf in (anova_log_bf_ml2, anova_log_bf_fixed_normal, anova_log_bf_bic):
+            assert log_bf(AnovaStats(p=p, r=r, mu_hat_norm2=300.0)) < -750
+            assert log_bf(AnovaStats(p=p, r=r, mu_hat_norm2=1900.0)) > 750
+        with np.errstate(all="raise"), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for tau2, want in ((0.0, 1.0), (1.0, 1.0), (1e-12, 0.0)):
+                rows = simulate_consistency(AnovaTruth(tau2), r, [p], 5, seed=3)
+                for row in rows:
+                    assert row["avg_prob_true"] == want and row["se"] == 0.0
 
     def test_truth_generator_exact_norm(self):
         truth = AnovaTruth(0.37)

@@ -262,6 +262,9 @@ class TestMarginalFixedCov:
         s = make_stats(10, 1, 2, 0.5)
         with pytest.raises(ValueError, match="singular"):
             log_marginal_fixed_cov(s, np.diag([-2.0, -2.0]))
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                log_marginal_fixed_cov(s, np.diag([1.0, bad]))
 
 
 class TestKnownVariance:

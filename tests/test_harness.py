@@ -2,6 +2,8 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -380,9 +382,9 @@ class TestCli:
 
 class TestNoGeneralPurposeOptimizer:
     def test_experiments_run_without_scipy_optimizers(self, monkeypatch):
-        # The names stay importable for the benchmark's tracer; no program
-        # path may call them, every maximum it needs has a closed form or
-        # the batched power-law fit.
+        # The benchmark's tracer still looks these names up (they load on
+        # first lookup); no program path may call them, every maximum it
+        # needs has a closed form or the batched power-law fit.
         def refuse(*args, **kwargs):
             raise AssertionError("a general-purpose optimizer was called")
 
@@ -394,6 +396,42 @@ class TestNoGeneralPurposeOptimizer:
         run_experiment(build_config("figure_ar1", {"g_grid": "5", "k_grid": "0,3"},
                                     seed=1, replicates=1))
         run_experiment(build_config("shibata", {"n": "30", "k": "9"}, seed=1, replicates=2))
+
+
+_NO_SCIPY_RUN = """
+import json, sys
+from ml2bf.cli import main
+for argv in json.loads(sys.argv[1]):
+    if main(argv) != 0:
+        sys.exit(f"ml2bf {argv} failed")
+print(json.dumps(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))))
+"""
+
+
+class TestNumpyOnlyRuntime:
+    def test_no_experiment_imports_scipy(self, tmp_path):
+        settings = [
+            ("table1", "n_grid = 5,10\nzs_rule = exact\n"),
+            ("table1", "n_grid = 5,10\nzs_rule = laplace\n"),
+            ("figure_ar1", "g_grid = 5\nk_grid = 0,3\n"),
+            ("anova", "p_grid = 10,40\n"),
+            ("shibata", "n = 30\nk = 9\n"),
+        ]
+        runs = []
+        for i, (experiment, text) in enumerate(settings):
+            config = tmp_path / f"run{i}.cfg"
+            config.write_text(text, encoding="utf-8")
+            runs.append([experiment, "--config", str(config), "--seed", "1",
+                         "--replicates", "2", "--out", str(tmp_path / f"run{i}")])
+        runs.append(["bf", str(_write_data_csv(tmp_path, 30, 3)), "--out",
+                     str(tmp_path / "bf"), "--methods", "ml,lb,bic,bicprior,zs,ghat"])
+        src = os.path.dirname(os.path.dirname(bayesfactors.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run([sys.executable, "-c", _NO_SCIPY_RUN, json.dumps(runs)],
+                              capture_output=True, text=True, env=env, timeout=300)
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout.splitlines()[-1]) == []
+
 
 def _write_data_csv(tmp_path, n, p, seed=0):
     rng = np.random.default_rng(seed)

@@ -6,14 +6,26 @@ import numpy as np
 import pytest
 from numpy.polynomial import chebyshev
 from scipy import integrate
+from scipy.special import expit
 
-from ml2bf.bayesfactors import ml2_known_variance_log_bf, log_marginal_known_variance
+from ml2bf.bayesfactors import (
+    log_marginal_known_variance,
+    ml2_known_variance_from_scalars,
+    ml2_known_variance_log_bf,
+)
 from ml2bf.modelspace import hpm
 from ml2bf.nonparametric import (
+    _A_HI,
+    _LN10,
+    _LOG10C_HI,
+    _LOG10C_LO,
+    PRESETS,
     NonparametricConfig,
     PowerLawPrior,
+    _evidence_and_shrinkage,
     _fit_nested_power_law,
     _fit_power_law,
+    _logistic,
     _nested_power_law,
     _power_law_log_bf,
     _summaries,
@@ -234,6 +246,52 @@ class TestNestedEvidence:
             general, _ = ml2_known_variance_log_bf(stats, 1.0, unit_scale=n)
             assert post.log_evidence[j - 1] == pytest.approx(general, abs=1e-7)
 
+    def test_ml2_nested_branch_matches_scalar_loop(self):
+        # The known-variance ML2 rule, model by model, with math.log.
+        def scalar(p, ssr, sigma2, m):
+            if p == 0:
+                return 0.0, 0.0
+            a = max(0.0, 1.0 / sigma2 - (m + 1.0) / ssr) if ssr > 0 else 0.0
+            denom = m + 1.0 + a * ssr
+            return -0.5 * ((p - 1) * math.log(m + 1.0) + math.log(denom)) + (
+                ssr - ssr / denom) / (2 * sigma2), a
+
+        def close(got, want):
+            assert abs(got - want) <= 1e-15 * abs(want)
+
+        n, k = 30, 12
+        _, x, knots = chebyshev_design(n, k)
+        rng = np.random.default_rng(9)
+        cases = [
+            (true_signal(knots) + rng.standard_normal(n), 1.0),  # a* > 0 at the top
+            (0.05 * rng.standard_normal(n), 1.0),  # every a* clamped at 0
+            (np.zeros(n), 1.0),  # ssr = 0 for every size
+            (true_signal(knots) + rng.standard_normal(n), 3.0),
+        ]
+        seen_clamped = seen_interior = seen_zero = False
+        for y, sigma2 in cases:
+            log_ev, shrink, _, _ = _evidence_and_shrinkage(y, x, "ml2", sigma2)
+            ssr = np.cumsum(_summaries(y, x)[2] ** 2)
+            for j in range(1, k + 1):
+                want, a = scalar(j, float(ssr[j - 1]), sigma2, float(n))
+                close(log_ev[j - 1], want)
+                row = np.zeros(k)
+                row[:j] = 1.0 - 1.0 / (n + 1.0 + a * ssr[j - 1])
+                assert np.all(np.abs(shrink[j - 1] - row) <= 1e-15 * row)
+                seen_clamped |= a == 0.0 and ssr[j - 1] > 0
+                seen_interior |= a > 0.0
+                seen_zero |= ssr[j - 1] == 0.0
+        assert seen_clamped and seen_interior and seen_zero
+
+        # The array form itself, p = 0 and ssr = 0 included.
+        p = np.array([0, 1, 2, 3, 5, 8, 8])
+        ssr = np.array([4.0, 0.0, 3.0, 150.0, 1e-310, 80.0, 1e6])
+        log_bf, a_best = ml2_known_variance_from_scalars(p, ssr, 2.0, 30.0)
+        for i in range(p.size):
+            want, a = scalar(int(p[i]), float(ssr[i]), 2.0, 30.0)
+            close(log_bf[i], want)
+            close(a_best[i], a)
+
     def test_powerlaw_refit_flag(self):
         rng = np.random.default_rng(8)
         n, k = 40, 6
@@ -243,6 +301,20 @@ class TestNestedEvidence:
         truncated = nested_evidence(y, x, "powerlaw", 1.0, refit_per_model=False)
         # Per-model refitting can only raise each model's evidence.
         assert np.all(per_model.log_evidence >= truncated.log_evidence - 1e-7)
+
+
+class TestLogistic:
+    def test_within_two_ulp_of_scipy_over_the_fit_box(self):
+        # z = log(kappa d_i) spans log(n/2) + [-4, 4] ln 10 - [0, 6] ln i,
+        # i = 1..k; the fit also evaluates the logistic at -z.
+        reach = max(
+            max(math.log(n / 2.0) + _LOG10C_HI * _LN10,
+                -(math.log(n / 2.0) + _LOG10C_LO * _LN10 - _A_HI * math.log(k)))
+            for n, k, _ in PRESETS.values()
+        )
+        z = np.linspace(-reach, reach, 400_001)
+        want = expit(z)
+        assert np.all(np.abs(_logistic(z) - want) <= 2 * np.spacing(want))
 
 
 class TestLossIntegral:
