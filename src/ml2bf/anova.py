@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .modelspace import ModelSpace, posterior_from_evidence
-from .pool import derive_stream
+from .pool import derive_stream, mean_se
 
 __all__ = [
     "AnovaStats",
@@ -151,33 +151,22 @@ def simulate_consistency(
     for p in p_grid:
         p = int(p)
         mu = truth.mu(p)
-        probs = {m: np.empty(replicates) for m in methods}
-        # Replicates are chunked to bound memory at large p.
-        chunk = max(1, min(replicates, int(2e6 // max(p, 1)) or 1))
-        start = 0
-        while start < replicates:
-            stop = min(start + chunk, replicates)
-            norm2 = np.empty(stop - start)
-            for i in range(start, stop):
-                rng = derive_stream(seed, (p, i))
-                mu_hat = mu + rng.standard_normal(p) / math.sqrt(r)
-                norm2[i - start] = mu_hat @ mu_hat
-            for m in methods:
-                log_bf = _LOG_BF[m](p, r, norm2)
-                log_ev = np.stack([np.zeros_like(log_bf), log_bf], axis=1)
-                post = posterior_from_evidence(_TWO_MODELS.models(), log_ev, _TWO_MODELS)
-                probs[m][start:stop] = post.posterior_prob[:, true_model]
-            start = stop
+        norm2 = np.empty(replicates)
+        for i in range(replicates):
+            rng = derive_stream(seed, (p, i))
+            mu_hat = mu + rng.standard_normal(p) / math.sqrt(r)
+            norm2[i] = mu_hat @ mu_hat
         for m in methods:
-            vals = probs[m]
+            log_bf = _LOG_BF[m](p, r, norm2)
+            log_ev = np.stack([np.zeros_like(log_bf), log_bf], axis=1)
+            post = posterior_from_evidence(_TWO_MODELS.models(), log_ev, _TWO_MODELS)
+            avg, se = mean_se(post.posterior_prob[:, true_model])
             rows.append(
                 {
                     "p": p,
                     "method": m,
-                    "avg_prob_true": float(vals.mean()),
-                    "se": float(vals.std(ddof=1) / math.sqrt(replicates))
-                    if replicates > 1
-                    else 0.0,
+                    "avg_prob_true": avg,
+                    "se": se,
                     "replicates": replicates,
                     "tau2": truth.tau2,
                     "r": r,

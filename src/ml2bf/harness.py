@@ -24,8 +24,8 @@ from .modelspace import (
     mpm,
     posterior_from_evidence,
 )
-from .nonparametric import STUDY_METHODS, NonparametricConfig, run_study
-from .pool import chunk_bounds, derive_stream, run_chunked
+from .nonparametric import LOSS_KINDS, PRESETS, STUDY_METHODS, NonparametricConfig, run_study
+from .pool import derive_stream, mean_se, run_replicates
 from .regression import (
     RANK_RTOL,
     CorrelationSpec,
@@ -108,17 +108,18 @@ class ExperimentConfig:
         if self.threads < 1:
             raise ConfigError("threads must be at least 1")
 
-    def get_float(self, key, default):
-        return _parse(key, self.overrides.get(key, default), float, "a number")
+    def get_float(self, key, default, need="a number", valid=None):
+        return _parse(key, self.overrides.get(key, default), float, need, valid)
 
-    def get_int(self, key, default):
-        return _parse(key, self.overrides.get(key, default), int, "an integer")
+    def get_int(self, key, default, need="an integer", valid=None):
+        return _parse(key, self.overrides.get(key, default), int, need, valid)
 
     def get_bool(self, key, default):
         raw = self.overrides.get(key, default)
         if isinstance(raw, bool):
             return raw
-        return str(raw).strip().lower() in ("1", "true", "yes", "on")
+        return _parse(key, raw, lambda v: _FLAGS[str(v).strip().lower()],
+                      "a flag: 1/0, true/false, yes/no or on/off")
 
     def get_list(self, key, default, parse, need, valid=None):
         """The values of the list setting ``key`` (commas or spaces between
@@ -130,13 +131,17 @@ class ExperimentConfig:
         return [_parse(key, tok, parse, need, valid) for tok in tokens]
 
 
+_FLAGS = {"1": True, "true": True, "yes": True, "on": True,
+          "0": False, "false": False, "no": False, "off": False}
+
+
 def _parse(key, raw, parse, need, valid=None):
     """``parse(raw)``, or a ConfigError naming the setting and the value if
     that fails or ``valid`` rejects the result."""
     try:
         value = parse(raw)
         ok = valid is None or valid(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, LookupError):
         ok = False
     if not ok:
         raise ConfigError(f"{key}: {raw!r} is not {need}")
@@ -225,10 +230,12 @@ def _format_cell(value):
     return str(value)
 
 
-def write_csv(path, rows, fieldnames):
+def write_csv(path, rows):
+    """One line per row dict under a header of the first row's keys."""
+    fieldnames = list(rows[0])
     lines = [",".join(fieldnames)]
     for row in rows:
-        lines.append(",".join(_format_cell(row.get(name, "")) for name in fieldnames))
+        lines.append(",".join(_format_cell(row[name]) for name in fieldnames))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -248,22 +255,14 @@ def _write_sidecar(directory, name, cfg: ExperimentConfig, extra=None):
     path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
-def _write_outputs(cfg: ExperimentConfig, name, rows, fieldnames):
+def _write_outputs(cfg: ExperimentConfig, name, rows):
     """``<name>.csv`` and its ``<name>.json`` sidecar in the output directory, if any."""
     if not cfg.output_dir:
         return
     outdir = Path(cfg.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
-    write_csv(outdir / f"{name}.csv", rows, fieldnames)
+    write_csv(outdir / f"{name}.csv", rows)
     _write_sidecar(outdir, name, cfg)
-
-
-def _mean_se(values):
-    values = np.asarray(values, dtype=np.float64)
-    b = values.shape[0]
-    mean = float(values.mean())
-    se = float(values.std(ddof=1) / math.sqrt(b)) if b > 1 else 0.0
-    return mean, se
 
 
 # ---------------------------------------------------------------------------
@@ -289,11 +288,10 @@ def _zs_rule(cfg: ExperimentConfig, default) -> str:
     return zs_rule
 
 
-def _table1_chunk(args):
+def _table1_chunk(cell, lo, hi):
     """Posterior probability of the full model for replicates lo..hi-1: per
     (n, r), one stacked design, fit, evidence and posterior over them all."""
-    (seed, lo, hi, n_grid, r_values, methods, beta, share_noise, model_prior,
-     design_scale, zs_rule) = args
+    seed, n_grid, r_values, methods, beta, share_noise, model_prior, design_scale, zs_rule = cell
     beta = np.asarray(beta)
     p = beta.shape[0]
     out = np.empty((hi - lo, len(n_grid), len(r_values), len(methods)))
@@ -334,7 +332,7 @@ def _table1_chunk(args):
                 log_ev = evidence(method, table, zs_rule=zs_rule)
                 posterior = posterior_from_evidence(models, log_ev, space)
                 out[:, ni, ri, mi] = posterior.posterior_prob[:, full_index]
-    return lo, out
+    return (out,)
 
 
 def run_table1(cfg: ExperimentConfig) -> list[dict]:
@@ -354,26 +352,22 @@ def run_table1(cfg: ExperimentConfig) -> list[dict]:
     n_grid = tuple(cfg.get_list("n_grid", _TABLE1_NS, int,
                                 "an integer above 3 (the full model has an intercept "
                                 "and two predictors)", lambda n: n > 3))
-    beta = (cfg.get_float("beta1", 5.0), cfg.get_float("beta2", 5.0))
+    beta = tuple(cfg.get_float(key, 5.0, "a finite coefficient", math.isfinite)
+                 for key in ("beta1", "beta2"))
     share = cfg.get_bool("share_noise_across_n", False)
     model_prior = _all_subsets_space(2, cfg, "uniform_size").model_prior
     design_scale = cfg.overrides.get("design_scale", "corrected")
     if design_scale not in ("corrected", "uncorrected"):
         raise ConfigError(f"unknown design_scale {design_scale!r}")
     zs_rule = _zs_rule(cfg, "laplace")
-    probs = np.empty((cfg.replicates, len(n_grid), len(_TABLE1_RS), len(methods)))
-    jobs = [
-        (cfg.seed, lo, hi, n_grid, _TABLE1_RS, methods, beta, share, model_prior,
-         design_scale, zs_rule)
-        for lo, hi in chunk_bounds(cfg.replicates, cfg.threads)
-    ]
-    for lo, chunk in run_chunked(_table1_chunk, jobs, cfg.threads):
-        probs[lo : lo + chunk.shape[0]] = chunk
+    cell = (cfg.seed, n_grid, _TABLE1_RS, methods, beta, share, model_prior, design_scale,
+            zs_rule)
+    [(probs,)] = run_replicates(_table1_chunk, [cell], cfg.replicates, cfg.threads)
     rows = []
     for ni, n in enumerate(n_grid):
         for ri, r in enumerate(_TABLE1_RS):
             for mi, method in enumerate(methods):
-                mean, se = _mean_se(probs[:, ni, ri, mi])
+                mean, se = mean_se(probs[:, ni, ri, mi])
                 rows.append(
                     {
                         "n": n,
@@ -384,8 +378,7 @@ def run_table1(cfg: ExperimentConfig) -> list[dict]:
                         "replicates": cfg.replicates,
                     }
                 )
-    _write_outputs(cfg, "table1", rows,
-                   ["n", "r", "method", "avg_prob_true", "se", "replicates"])
+    _write_outputs(cfg, "table1", rows)
     return rows
 
 
@@ -400,20 +393,22 @@ _FIG_ALPHA = 2.0
 _SELECTORS = ("hpm", "mpm", "bma")
 
 
-def _figure_chunk(args):
-    (design, g_signal, k_active, seed, cell, lo, hi, methods, n, p, rho, model_prior,
-     zs_rule) = args
+def _figure_chunk(cell, lo, hi):
+    """Losses, posterior entropy, MPM match and MPM size for replicates
+    lo..hi-1 of one (design, signal, sparsity) cell."""
+    design, g_signal, k_active, seed, key, methods, model_prior, zs_rule = cell
+    n, p = _FIG_N, _FIG_P
     space = ModelSpace.all_subsets(p, model_prior=model_prior)
     models = space.models()
     model_index = {m: i for i, m in enumerate(models)}
-    spec = CorrelationSpec.identity() if design == "orthogonal" else CorrelationSpec.ar1(rho)
+    spec = CorrelationSpec.ar1(_FIG_RHO) if design == "ar1" else CorrelationSpec.identity()
     scale = 1.0 / math.sqrt(n) if design == "orthogonal" else math.sqrt((n - 1.0) / n)
     losses = np.empty((hi - lo, len(methods), len(_SELECTORS)))
     ent = np.empty((hi - lo, len(methods)))
     match = np.empty((hi - lo, len(methods)))
     mpm_size = np.empty((hi - lo, len(methods)))
     for rep in range(lo, hi):
-        rng = derive_stream(seed, (*cell, rep))
+        rng = derive_stream(seed, (*key, rep))
         raw = rng.standard_normal((n, p))
         x = scale * correlated_design_from_raw(raw, spec)
         active = tuple(sorted(rng.choice(p, size=k_active, replace=False).tolist()))
@@ -439,38 +434,16 @@ def _figure_chunk(args):
             ent[rep - lo, mi] = entropy(posterior)
             match[rep - lo, mi] = 1.0 if mpm_model == active else 0.0
             mpm_size[rep - lo, mi] = len(mpm_model)
-    return lo, losses, ent, match, mpm_size
+    return losses, ent, match, mpm_size
 
 
-def _figure_jobs(design, g_signal, k_active, seed, replicates, methods, threads,
-                 model_prior, zs_rule):
-    """One cell's chunk jobs for ``_figure_chunk``; the chunk bounds depend
-    only on the replicate count and ``threads``."""
+def _figure_cell(design, g_signal, k_active, seed, methods, model_prior, zs_rule):
+    """One cell's settings for ``_figure_chunk``, with its stream key."""
     if design not in ("orthogonal", "ar1"):
         raise ConfigError(f"unknown design {design!r}")
     # Deterministic stream-key component (Python's hash() is salted per run).
-    cell = (
-        (0 if design == "orthogonal" else 1),
-        int(round(1000 * float(g_signal))),
-        int(k_active),
-    )
-    return [
-        (design, g_signal, k_active, seed, cell, lo, hi, tuple(methods), _FIG_N,
-         _FIG_P, _FIG_RHO, model_prior, zs_rule)
-        for lo, hi in chunk_bounds(replicates, threads)
-    ]
-
-
-def _figure_arrays(chunks, replicates, n_methods):
-    """One cell's chunk results as the per-replicate arrays of ``figure_cell``."""
-    losses = np.empty((replicates, n_methods, len(_SELECTORS)))
-    ent = np.empty((replicates, n_methods))
-    match = np.empty((replicates, n_methods))
-    size = np.empty((replicates, n_methods))
-    for lo, l_chunk, e_chunk, m_chunk, s_chunk in chunks:
-        sl = slice(lo, lo + l_chunk.shape[0])
-        losses[sl], ent[sl], match[sl], size[sl] = l_chunk, e_chunk, m_chunk, s_chunk
-    return {"losses": losses, "entropy": ent, "mpm_match": match, "mpm_size": size}
+    key = (0 if design == "orthogonal" else 1, int(round(1000 * float(g_signal))), int(k_active))
+    return design, g_signal, k_active, seed, key, tuple(methods), model_prior, zs_rule
 
 
 def figure_cell(
@@ -489,9 +462,9 @@ def figure_cell(
     Returns dict with arrays ``losses`` (replicates, methods, selectors in
     hpm/mpm/bma order), ``entropy``, ``mpm_match``, ``mpm_size``.
     """
-    jobs = _figure_jobs(design, g_signal, k_active, seed, replicates, methods, threads,
-                        model_prior, zs_rule)
-    return _figure_arrays(run_chunked(_figure_chunk, jobs, threads), replicates, len(methods))
+    cell = _figure_cell(design, g_signal, k_active, seed, methods, model_prior, zs_rule)
+    [(losses, ent, match, size)] = run_replicates(_figure_chunk, [cell], replicates, threads)
+    return {"losses": losses, "entropy": ent, "mpm_match": match, "mpm_size": size}
 
 
 def run_figure_sims(cfg: ExperimentConfig) -> list[dict]:
@@ -512,48 +485,39 @@ def run_figure_sims(cfg: ExperimentConfig) -> list[dict]:
                             lambda k: 0 <= k <= _FIG_P)
     model_prior = _all_subsets_space(_FIG_P, cfg, "uniform_models").model_prior
     zs_rule = _zs_rule(cfg, "exact")
-    jobs = [job for g_signal in g_values for k_active in k_values
-            for job in _figure_jobs(design, g_signal, k_active, cfg.seed, cfg.replicates,
-                                    methods, cfg.threads, model_prior, zs_rule)]
-    results = iter(run_chunked(_figure_chunk, jobs, cfg.threads))
-    cell_chunks = len(chunk_bounds(cfg.replicates, cfg.threads))
+    grid = [(g_signal, k_active) for g_signal in g_values for k_active in k_values]
+    cells = [_figure_cell(design, g_signal, k_active, cfg.seed, methods, model_prior, zs_rule)
+             for g_signal, k_active in grid]
+    results = run_replicates(_figure_chunk, cells, cfg.replicates, cfg.threads)
     rows = []
-    for g_signal in g_values:
-        for k_active in k_values:
-            cell = _figure_arrays([next(results) for _ in range(cell_chunks)],
-                                  cfg.replicates, len(methods))
-            for mi, method in enumerate(methods):
-                if diag:
-                    e_mean, e_se = _mean_se(cell["entropy"][:, mi])
-                    m_mean, m_se = _mean_se(cell["mpm_match"][:, mi])
-                    s_mean, s_se = _mean_se(cell["mpm_size"][:, mi])
+    for (g_signal, k_active), (losses, ent, match, size) in zip(grid, results):
+        for mi, method in enumerate(methods):
+            if diag:
+                e_mean, e_se = mean_se(ent[:, mi])
+                m_mean, m_se = mean_se(match[:, mi])
+                s_mean, s_se = mean_se(size[:, mi])
+                rows.append(
+                    {
+                        "design": design, "g": g_signal, "k": k_active,
+                        "method": method,
+                        "avg_entropy": e_mean, "se_entropy": e_se,
+                        "mpm_match_rate": m_mean, "se_match": m_se,
+                        "avg_mpm_size": s_mean, "se_size": s_se,
+                        "replicates": cfg.replicates,
+                    }
+                )
+            else:
+                for si, selector in enumerate(_SELECTORS):
+                    mean, se = mean_se(losses[:, mi, si])
                     rows.append(
                         {
                             "design": design, "g": g_signal, "k": k_active,
-                            "method": method,
-                            "avg_entropy": e_mean, "se_entropy": e_se,
-                            "mpm_match_rate": m_mean, "se_match": m_se,
-                            "avg_mpm_size": s_mean, "se_size": s_se,
+                            "method": method, "selector": selector,
+                            "avg_loss": mean, "se": se,
                             "replicates": cfg.replicates,
                         }
                     )
-                else:
-                    for si, selector in enumerate(_SELECTORS):
-                        mean, se = _mean_se(cell["losses"][:, mi, si])
-                        rows.append(
-                            {
-                                "design": design, "g": g_signal, "k": k_active,
-                                "method": method, "selector": selector,
-                                "avg_loss": mean, "se": se,
-                                "replicates": cfg.replicates,
-                            }
-                        )
-    if diag:
-        fields = ["design", "g", "k", "method", "avg_entropy", "se_entropy",
-                  "mpm_match_rate", "se_match", "avg_mpm_size", "se_size", "replicates"]
-    else:
-        fields = ["design", "g", "k", "method", "selector", "avg_loss", "se", "replicates"]
-    _write_outputs(cfg, cfg.experiment, rows, fields)
+    _write_outputs(cfg, cfg.experiment, rows)
     return rows
 
 
@@ -565,15 +529,15 @@ def run_figure_sims(cfg: ExperimentConfig) -> list[dict]:
 def run_anova_experiment(cfg: ExperimentConfig) -> list[dict]:
     """Average posterior probability of the true model along a grid of p."""
     methods = _parse_methods(cfg, ANOVA_METHODS, allowed=set(ANOVA_METHODS))
-    tau2 = cfg.get_float("tau2", 0.25)
-    r = cfg.get_int("r", 5)
+    tau2 = cfg.get_float("tau2", 0.25, "a finite signal strength of at least 0",
+                         lambda t: math.isfinite(t) and t >= 0)
+    r = cfg.get_int("r", 5, "a replicates-per-group count of at least 1", lambda r: r >= 1)
     p_grid = cfg.get_list("p_grid", (100, 300, 1000, 3000, 10000), int,
                           "a group count of at least 1", lambda p: p >= 1)
     rows = simulate_consistency(
         AnovaTruth(tau2), r, p_grid, cfg.replicates, cfg.seed, methods
     )
-    _write_outputs(cfg, "anova", rows,
-                   ["p", "method", "avg_prob_true", "se", "replicates", "tau2", "r"])
+    _write_outputs(cfg, "anova", rows)
     return rows
 
 
@@ -583,30 +547,33 @@ def run_anova_experiment(cfg: ExperimentConfig) -> list[dict]:
 
 
 def run_shibata_experiment(cfg: ExperimentConfig) -> list[dict]:
-    """Average integrated predictive loss for one scenario of the study."""
+    """Average integrated predictive loss for one scenario of the study.
+
+    ``scenario`` (default 1) picks the defaults of ``n``, ``k`` and
+    ``sigma2``; each of the three can be set on its own.
+    """
     methods = _parse_methods(cfg, STUDY_METHODS, allowed=set(STUDY_METHODS))
-    if "n" in cfg.overrides or "k" in cfg.overrides:
-        study_cfg = NonparametricConfig(
-            n=cfg.get_int("n", 30),
-            k=cfg.get_int("k", 29),
-            sigma2=cfg.get_float("sigma2", 1.0),
-            replicates=cfg.replicates,
-            seed=cfg.seed,
-        )
-    else:
-        study_cfg = NonparametricConfig.preset(
-            cfg.get_int("scenario", 1), replicates=cfg.replicates, seed=cfg.seed
-        )
+    scenario = cfg.get_int("scenario", 1, f"a scenario, one of {sorted(PRESETS)}",
+                           lambda s: s in PRESETS)
+    n, k, sigma2 = PRESETS[scenario]
+    n = cfg.get_int("n", n, "a sample size of at least 2", lambda n: n >= 2)
+    k = cfg.get_int("k", k, f"a largest truncation from 1 to n - 1 = {n - 1}",
+                    lambda k: 1 <= k < n)
+    sigma2 = cfg.get_float("sigma2", sigma2, "a finite noise variance above 0",
+                           lambda s: math.isfinite(s) and s > 0)
+    loss_kind = cfg.overrides.get("loss_kind", "coefficient")
+    if loss_kind not in LOSS_KINDS:
+        raise ConfigError(f"unknown loss_kind {loss_kind!r}")
+    study_cfg = NonparametricConfig(n=n, k=k, sigma2=sigma2, replicates=cfg.replicates,
+                                    seed=cfg.seed)
     rows = run_study(
         study_cfg,
         methods=methods,
         threads=cfg.threads,
         refit_per_model=cfg.get_bool("powerlaw_refit_per_model", True),
-        loss_kind=cfg.overrides.get("loss_kind", "coefficient"),
+        loss_kind=loss_kind,
     )
-    _write_outputs(cfg, "shibata", rows,
-                   ["scenario", "method", "selector", "avg_loss", "se_loss", "avg_size",
-                    "se_size", "replicates", "seed"])
+    _write_outputs(cfg, "shibata", rows)
     return rows
 
 

@@ -21,7 +21,7 @@ from numpy.polynomial import chebyshev
 
 from .bayesfactors import ml2_known_variance_from_scalars
 from .modelspace import ModelPosterior, ModelSpace, hpm, mpm, posterior_from_evidence
-from .pool import chunk_bounds, derive_stream, run_chunked
+from .pool import derive_stream, mean_se, run_replicates
 
 __all__ = [
     "NonparametricConfig",
@@ -412,6 +412,10 @@ def nested_evidence(
     return posterior_from_evidence(space.models(), log_ev, space)
 
 
+# Nodes requested of ``_loss_rule`` by the study's integrated loss.
+_LOSS_POINTS = 2000
+
+
 @lru_cache(maxsize=8)
 def _loss_rule(points: int):
     """Composite Gauss-Legendre rule on [-1, 1] graded toward x = 1.
@@ -434,7 +438,7 @@ def _loss_rule(points: int):
 
 
 def predictive_loss_integral(
-    alpha_hat: float, beta_hat, quadrature_points: int = 2000
+    alpha_hat: float, beta_hat, quadrature_points: int = _LOSS_POINTS
 ) -> float:
     """Integrated squared loss of the fitted expansion against the target.
 
@@ -480,7 +484,7 @@ def _replicate_metrics(y, x, loss_fn, methods, sigma2, refit_per_model=True):
     return out
 
 
-def _make_loss_fn(loss_kind, k, points):
+def _make_loss_fn(loss_kind, k):
     """Loss functional for fitted (intercept, k coefficients) pairs.
 
     ``coefficient``: squared error of the fitted coefficient vector against
@@ -498,7 +502,7 @@ def _make_loss_fn(loss_kind, k, points):
 
         return loss_fn
     if loss_kind == "integrated":
-        nodes, weights = _loss_rule(points)
+        nodes, weights = _loss_rule(_LOSS_POINTS)
         truth_at_nodes = true_signal(nodes)
         cheb_at_nodes = chebyshev.chebvander(nodes, k)[:, 1:]
 
@@ -510,11 +514,12 @@ def _make_loss_fn(loss_kind, k, points):
     raise ValueError(f"unknown loss kind {loss_kind!r}")
 
 
-def _study_chunk(args):
-    n, k, sigma2, seed, lo, hi, methods, refit_per_model, loss_kind, points = args
+def _study_chunk(cell, lo, hi):
+    """Losses and selected-model sizes for replicates lo..hi-1 of one scenario."""
+    n, k, sigma2, seed, methods, refit_per_model, loss_kind = cell
     _, x, knots = chebyshev_design(n, k)
     signal = true_signal(knots)
-    loss_fn = _make_loss_fn(loss_kind, k, points)
+    loss_fn = _make_loss_fn(loss_kind, k)
     losses = np.empty((hi - lo, len(methods), len(_SELECTORS)))
     sizes = np.empty((hi - lo, len(methods), 2))
     for rep in range(lo, hi):
@@ -526,7 +531,7 @@ def _study_chunk(args):
                 losses[rep - lo, mi, si] = metrics[method]["loss"][sel]
             sizes[rep - lo, mi, 0] = metrics[method]["size"]["hpm"]
             sizes[rep - lo, mi, 1] = metrics[method]["size"]["mpm"]
-    return lo, losses, sizes
+    return losses, sizes
 
 
 def run_study(
@@ -535,7 +540,6 @@ def run_study(
     threads: int = 1,
     refit_per_model: bool = True,
     loss_kind: str = "coefficient",
-    quadrature_points: int = 2000,
 ) -> list[dict]:
     """Monte Carlo study of one scenario: average predictive loss and size.
 
@@ -544,38 +548,26 @@ def run_study(
     and (for the selected-model rows) the average size.
     """
     methods = tuple(methods)
-    reps = cfg.replicates
-    losses = np.empty((reps, len(methods), len(_SELECTORS)))
-    sizes = np.empty((reps, len(methods), 2))
-
-    jobs = [
-        (cfg.n, cfg.k, cfg.sigma2, cfg.seed, lo, hi, methods, refit_per_model,
-         loss_kind, quadrature_points)
-        for lo, hi in chunk_bounds(reps, threads)
-    ]
-    for lo, chunk_losses, chunk_sizes in run_chunked(_study_chunk, jobs, threads):
-        losses[lo : lo + chunk_losses.shape[0]] = chunk_losses
-        sizes[lo : lo + chunk_sizes.shape[0]] = chunk_sizes
-
+    cell = (cfg.n, cfg.k, cfg.sigma2, cfg.seed, methods, refit_per_model, loss_kind)
+    [(losses, sizes)] = run_replicates(_study_chunk, [cell], cfg.replicates, threads)
     rows = []
-    sqrt_b = math.sqrt(reps)
     for mi, method in enumerate(methods):
         for si, sel in enumerate(_SELECTORS):
-            vals = losses[:, mi, si]
-            row = {
-                "scenario": cfg.label,
-                "method": method,
-                "selector": sel,
-                "avg_loss": float(vals.mean()),
-                "se_loss": float(vals.std(ddof=1) / sqrt_b) if reps > 1 else 0.0,
-                "avg_size": "",
-                "se_size": "",
-                "replicates": reps,
-                "seed": cfg.seed,
-            }
+            avg_loss, se_loss = mean_se(losses[:, mi, si])
+            avg_size = se_size = ""
             if sel in ("hpm", "mpm"):
-                chosen = sizes[:, mi, 0 if sel == "hpm" else 1]
-                row["avg_size"] = float(chosen.mean())
-                row["se_size"] = float(chosen.std(ddof=1) / sqrt_b) if reps > 1 else 0.0
-            rows.append(row)
+                avg_size, se_size = mean_se(sizes[:, mi, 0 if sel == "hpm" else 1])
+            rows.append(
+                {
+                    "scenario": cfg.label,
+                    "method": method,
+                    "selector": sel,
+                    "avg_loss": avg_loss,
+                    "se_loss": se_loss,
+                    "avg_size": avg_size,
+                    "se_size": se_size,
+                    "replicates": cfg.replicates,
+                    "seed": cfg.seed,
+                }
+            )
     return rows

@@ -1,16 +1,20 @@
-"""Replicate streams, replicate chunks and the process pool that runs them.
+"""The one replicate runner: replicate streams, chunks, the process pool, and
+the mean and standard error of what the replicates return.
 
-Each replicate draws from its own stream, the chunk bounds depend only on
-the replicate count and the requested worker count, and results come back
-in chunk order, so outputs do not depend on how many processes actually run.
+``run_replicates`` splits each cell's replicates into chunks, runs every
+(cell, chunk) in one pool, and joins each cell's chunk results in replicate
+order.  Each replicate draws from its own stream and the chunk bounds depend
+only on the replicate count and the requested worker count, so outputs do
+not depend on how many processes actually run.
 """
 
+import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
-__all__ = ["chunk_bounds", "derive_stream", "run_chunked", "usable_cores"]
+__all__ = ["chunk_bounds", "derive_stream", "mean_se", "run_replicates", "usable_cores"]
 
 
 def derive_stream(seed: int, replicate) -> np.random.Generator:
@@ -38,11 +42,32 @@ def chunk_bounds(total, threads):
     return [(lo, min(lo + step, total)) for lo in range(0, total, step)]
 
 
-def run_chunked(worker, jobs, threads):
-    """``[worker(job) for job in jobs]``, in worker processes when
-    ``threads`` > 1; the pool never has more processes than usable cores."""
+def run_replicates(worker, cells, replicates, threads):
+    """Per-replicate arrays of every cell, one tuple of arrays per cell.
+
+    ``worker(cell, lo, hi)`` returns a tuple of arrays whose leading axis
+    runs over replicates lo..hi-1 of ``cell``.  Every (cell, chunk) pair runs
+    in one pool of worker processes when ``threads`` > 1, never more
+    processes than usable cores; each cell's chunk results are joined in
+    replicate order.
+    """
+    bounds = chunk_bounds(replicates, threads)
+    jobs = [(cell, lo, hi) for cell in cells for lo, hi in bounds]
     workers = min(threads, usable_cores(), len(jobs))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(worker, jobs))
-    return [worker(job) for job in jobs]
+            parts = list(pool.map(worker, *zip(*jobs)))
+    else:
+        parts = [worker(*job) for job in jobs]
+    per_cell = len(bounds)
+    return [tuple(np.concatenate(arrays) for arrays in zip(*parts[i : i + per_cell]))
+            for i in range(0, len(parts), per_cell)]
+
+
+def mean_se(values):
+    """Mean of per-replicate values and its standard error (0 for one replicate)."""
+    values = np.asarray(values, dtype=np.float64)
+    b = values.shape[0]
+    mean = float(values.mean())
+    se = float(values.std(ddof=1) / math.sqrt(b)) if b > 1 else 0.0
+    return mean, se

@@ -137,7 +137,6 @@ class SuffStats:
     beta_hat: np.ndarray
     sse: float
     ssr: float
-    r2: float
     gram_chol: np.ndarray
 
     def __post_init__(self):
@@ -153,6 +152,11 @@ class SuffStats:
     @property
     def total_ss(self) -> float:
         return self.sse + self.ssr
+
+    @property
+    def r2(self) -> float:
+        """ssr / (sse + ssr), and 0 where ssr is 0."""
+        return self.ssr / (self.sse + self.ssr) if self.ssr > 0 else 0.0
 
     def gram_inverse(self) -> np.ndarray:
         """(X'X)^{-1} of the selected columns, from the stored factor."""
@@ -243,7 +247,6 @@ def fit_suffstats(dataset: Dataset, subset) -> SuffStats:
             beta_hat=np.zeros(0),
             sse=total,
             ssr=0.0,
-            r2=0.0,
             gram_chol=np.zeros((0, 0)),
         )
     xs = dataset.x[:, cols]
@@ -268,10 +271,7 @@ def fit_suffstats(dataset: Dataset, subset) -> SuffStats:
     # Signal at the level of squared rounding noise in y is an exact zero.
     if ssr <= 1e-24 * max(float(dataset.y @ dataset.y), 1.0):
         ssr = 0.0
-    r2 = ssr / (ssr + sse) if ssr > 0 else 0.0
-    return SuffStats(
-        n=n, p0=p0, p=p_i, beta_hat=beta, sse=sse, ssr=ssr, r2=r2, gram_chol=r
-    )
+    return SuffStats(n=n, p0=p0, p=p_i, beta_hat=beta, sse=sse, ssr=ssr, gram_chol=r)
 
 
 def model_mask(models, p: int) -> np.ndarray:
@@ -362,8 +362,7 @@ class ModelTable:
         gram_chol = self.gram_chol(i)
         return SuffStats(
             n=self.n, p0=self.p0, p=len(cols), beta_hat=self.beta[i, cols],
-            sse=float(self.sse[i]), ssr=float(self.ssr[i]), r2=float(self.r2[i]),
-            gram_chol=gram_chol,
+            sse=float(self.sse[i]), ssr=float(self.ssr[i]), gram_chol=gram_chol,
         )
 
 

@@ -23,7 +23,7 @@ from ml2bf.harness import (
     run_table1,
 )
 from ml2bf.modelspace import _MAX_ALL_SUBSETS
-from ml2bf.pool import chunk_bounds, run_chunked
+from ml2bf.pool import chunk_bounds, run_replicates
 
 
 class TestDeriveStream:
@@ -81,9 +81,24 @@ class TestConfig:
         with pytest.raises(ConfigError):
             ExperimentConfig(experiment="table1", seed=0, replicates=0)
 
+    def test_flags_accept_known_words_only(self):
+        for raw, value in (("1", True), ("TRUE", True), (" yes ", True), ("On", True),
+                           ("0", False), ("false", False), ("No", False), ("off", False)):
+            cfg = ExperimentConfig(experiment="table1", seed=0, overrides={"flag": raw})
+            assert cfg.get_bool("flag", not value) is value
+        for raw in ("ture", "", "2", "y"):
+            cfg = ExperimentConfig(experiment="table1", seed=0, overrides={"flag": raw})
+            with pytest.raises(ConfigError, match=f"flag: {raw!r}"):
+                cfg.get_bool("flag", False)
 
-def _pid(_job):
-    return os.getpid()
+
+def _pid(cell, lo, hi):
+    return (np.full(hi - lo, os.getpid()),)
+
+
+def _cell_replicates(cell, lo, hi):
+    reps = np.arange(lo, hi)
+    return 1000 * cell + reps, np.outer(reps, [cell, -cell]) / 7.0
 
 
 class TestPool:
@@ -96,8 +111,18 @@ class TestPool:
 
     def test_workers_capped_at_usable_cores(self, monkeypatch):
         monkeypatch.setattr("ml2bf.pool.usable_cores", lambda: 1)
-        pids = run_chunked(_pid, range(4), threads=4)
-        assert pids == [os.getpid()] * 4
+        pids = run_replicates(_pid, [1, 2], 4, threads=4)
+        assert [p.tolist() for (p,) in pids] == [[os.getpid()] * 4] * 2
+
+    def test_cells_joined_in_replicate_order_at_any_thread_count(self):
+        # 11 replicates split unevenly at two and three threads.
+        reps = np.arange(11)
+        for threads in (1, 2, 3):
+            result = run_replicates(_cell_replicates, [3, 5], 11, threads)
+            assert len(result) == 2
+            for cell, (ids, pairs) in zip((3, 5), result):
+                np.testing.assert_array_equal(ids, 1000 * cell + reps)
+                np.testing.assert_array_equal(pairs, np.outer(reps, [cell, -cell]) / 7.0)
 
 
 class TestTable1Driver:
@@ -202,8 +227,44 @@ class TestAnovaDriver:
         )
         rows = run_anova_experiment(cfg)
         assert len(rows) == 2 * 3
-        text = (tmp_path / "anova.csv").read_text()
-        assert text.splitlines()[0] == "p,method,avg_prob_true,se,replicates,tau2,r"
+        assert (tmp_path / "anova.csv").exists()
+
+
+class TestShibataDriver:
+    @pytest.mark.parametrize("settings,label", [
+        ({"sigma2": "2"}, "n30_k29_s2"),
+        ({"k": "9"}, "n30_k9_s1"),
+        ({"scenario": "2", "n": "90"}, "n90_k79_s1"),
+    ])
+    def test_scenario_sets_defaults_each_setting_overrides(self, settings, label):
+        rows = run_experiment(build_config("shibata", settings, seed=1, replicates=1,
+                                           methods="bic"))
+        assert {row["scenario"] for row in rows} == {label}
+
+
+# The CSV header is the first row's keys, so each driver's key order is its
+# file's schema.
+_CSV_HEADERS = {
+    "table1": ("n_grid = 5", "n,r,method,avg_prob_true,se,replicates"),
+    "figure_ar1": ("g_grid = 5\nk_grid = 0",
+                   "design,g,k,method,selector,avg_loss,se,replicates"),
+    "figure_diag": ("g_grid = 5\nk_grid = 0",
+                    "design,g,k,method,avg_entropy,se_entropy,mpm_match_rate,se_match,"
+                    "avg_mpm_size,se_size,replicates"),
+    "shibata": ("n = 30\nk = 9",
+                "scenario,method,selector,avg_loss,se_loss,avg_size,se_size,replicates,seed"),
+    "anova": ("p_grid = 10", "p,method,avg_prob_true,se,replicates,tau2,r"),
+}
+
+
+@pytest.mark.parametrize("experiment", sorted(_CSV_HEADERS))
+def test_csv_header_pinned(tmp_path, experiment):
+    settings, header = _CSV_HEADERS[experiment]
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(f"{settings}\nreplicates = 2\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert main([experiment, "--config", str(cfg_path), "--seed", "1", "--out", str(out)]) == 0
+    assert (out / f"{experiment}.csv").read_text().splitlines()[0] == header
 
 
 class TestRunBf:
@@ -326,6 +387,15 @@ class TestCli:
         ("figure_ar1", "g_grid = abc", "g_grid: 'abc'"),
         ("anova", "p_grid = 30,x", "p_grid: 'x'"), ("anova", "tau2 = abc", "tau2: 'abc'"),
         ("table1", "beta1 = abc", "beta1: 'abc'"),
+        ("table1", "beta2 = nan", "beta2: 'nan'"),
+        ("table1", "share_noise_across_n = ture", "share_noise_across_n: 'ture'"),
+        ("shibata", "powerlaw_refit_per_model = ture", "powerlaw_refit_per_model: 'ture'"),
+        ("shibata", "loss_kind = integratd", "'integratd'"),
+        ("shibata", "scenario = 7", "scenario: '7'"),
+        ("shibata", "n = 5\nk = 9", "k: '9'"),
+        ("shibata", "sigma2 = 0", "sigma2: '0'"),
+        ("anova", "tau2 = -1", "tau2: '-1'"),
+        ("anova", "r = 0", "r: '0'"),
     ])
     def test_bad_value_is_config_error(self, tmp_path, capsys, experiment, setting, named):
         # Each is checked before any work starts, not met as a numerical failure.

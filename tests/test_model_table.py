@@ -168,7 +168,7 @@ def _stats(table, i):
     k = int(table.sizes[i])
     sse, ssr = float(table.sse[i]), float(table.ssr[i])
     return SuffStats(n=table.n, p0=table.p0, p=k, beta_hat=np.zeros(k), sse=sse, ssr=ssr,
-                     r2=ssr / (sse + ssr) if ssr > 0 else 0.0, gram_chol=np.eye(k))
+                     gram_chol=np.eye(k))
 
 
 _RULES = {

@@ -8,7 +8,7 @@ from ml2bf.regression import SuffStats
 
 
 def make_stats(n, p0, p, r2, total=1.0):
-    """Synthetic sufficient statistics with an exact r2.
+    """Synthetic sufficient statistics whose r2 is ``r2`` up to rounding.
 
     Uses an identity Gram factor and puts all fitted signal on the first
     coordinate, so ssr = beta_hat' (X'X) beta_hat holds by construction.
@@ -19,7 +19,7 @@ def make_stats(n, p0, p, r2, total=1.0):
     if p:
         beta[0] = math.sqrt(ssr)
     return SuffStats(
-        n=n, p0=p0, p=p, beta_hat=beta, sse=sse, ssr=ssr, r2=r2, gram_chol=np.eye(p)
+        n=n, p0=p0, p=p, beta_hat=beta, sse=sse, ssr=ssr, gram_chol=np.eye(p)
     )
 
 
