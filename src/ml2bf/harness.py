@@ -55,6 +55,7 @@ __all__ = [
     "ExperimentConfig",
     "ConfigError",
     "EXPERIMENTS",
+    "SETTINGS",
     "derive_stream",
     "load_config_file",
     "build_config",
@@ -67,15 +68,19 @@ __all__ = [
     "run_bf",
 ]
 
-EXPERIMENTS = (
-    "table1",
-    "figure_ortho",
-    "figure_ar1",
-    "figure_diag",
-    "anova",
-    "shibata",
-    "bf",
-)
+_FIGURE_SETTINGS = ("g_grid", "k_grid", "model_prior", "zs_rule")
+# The settings each experiment's driver reads; any other key is a config error.
+SETTINGS = {
+    "table1": ("n_grid", "beta1", "beta2", "share_noise_across_n", "model_prior",
+               "design_scale", "zs_rule"),
+    "figure_ortho": _FIGURE_SETTINGS,
+    "figure_ar1": _FIGURE_SETTINGS,
+    "figure_diag": _FIGURE_SETTINGS,
+    "anova": ("tau2", "r", "p_grid"),
+    "shibata": ("scenario", "n", "k", "sigma2", "loss_kind", "powerlaw_refit_per_model"),
+    "bf": ("model_prior",),
+}
+EXPERIMENTS = tuple(SETTINGS)
 
 _DEFAULT_METHODS = ("bic", "ml2", "lb", "zs")
 _BF_METHODS = ("ml2", "lb", "bic", "bicprior", "zs", "ghat")
@@ -107,6 +112,11 @@ class ExperimentConfig:
             raise ConfigError("seed must be an unsigned 64-bit integer")
         if self.threads < 1:
             raise ConfigError("threads must be at least 1")
+        known = SETTINGS[self.experiment]
+        for key in self.overrides:
+            if key not in known:
+                raise ConfigError(f"unknown setting {key!r} for {self.experiment}; "
+                                  f"it reads {', '.join(known)}")
 
     def get_float(self, key, default, need="a number", valid=None):
         return _parse(key, self.overrides.get(key, default), float, need, valid)
@@ -478,8 +488,10 @@ def run_figure_sims(cfg: ExperimentConfig) -> list[dict]:
     methods = _parse_methods(cfg, _DEFAULT_METHODS)
     design = "orthogonal" if cfg.experiment == "figure_ortho" else "ar1"
     diag = cfg.experiment == "figure_diag"
-    g_values = cfg.get_list("g_grid", "5,25", float, "a finite signal variance of at least 0",
-                            lambda g: math.isfinite(g) and g >= 0)
+    # The stream key holds round(1000 g), so 1000 g must be finite.
+    g_values = cfg.get_list("g_grid", "5,25", float,
+                            "a signal variance of at least 0 with 1000 g finite",
+                            lambda g: g >= 0 and math.isfinite(1000 * g))
     k_values = cfg.get_list("k_grid", range(0, _FIG_P + 1), int,
                             f"an active-predictor count from 0 to {_FIG_P}",
                             lambda k: 0 <= k <= _FIG_P)

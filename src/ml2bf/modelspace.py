@@ -51,7 +51,7 @@ class ModelSpace:
         if self.kind not in ("all_subsets", "nested"):
             raise ValueError(f"unknown model space kind {self.kind!r}")
         if self.model_prior not in ("uniform_models", "uniform_size"):
-            raise ValueError(f"unknown model prior {self.model_prior!r}")
+            raise ValueError(f"unknown model_prior {self.model_prior!r}")
         if self.size < 0:
             raise ValueError("size must be nonnegative")
         if self.kind == "all_subsets" and self.size > _MAX_ALL_SUBSETS:
@@ -194,11 +194,7 @@ def mpm(posterior: ModelPosterior, mask=None) -> tuple[int, ...]:
     sizes = np.array([len(m) for m in posterior.models])
     order = np.argsort(sizes)
     tail = np.cumsum(posterior.posterior_prob[order][::-1])[::-1]
-    chosen = sizes[order][0]
-    for size, tail_prob in zip(sizes[order], tail):
-        if tail_prob >= 0.5:
-            chosen = size
-    return tuple(range(int(chosen)))
+    return tuple(range(int(sizes[order][np.max(np.flatnonzero(tail >= 0.5), initial=0)])))
 
 
 def entropy(posterior: ModelPosterior) -> float:

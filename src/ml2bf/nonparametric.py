@@ -368,15 +368,14 @@ def fit_power_law_prior(y, x, sigma2: float) -> PowerLawPrior:
     return prior
 
 
-def _evidence_and_shrinkage(y, x, method, sigma2, refit_per_model=True):
+def _evidence_and_shrinkage(u, n, method, sigma2, refit_per_model=True):
     """Log evidence per nested model and per-coordinate shrinkage factors.
 
-    Returns (log_ev (k,), shrink (k, k) lower-triangular-by-model, alpha,
-    beta_hat): row j-1 of ``shrink`` scales beta_hat coordinates 1..j for
-    the size-j model (zero beyond j).
+    ``u`` are the whitened coordinates of ``_summaries`` for a sample of
+    size ``n``.  Returns (log_ev (k,), shrink (k, k)): row j-1 of ``shrink``
+    scales beta_hat coordinates 1..j for the size-j model (zero beyond j).
     """
-    n, k = x.shape
-    alpha_hat, beta_hat, u, sse = _summaries(y, x)
+    k = u.shape[0]
     u_sq = u**2
     ssr = np.cumsum(u_sq)
     if method == "ml2":
@@ -395,7 +394,7 @@ def _evidence_and_shrinkage(y, x, method, sigma2, refit_per_model=True):
         shrink = np.tri(k)
     else:
         raise ValueError(f"unknown study method {method!r}")
-    return log_ev, shrink, alpha_hat, beta_hat
+    return log_ev, shrink
 
 
 def nested_evidence(
@@ -406,18 +405,19 @@ def nested_evidence(
     Log evidence is stored relative to the empty expansion; the prior over
     sizes 1..k is uniform.
     """
-    k = x.shape[1]
-    log_ev, _, _, _ = _evidence_and_shrinkage(y, x, method, sigma2, refit_per_model)
+    n, k = x.shape
+    _, _, u, _ = _summaries(y, x)
+    log_ev, _ = _evidence_and_shrinkage(u, n, method, sigma2, refit_per_model)
     space = ModelSpace.nested(k)
     return posterior_from_evidence(space.models(), log_ev, space)
 
 
-# Nodes requested of ``_loss_rule`` by the study's integrated loss.
+# Nodes asked of ``_loss_rule``; it rounds down to whole panels.
 _LOSS_POINTS = 2000
 
 
-@lru_cache(maxsize=8)
-def _loss_rule(points: int):
+@lru_cache(maxsize=1)
+def _loss_rule():
     """Composite Gauss-Legendre rule on [-1, 1] graded toward x = 1.
 
     Uniform panels of width 1/16 on [-1, 1/2], then dyadic panels shrinking
@@ -428,7 +428,7 @@ def _loss_rule(points: int):
     left = np.linspace(-1.0, 0.5, 25)
     right = 1.0 - 2.0 ** (-np.arange(2.0, 46.0))
     edges = np.concatenate([left, right])
-    per_panel = max(4, points // (edges.size - 1))
+    per_panel = max(4, _LOSS_POINTS // (edges.size - 1))
     z, w = np.polynomial.legendre.leggauss(per_panel)
     lo = edges[:-1][:, None]
     hi = edges[1:][:, None]
@@ -437,15 +437,13 @@ def _loss_rule(points: int):
     return nodes.ravel(), weights.ravel()
 
 
-def predictive_loss_integral(
-    alpha_hat: float, beta_hat, quadrature_points: int = _LOSS_POINTS
-) -> float:
+def predictive_loss_integral(alpha_hat: float, beta_hat) -> float:
     """Integrated squared loss of the fitted expansion against the target.
 
     Computes the integral over [-1, 1] of (f(x) - fhat(x))^2 where fhat is
     the Chebyshev expansion with the given intercept and coefficients.
     """
-    nodes, weights = _loss_rule(quadrature_points)
+    nodes, weights = _loss_rule()
     coeffs = np.concatenate([[alpha_hat], np.asarray(beta_hat, dtype=np.float64).reshape(-1)])
     resid = true_signal(nodes) - chebyshev.chebval(nodes, coeffs)
     return float(weights @ resid**2)
@@ -453,35 +451,6 @@ def predictive_loss_integral(
 
 _SELECTORS = ("hpm", "mpm", "bma")
 LOSS_KINDS = ("coefficient", "integrated")
-
-
-def _replicate_metrics(y, x, loss_fn, methods, sigma2, refit_per_model=True):
-    """Losses and model sizes for one simulated dataset.
-
-    Returns {method: {"loss": {selector: value}, "size": {hpm, mpm}}}.
-    """
-    k = x.shape[1]
-    space = ModelSpace.nested(k)
-    models = space.models()
-    out = {}
-    for method in methods:
-        log_ev, shrink, alpha_hat, beta_hat = _evidence_and_shrinkage(
-            y, x, method, sigma2, refit_per_model
-        )
-        posterior = posterior_from_evidence(models, log_ev, space)
-        coefs = shrink * beta_hat[None, :]
-        hpm_size = len(hpm(posterior))
-        mpm_size = len(mpm(posterior))
-        bma_coef = posterior.posterior_prob @ coefs
-        losses = {}
-        for selector, coef in (
-            ("hpm", coefs[hpm_size - 1]),
-            ("mpm", coefs[mpm_size - 1]),
-            ("bma", bma_coef),
-        ):
-            losses[selector] = loss_fn(alpha_hat, coef)
-        out[method] = {"loss": losses, "size": {"hpm": hpm_size, "mpm": mpm_size}}
-    return out
 
 
 def _make_loss_fn(loss_kind, k):
@@ -502,7 +471,7 @@ def _make_loss_fn(loss_kind, k):
 
         return loss_fn
     if loss_kind == "integrated":
-        nodes, weights = _loss_rule(_LOSS_POINTS)
+        nodes, weights = _loss_rule()
         truth_at_nodes = true_signal(nodes)
         cheb_at_nodes = chebyshev.chebvander(nodes, k)[:, 1:]
 
@@ -515,22 +484,29 @@ def _make_loss_fn(loss_kind, k):
 
 
 def _study_chunk(cell, lo, hi):
-    """Losses and selected-model sizes for replicates lo..hi-1 of one scenario."""
+    """Losses (hpm, mpm, bma) and the HPM and MPM sizes for replicates
+    lo..hi-1 of one scenario: one fit per replicate, scored by every rule."""
     n, k, sigma2, seed, methods, refit_per_model, loss_kind = cell
     _, x, knots = chebyshev_design(n, k)
     signal = true_signal(knots)
     loss_fn = _make_loss_fn(loss_kind, k)
+    space = ModelSpace.nested(k)
+    models = space.models()
     losses = np.empty((hi - lo, len(methods), len(_SELECTORS)))
     sizes = np.empty((hi - lo, len(methods), 2))
-    for rep in range(lo, hi):
+    for r, rep in enumerate(range(lo, hi)):
         rng = derive_stream(seed, rep)
         y = signal + math.sqrt(sigma2) * rng.standard_normal(n)
-        metrics = _replicate_metrics(y, x, loss_fn, methods, sigma2, refit_per_model)
+        alpha_hat, beta_hat, u, _ = _summaries(y, x)
         for mi, method in enumerate(methods):
-            for si, sel in enumerate(_SELECTORS):
-                losses[rep - lo, mi, si] = metrics[method]["loss"][sel]
-            sizes[rep - lo, mi, 0] = metrics[method]["size"]["hpm"]
-            sizes[rep - lo, mi, 1] = metrics[method]["size"]["mpm"]
+            log_ev, shrink = _evidence_and_shrinkage(u, n, method, sigma2, refit_per_model)
+            posterior = posterior_from_evidence(models, log_ev, space)
+            hpm_size, mpm_size = len(hpm(posterior)), len(mpm(posterior))
+            coefs = shrink * beta_hat
+            bma_coef = posterior.posterior_prob @ coefs
+            for si, coef in enumerate((coefs[hpm_size - 1], coefs[mpm_size - 1], bma_coef)):
+                losses[r, mi, si] = loss_fn(alpha_hat, coef)
+            sizes[r, mi] = hpm_size, mpm_size
     return losses, sizes
 
 

@@ -65,9 +65,14 @@ def run_replicates(worker, cells, replicates, threads):
 
 
 def mean_se(values):
-    """Mean of per-replicate values and its standard error (0 for one replicate)."""
+    """Mean of per-replicate values and its standard error (0 for one replicate);
+    FloatingPointError if either is not finite."""
     values = np.asarray(values, dtype=np.float64)
     b = values.shape[0]
-    mean = float(values.mean())
-    se = float(values.std(ddof=1) / math.sqrt(b)) if b > 1 else 0.0
+    with np.errstate(over="ignore", invalid="ignore"):  # reported just below
+        mean = float(values.mean())
+        se = float(values.std(ddof=1) / math.sqrt(b)) if b > 1 else 0.0
+    if not (math.isfinite(mean) and math.isfinite(se)):
+        raise FloatingPointError(f"replicate average {mean!r} with standard error {se!r}: "
+                                 "a value overflowed")
     return mean, se

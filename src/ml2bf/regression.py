@@ -91,6 +91,9 @@ class Dataset:
             raise ValueError("predictor row counts must match len(y)")
         if x0.shape[:-2] not in ((), y.shape[:-1]):
             raise ValueError("x0 must be shared by the replicates or stacked like x")
+        finite = (np.isfinite(y).all(axis=-1) & np.isfinite(x).all(axis=(-2, -1))
+                  & np.isfinite(x0).all(axis=(-2, -1)))
+        _raise_first(~finite, "y, x0 or x has a non-finite value")
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "x0", x0)
         object.__setattr__(self, "x", x)
@@ -388,6 +391,10 @@ def fit_models(dataset: Dataset, models) -> ModelTable:
     y = dataset.y if stacked else dataset.y[None]
     x = dataset.x if stacked else dataset.x[None]
     reps = y.shape[0]
+    with np.errstate(over="ignore"):  # reported just below
+        yy = (y[:, None, :] @ y[:, :, None])[:, 0]
+    overflow = ~np.isfinite(yy[:, 0])
+    _raise_first(overflow if stacked else overflow[0], "the sum of squares of y overflows")
     q0 = _common_basis(dataset.x0)
     q0t = np.swapaxes(q0, -1, -2)
     ytilde = y - (q0 @ (q0t @ y[..., None]))[..., 0]
@@ -442,7 +449,6 @@ def fit_models(dataset: Dataset, models) -> ModelTable:
         prefix = f"replicate {j}: " if stacked else ""
         raise ValueError(f"{prefix}model {i} (columns {cols}): {reason}")
     # Signal at the level of squared rounding noise in y is an exact zero.
-    yy = (y[:, None, :] @ y[:, :, None])[:, 0]
     ssr[ssr <= 1e-24 * np.maximum(yy, 1.0)] = 0.0
     if not stacked:
         sse, ssr, beta = sse[0], ssr[0], beta[0]
@@ -586,6 +592,11 @@ def load_dataset_csv(path) -> tuple[Dataset, list[str]]:
                 raise ValueError(
                     f"malformed CSV: column {name!r} row {i + 2} is not numeric: {cell!r}"
                 )
+        bad = np.flatnonzero(~np.isfinite(out))
+        if bad.size:
+            i = int(bad[0])
+            raise ValueError(f"malformed CSV: column {name!r} row {i + 2} is not finite: "
+                             f"{rows[i][idx[name]].strip()!r}")
         return out
 
     if not rows:

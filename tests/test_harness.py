@@ -11,6 +11,7 @@ import pytest
 from ml2bf import bayesfactors, nonparametric
 from ml2bf.cli import main
 from ml2bf.harness import (
+    SETTINGS,
     ConfigError,
     ExperimentConfig,
     build_config,
@@ -23,7 +24,7 @@ from ml2bf.harness import (
     run_table1,
 )
 from ml2bf.modelspace import _MAX_ALL_SUBSETS
-from ml2bf.pool import chunk_bounds, run_replicates
+from ml2bf.pool import chunk_bounds, mean_se, run_replicates
 
 
 class TestDeriveStream:
@@ -82,14 +83,15 @@ class TestConfig:
             ExperimentConfig(experiment="table1", seed=0, replicates=0)
 
     def test_flags_accept_known_words_only(self):
+        flag = "share_noise_across_n"
         for raw, value in (("1", True), ("TRUE", True), (" yes ", True), ("On", True),
                            ("0", False), ("false", False), ("No", False), ("off", False)):
-            cfg = ExperimentConfig(experiment="table1", seed=0, overrides={"flag": raw})
-            assert cfg.get_bool("flag", not value) is value
+            cfg = ExperimentConfig(experiment="table1", seed=0, overrides={flag: raw})
+            assert cfg.get_bool(flag, not value) is value
         for raw in ("ture", "", "2", "y"):
-            cfg = ExperimentConfig(experiment="table1", seed=0, overrides={"flag": raw})
-            with pytest.raises(ConfigError, match=f"flag: {raw!r}"):
-                cfg.get_bool("flag", False)
+            cfg = ExperimentConfig(experiment="table1", seed=0, overrides={flag: raw})
+            with pytest.raises(ConfigError, match=f"{flag}: {raw!r}"):
+                cfg.get_bool(flag, False)
 
 
 def _pid(cell, lo, hi):
@@ -123,6 +125,11 @@ class TestPool:
             for cell, (ids, pairs) in zip((3, 5), result):
                 np.testing.assert_array_equal(ids, 1000 * cell + reps)
                 np.testing.assert_array_equal(pairs, np.outer(reps, [cell, -cell]) / 7.0)
+
+    @pytest.mark.parametrize("values", [[1.0, np.inf], [1.0, np.nan], [1e300, -1e300, 1e300]])
+    def test_mean_se_refuses_a_non_finite_result(self, values):
+        with pytest.raises(FloatingPointError, match="overflowed"):
+            mean_se(np.array(values))
 
 
 class TestTable1Driver:
@@ -335,6 +342,14 @@ class TestCli:
     def test_seed_required(self):
         assert main(["table1"]) == 2
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity"])
+    def test_non_finite_csv_cell_is_malformed(self, tmp_path, capsys, cell):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"y,x1\n1.0,0.5\n2.0,{cell}\n3.0,0.1\n4.0,0.7\n", encoding="utf-8")
+        assert main(["bf", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert f"malformed CSV: column 'x1' row 3 is not finite: {cell!r}" in err
+
     def test_malformed_csv_names_column(self, tmp_path, capsys):
         path = tmp_path / "bad.csv"
         path.write_text("y,x1\n1.0,0.5\n2.0,oops\n", encoding="utf-8")
@@ -380,11 +395,48 @@ class TestCli:
         err = capsys.readouterr().err
         assert "config error" in err and "bogus" in err
 
+    @pytest.mark.parametrize("experiment,key", [
+        (experiment, key) for experiment, keys in SETTINGS.items() for key in keys
+    ])
+    def test_every_setting_is_read_and_checked(self, tmp_path, capsys, experiment, key):
+        # A key listed for an experiment its driver ignored would run and exit 0.
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(f"{key} = bogus!\nreplicates = 1\n", encoding="utf-8")
+        argv = [experiment, "--config", str(cfg_path), "--seed", "1"]
+        if experiment == "bf":
+            argv.insert(1, str(_write_data_csv(tmp_path, n=20, p=2)))
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and key in err
+
+    def test_misspelt_setting_is_config_error(self, tmp_path, capsys):
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text("n_gird = 5\nreplicates = 1\n", encoding="utf-8")
+        assert main(["table1", "--config", str(cfg_path), "--seed", "1",
+                     "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "unknown setting 'n_gird' for table1; it reads " + ", ".join(SETTINGS["table1"]) in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("experiment,setting", [
+        ("table1", "beta2 = 1e160"), ("table1", "beta2 = 1e308"),
+        ("figure_ar1", "g_grid = 1e300\nk_grid = 8"),
+    ])
+    def test_overflow_is_numerical_failure(self, tmp_path, capsys, experiment, setting):
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(f"{setting}\nreplicates = 2\n", encoding="utf-8")
+        out = tmp_path / "o"
+        assert main([experiment, "--config", str(cfg_path), "--seed", "1",
+                     "--out", str(out)]) == 3
+        assert "numerical failure" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("experiment,setting,named", [
         ("table1", "n_grid = 5,3", "n_grid: '3'"), ("table1", "n_grid = 5,x", "n_grid: 'x'"),
         ("figure_ar1", "k_grid = 9", "k_grid: '9'"),
         ("figure_ar1", "k_grid = -1", "k_grid: '-1'"),
         ("figure_ar1", "g_grid = abc", "g_grid: 'abc'"),
+        ("figure_ar1", "g_grid = 1e308", "g_grid: '1e308'"),
         ("anova", "p_grid = 30,x", "p_grid: 'x'"), ("anova", "tau2 = abc", "tau2: 'abc'"),
         ("table1", "beta1 = abc", "beta1: 'abc'"),
         ("table1", "beta2 = nan", "beta2: 'nan'"),

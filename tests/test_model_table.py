@@ -475,6 +475,29 @@ class TestReplicateAxis:
         designs = correlated_design_from_raw(raw[[0, 2]], spec)
         np.testing.assert_array_equal(designs[1], correlated_design_from_raw(raw[2], spec))
 
+    def test_non_finite_input_is_rejected(self):
+        x = np.ones((6, 2))
+        for bad in ("y", "x", "x0"):
+            parts = {"y": np.zeros(6), "x0": np.ones((6, 1)), "x": x.copy()}
+            parts[bad] = parts[bad].copy()
+            parts[bad][3, ...] = np.nan if bad != "x" else np.inf
+            with pytest.raises(ValueError, match="non-finite"):
+                Dataset(**parts)
+        y = np.zeros((3, 6))
+        y[1, 2] = -np.inf
+        with pytest.raises(ValueError, match="replicate 1: .*non-finite"):
+            Dataset.with_intercept(y, np.ones((3, 6, 2)))
+
+    def test_overflowing_replicate_is_named(self):
+        rng = np.random.default_rng(2)
+        x = rng.standard_normal((3, 8, 2))
+        y = rng.standard_normal((3, 8))
+        y[2] *= 1e160
+        with pytest.raises(ValueError, match="replicate 2: the sum of squares of y overflows"):
+            fit_models(orthogonalize(Dataset.with_intercept(y, x)), _all_subsets(2))
+        with pytest.raises(ValueError, match="^the sum of squares of y overflows"):
+            fit_models(orthogonalize(Dataset.with_intercept(y[2], x[2])), _all_subsets(2))
+
     def test_stacked_shapes_are_checked(self):
         x = np.zeros((2, 6, 3))
         with pytest.raises(ValueError, match="stacked dataset needs y"):

@@ -26,6 +26,7 @@ from ml2bf.nonparametric import (
     _fit_nested_power_law,
     _fit_power_law,
     _logistic,
+    _make_loss_fn,
     _nested_power_law,
     _power_law_log_bf,
     _summaries,
@@ -270,8 +271,9 @@ class TestNestedEvidence:
         ]
         seen_clamped = seen_interior = seen_zero = False
         for y, sigma2 in cases:
-            log_ev, shrink, _, _ = _evidence_and_shrinkage(y, x, "ml2", sigma2)
-            ssr = np.cumsum(_summaries(y, x)[2] ** 2)
+            u = _summaries(y, x)[2]
+            log_ev, shrink = _evidence_and_shrinkage(u, n, "ml2", sigma2)
+            ssr = np.cumsum(u**2)
             for j in range(1, k + 1):
                 want, a = scalar(j, float(ssr[j - 1]), sigma2, float(n))
                 close(log_ev[j - 1], want)
@@ -339,12 +341,26 @@ class TestLossIntegral:
         # closed form 1 - 1/(4 m^2 - 1).
         from ml2bf.nonparametric import _loss_rule
 
-        nodes, weights = _loss_rule(2000)
+        nodes, weights = _loss_rule()
         for m in (10, 40, 79):
             coef = np.zeros(m + 1)
             coef[m] = 1.0
             vals = chebyshev.chebval(nodes, coef)
             assert weights @ vals**2 == pytest.approx(1 - 1 / (4 * m**2 - 1), rel=1e-9)
+
+    @pytest.mark.parametrize("k", [29, 79])
+    def test_study_loss_matches_predictive_loss_integral(self, k):
+        # The study's integrated loss evaluates the basis through a stored
+        # Chebyshev matrix; predictive_loss_integral, the tested oracle,
+        # sums the series with chebval.
+        loss_fn = _make_loss_fn("integrated", k)
+        rng = np.random.default_rng(k)
+        alpha, coef = series_coefficients(k)
+        for _ in range(20):
+            a = alpha + 0.3 * rng.standard_normal()
+            c = coef * rng.uniform(0.0, 1.5, k) + 0.05 * rng.standard_normal(k)
+            want = predictive_loss_integral(a, c)
+            assert abs(loss_fn(a, c) - want) <= 1e-14 * want
 
 
 class TestRunStudy:
