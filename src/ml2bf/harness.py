@@ -377,7 +377,7 @@ def run_table1(cfg: ExperimentConfig) -> list[dict]:
     for ni, n in enumerate(n_grid):
         for ri, r in enumerate(_TABLE1_RS):
             for mi, method in enumerate(methods):
-                mean, se = mean_se(probs[:, ni, ri, mi])
+                mean, se = mean_se(probs[:, ni, ri, mi], f"n={n}, r={r}, method={method}")
                 rows.append(
                     {
                         "n": n,
@@ -504,10 +504,11 @@ def run_figure_sims(cfg: ExperimentConfig) -> list[dict]:
     rows = []
     for (g_signal, k_active), (losses, ent, match, size) in zip(grid, results):
         for mi, method in enumerate(methods):
+            keys = f"design={design}, g={g_signal}, k={k_active}, method={method}"
             if diag:
-                e_mean, e_se = mean_se(ent[:, mi])
-                m_mean, m_se = mean_se(match[:, mi])
-                s_mean, s_se = mean_se(size[:, mi])
+                e_mean, e_se = mean_se(ent[:, mi], f"{keys}, avg_entropy")
+                m_mean, m_se = mean_se(match[:, mi], f"{keys}, mpm_match_rate")
+                s_mean, s_se = mean_se(size[:, mi], f"{keys}, avg_mpm_size")
                 rows.append(
                     {
                         "design": design, "g": g_signal, "k": k_active,
@@ -520,7 +521,7 @@ def run_figure_sims(cfg: ExperimentConfig) -> list[dict]:
                 )
             else:
                 for si, selector in enumerate(_SELECTORS):
-                    mean, se = mean_se(losses[:, mi, si])
+                    mean, se = mean_se(losses[:, mi, si], f"{keys}, selector={selector}")
                     rows.append(
                         {
                             "design": design, "g": g_signal, "k": k_active,
@@ -626,8 +627,10 @@ def run_bf(dataset_path, cfg: ExperimentConfig) -> dict:
         "labels": labels,
         "methods": {},
     }
+    posteriors = {}
     for method in methods:
         posterior = posterior_from_evidence(table.models, evidence(method, table), space)
+        posteriors[method] = posterior
         result["methods"][method] = {
             "models": posterior.to_json_obj(),
             "hpm": list(hpm(posterior)),
@@ -637,11 +640,56 @@ def run_bf(dataset_path, cfg: ExperimentConfig) -> dict:
     if cfg.output_dir:
         outdir = Path(cfg.output_dir)
         outdir.mkdir(parents=True, exist_ok=True)
-        (outdir / "bf_results.json").write_text(
-            json.dumps(result, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
+        _write_bf_results(outdir / "bf_results.json", result, table.models, posteriors)
         _write_sidecar(outdir, "bf", cfg)
     return result
+
+
+# json writes these for the non-finite floats; float.__repr__ gives the rest.
+_JSON_FLOATS = {"inf": "Infinity", "-inf": "-Infinity", "nan": "NaN"}
+# Where each method's "models" list goes in the indented skeleton: a newline
+# is only ever whitespace there, since json escapes it inside strings.
+_MODELS_KEY = '\n      "models": '
+_MODELS_SLOT = _MODELS_KEY + "null"
+_MODEL_ENTRY = ('        {{\n          "log_evidence": {},\n          "model": {},'
+                '\n          "prob": {}\n        }}')
+_ENTRIES_PER_WRITE = 4096
+
+
+def _json_floats(values: np.ndarray) -> list[str]:
+    """Each float of ``values`` as ``json`` writes it."""
+    text = list(map(float.__repr__, values.tolist()))
+    if not np.isfinite(values).all():
+        text = [_JSON_FLOATS.get(t, t) for t in text]
+    return text
+
+
+def _write_bf_results(path, result, models, posteriors):
+    """``json.dumps(result, indent=2, sort_keys=True) + "\\n"``, byte for byte,
+    written piece by piece.
+
+    Everything but the per-model lists goes through ``json.dumps``; each
+    method's list is rendered from its posterior's arrays, with each model's
+    ``"model"`` text built once for all methods.
+    """
+    skeleton = dict(result, methods={method: dict(block, models=None)
+                                     for method, block in result["methods"].items()})
+    head, *tails = json.dumps(skeleton, indent=2, sort_keys=True).split(_MODELS_SLOT)
+    model_text = ["[\n" + ",\n".join(f"            {j}" for j in m) + "\n          ]"
+                  if m else "[]" for m in models]
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(head)
+        for method, tail in zip(sorted(posteriors), tails, strict=True):
+            posterior = posteriors[method]
+            log_ev = _json_floats(posterior.log_evidence)
+            prob = _json_floats(posterior.posterior_prob)
+            fh.write(_MODELS_KEY + "[\n")
+            for lo in range(0, len(models), _ENTRIES_PER_WRITE):
+                part = slice(lo, lo + _ENTRIES_PER_WRITE)
+                fh.write((",\n" if lo else "") + ",\n".join(
+                    map(_MODEL_ENTRY.format, log_ev[part], model_text[part], prob[part])))
+            fh.write("\n      ]" + tail)
+        fh.write("\n")
 
 
 def run_experiment(cfg: ExperimentConfig):

@@ -28,8 +28,9 @@ __all__ = [
 
 # Time and memory of an all-subsets run double with each added predictor.
 # `ml2bf bf` on a 100-row CSV under all six rules (2-core VM, one BLAS
-# thread) took 1.5 s / 126 MB peak at p = 12, 2.3 s / 171 MB at 13,
-# 4.5 s / 270 MB at 14, 8.1 s / 485 MB at 15 and 16 s / 891 MB at 16.
+# thread, wall time of the whole process) took 0.6 s / 62 MB peak at
+# p = 12, 0.9 s / 81 MB at 13, 1.6 s / 128 MB at 14, 2.8 s / 219 MB at 15
+# and 5.4 s / 421 MB at 16 (the same figures are in the README).
 _MAX_ALL_SUBSETS = 16
 
 
@@ -58,8 +59,8 @@ class ModelSpace:
             raise ValueError(
                 f"all-subsets enumeration capped at {_MAX_ALL_SUBSETS} predictors, "
                 f"got {self.size}: time and memory double with each predictor, "
-                f"and {2**_MAX_ALL_SUBSETS} models already took 16 s and 0.9 GB "
-                "in `ml2bf bf`"
+                f"and {2**_MAX_ALL_SUBSETS} models already take about 5 s and 0.42 GB "
+                "in `ml2bf bf` (see the README)"
             )
 
     @classmethod
@@ -104,8 +105,9 @@ class ModelPosterior:
 
     def to_json_obj(self) -> list[dict]:
         return [
-            {"model": list(m), "log_evidence": float(le), "prob": float(pr)}
-            for m, le, pr in zip(self.models, self.log_evidence, self.posterior_prob)
+            {"model": list(m), "log_evidence": le, "prob": pr}
+            for m, le, pr in zip(self.models, self.log_evidence.tolist(),
+                                 self.posterior_prob.tolist())
         ]
 
 

@@ -134,22 +134,13 @@ def series_coefficients(j_max: int) -> tuple[float, np.ndarray]:
 def _summaries(y, x):
     """Per-coordinate whitened fit of the nested family.
 
-    Returns (alpha_hat, beta_hat, u, sse_by_size) where u are the whitened
-    coordinates (so the size-j model has ssr = sum(u[:j]**2)) and
-    sse_by_size[j] is the residual sum of squares of the size-j model,
-    j = 0..k.
+    Returns (alpha_hat, beta_hat, u) where u are the whitened coordinates,
+    so the size-j model has ssr = sum(u[:j]**2).
     """
     y = np.asarray(y, dtype=np.float64).reshape(-1)
-    n, k = x.shape
-    alpha_hat = float(y.mean())
-    ytilde = y - alpha_hat
-    scale = math.sqrt(n / 2.0)
+    n = x.shape[0]
     coeff = x.T @ y
-    beta_hat = coeff / (n / 2.0)
-    u = coeff / scale
-    total = float(ytilde @ ytilde)
-    sse = np.maximum(total - np.concatenate([[0.0], np.cumsum(u**2)]), 0.0)
-    return alpha_hat, beta_hat, u, sse
+    return float(y.mean()), coeff / (n / 2.0), coeff / math.sqrt(n / 2.0)
 
 
 def _power_law_log_bf(u_sq, kappa, sigma2, log10c, a):
@@ -363,7 +354,7 @@ def fit_power_law_prior(y, x, sigma2: float) -> PowerLawPrior:
     gram = x.T @ x
     if np.max(np.abs(gram - (n / 2.0) * np.eye(k))) > _ORTHO_TOL * (n / 2.0):
         raise ValueError("design is not orthogonal with X'X = (n/2) I")
-    _, _, u, _ = _summaries(y, x)
+    _, _, u = _summaries(y, x)
     prior, _ = _fit_power_law(u, sigma2, n)
     return prior
 
@@ -406,7 +397,7 @@ def nested_evidence(
     sizes 1..k is uniform.
     """
     n, k = x.shape
-    _, _, u, _ = _summaries(y, x)
+    _, _, u = _summaries(y, x)
     log_ev, _ = _evidence_and_shrinkage(u, n, method, sigma2, refit_per_model)
     space = ModelSpace.nested(k)
     return posterior_from_evidence(space.models(), log_ev, space)
@@ -497,7 +488,7 @@ def _study_chunk(cell, lo, hi):
     for r, rep in enumerate(range(lo, hi)):
         rng = derive_stream(seed, rep)
         y = signal + math.sqrt(sigma2) * rng.standard_normal(n)
-        alpha_hat, beta_hat, u, _ = _summaries(y, x)
+        alpha_hat, beta_hat, u = _summaries(y, x)
         for mi, method in enumerate(methods):
             log_ev, shrink = _evidence_and_shrinkage(u, n, method, sigma2, refit_per_model)
             posterior = posterior_from_evidence(models, log_ev, space)
@@ -529,10 +520,12 @@ def run_study(
     rows = []
     for mi, method in enumerate(methods):
         for si, sel in enumerate(_SELECTORS):
-            avg_loss, se_loss = mean_se(losses[:, mi, si])
+            keys = f"scenario={cfg.label}, method={method}, selector={sel}"
+            avg_loss, se_loss = mean_se(losses[:, mi, si], f"{keys}, avg_loss")
             avg_size = se_size = ""
             if sel in ("hpm", "mpm"):
-                avg_size, se_size = mean_se(sizes[:, mi, 0 if sel == "hpm" else 1])
+                avg_size, se_size = mean_se(sizes[:, mi, 0 if sel == "hpm" else 1],
+                                            f"{keys}, avg_size")
             rows.append(
                 {
                     "scenario": cfg.label,

@@ -64,15 +64,17 @@ def run_replicates(worker, cells, replicates, threads):
             for i in range(0, len(parts), per_cell)]
 
 
-def mean_se(values):
+def mean_se(values, label=None):
     """Mean of per-replicate values and its standard error (0 for one replicate);
-    FloatingPointError if either is not finite."""
+    FloatingPointError if either is not finite, its message prefixed with
+    ``label`` (say, the output row's keys) when given."""
     values = np.asarray(values, dtype=np.float64)
     b = values.shape[0]
     with np.errstate(over="ignore", invalid="ignore"):  # reported just below
         mean = float(values.mean())
         se = float(values.std(ddof=1) / math.sqrt(b)) if b > 1 else 0.0
     if not (math.isfinite(mean) and math.isfinite(se)):
-        raise FloatingPointError(f"replicate average {mean!r} with standard error {se!r}: "
-                                 "a value overflowed")
+        prefix = f"{label}: " if label else ""
+        raise FloatingPointError(f"{prefix}replicate average {mean!r} with standard error "
+                                 f"{se!r}: a value overflowed")
     return mean, se

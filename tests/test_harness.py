@@ -14,6 +14,7 @@ from ml2bf.harness import (
     SETTINGS,
     ConfigError,
     ExperimentConfig,
+    _json_floats,
     build_config,
     derive_stream,
     figure_cell,
@@ -128,8 +129,10 @@ class TestPool:
 
     @pytest.mark.parametrize("values", [[1.0, np.inf], [1.0, np.nan], [1e300, -1e300, 1e300]])
     def test_mean_se_refuses_a_non_finite_result(self, values):
-        with pytest.raises(FloatingPointError, match="overflowed"):
+        with pytest.raises(FloatingPointError, match="^replicate average .* overflowed"):
             mean_se(np.array(values))
+        with pytest.raises(FloatingPointError, match="^k=3, method=bic: replicate average"):
+            mean_se(np.array(values), "k=3, method=bic")
 
 
 class TestTable1Driver:
@@ -330,6 +333,42 @@ class TestRunBf:
         probs = [m["prob"] for m in obj["methods"]["bic"]["models"]]
         assert sum(probs) == pytest.approx(1.0, abs=1e-9)
 
+    @pytest.mark.parametrize("case", ["p4", "exact_fit", "p1", "escaped_path"])
+    def test_report_bytes_match_json_dumps(self, tmp_path, case):
+        # The report's renderer against the generic encoder it stands in for.
+        rng = np.random.default_rng(8)
+        path = self._write_csv(tmp_path, rng, p=1 if case == "p1" else 4, n=12)
+        if case == "exact_fit":  # r^2 = 1 for every model with x1: the +inf marker
+            x = rng.standard_normal((12, 2))
+            y = 1.0 + 2.0 * x[:, 0]
+            path.write_text("y,x1,x2\n" + "".join(f"{a!r},{b!r},{c!r}\n"
+                                                  for a, (b, c) in zip(y.tolist(), x.tolist())),
+                            encoding="utf-8")
+        if case == "escaped_path":  # a quote and a non-ASCII character in "dataset"
+            path = path.rename(tmp_path / 'da"t\u00e4.csv')
+        out = tmp_path / "out"
+        cfg = ExperimentConfig(experiment="bf", seed=0, methods=("ml2", "lb", "bic",
+                                                                 "bicprior", "zs", "ghat"),
+                               output_dir=str(out))
+        result = run_bf(path, cfg)
+        text = (out / "bf_results.json").read_text(encoding="utf-8")
+        assert text == json.dumps(result, indent=2, sort_keys=True) + "\n"
+        marker = {"exact_fit": '"log_evidence": Infinity', "p1": '"model": []',
+                  "escaped_path": 'da\\"t\\u00e4.csv'}.get(case, '"prob": ')
+        assert marker in text
+
+    def test_json_floats_match_json_dumps(self):
+        values = np.array([0.0, -0.0, 1e-310, 0.1, -2.5e300, np.inf, -np.inf, np.nan])
+        assert ", ".join(_json_floats(values)) == json.dumps(values.tolist())[1:-1]
+
+    def test_repeated_runs_write_identical_files(self, tmp_path):
+        path = _write_data_csv(tmp_path, 30, 4)
+        runs = [tmp_path / "a", tmp_path / "b"]
+        for out in runs:
+            assert main(["bf", str(path), "--out", str(out)]) == 0
+        for name in ("bf_results.json", "bf.json"):
+            assert (runs[0] / name).read_bytes() == (runs[1] / name).read_bytes()
+
 
 class TestCli:
     def test_table1_smoke(self, tmp_path, capsys):
@@ -423,12 +462,15 @@ class TestCli:
         ("figure_ar1", "g_grid = 1e300\nk_grid = 8"),
     ])
     def test_overflow_is_numerical_failure(self, tmp_path, capsys, experiment, setting):
+        # table1's is caught in the fit, figure_ar1's by pool.mean_se; both name the row.
+        named = ("n=5, r=-0.9",) if experiment == "table1" else ("g=1e+300", "method=bic")
         cfg_path = tmp_path / "run.cfg"
         cfg_path.write_text(f"{setting}\nreplicates = 2\n", encoding="utf-8")
         out = tmp_path / "o"
         assert main([experiment, "--config", str(cfg_path), "--seed", "1",
                      "--out", str(out)]) == 3
-        assert "numerical failure" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "numerical failure" in err and all(part in err for part in named)
         assert not out.exists()
 
     @pytest.mark.parametrize("experiment,setting,named", [
