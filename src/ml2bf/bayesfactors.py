@@ -70,9 +70,10 @@ class QuadratureConfig:
 
     ``node_count`` is a per-model budget of panels x 21 Gauss-Kronrod
     nodes: a model whose error estimate misses ``relative_tolerance``
-    doubles its panels only while that stays within the budget (its first
-    pass always runs).  Estimates never fall below 50 machine epsilons, so
-    a smaller tolerance is never met.
+    halves all its panels (on the log-g lattice: unit panels up to the
+    peak, 4-unit panels in the tail) only while twice its panels stay
+    within the budget (its first pass always runs).  Estimates never fall
+    below 50 machine epsilons, so a smaller tolerance is never met.
     """
 
     node_count: int = 4096
@@ -418,15 +419,20 @@ def ml2_known_variance_log_bf(
 # The multivariate Cauchy prior with scale n (X'X)^{-1} is a mixture of
 # fixed-g priors with g ~ inverse-gamma(1/2, n/2); the Bayes factor is the
 # corresponding one-dimensional integral of the fixed-g Bayes factor.  It is
-# computed on a log axis: a 551-point scan finds each model's window (where
-# the integrand is within exp(-45) of its peak), the window is cut into the
-# model's own panels of at most one unit of log g, and each panel gets the
-# 21-point Gauss-Kronrod rule, whose embedded 10-point Gauss rule gives the
-# error estimate from the same nodes (QUADPACK qk21; Piessens, de Doncker-
-# Kapenga, Ueberhuber & Kahaner, 1983).
+# computed on a log axis, t = log g, and every panel edge lies on a fixed
+# lattice in t.  A scan of the integers t = -32 ... 80 finds each model's
+# window (where the integrand is within exp(-45) of its lattice peak).  Left
+# of the peak the exp(-n/2g) cliff gets unit panels; from the first multiple
+# of 4 after the peak the log integrand is almost linear with slope
+# -(p+1)/2 (Liang, Paulo, Molina, Clyde & Berger, JASA 2008), so the tail
+# gets 4-unit panels.  Each panel gets the 21-point Gauss-Kronrod rule,
+# whose embedded 10-point Gauss rule gives the error estimate from the same
+# nodes (QUADPACK qk21; Piessens, de Doncker-Kapenga, Ueberhuber & Kahaner,
+# 1983), and a model that misses the tolerance halves all its panels.
 # ---------------------------------------------------------------------------
 
-_ZS_GRID = np.linspace(-30.0, 80.0, 551)
+_ZS_LATTICE = np.arange(-32.0, 81.0)  # the window scan, one unit of log g apart
+_ZS_TAIL = 4  # tail panels span 4 lattice steps, between multiples of 4
 _ZS_LOG_WINDOW = 45.0  # integrand below exp(-45) of the peak is negligible
 _ZS_BLOCK = 256  # models per quadrature block
 
@@ -482,21 +488,26 @@ def _zs_log_integrand(t, n, q, p, omr2, g=None):
 
 
 def _zs_window(n, q, p, omr2):
-    """Per model: the log peak over the grid (the shift), the window start
-    t_lo and its width, one grid step beyond the last points within
-    exp(-45) of the peak on either side."""
-    psi_grid = _zs_log_integrand(_ZS_GRID[None, :], n, q, p[:, None], omr2[:, None])
-    shift = psi_grid.max(axis=1)
-    inside = psi_grid >= shift[:, None] - _ZS_LOG_WINDOW
-    n_grid = _ZS_GRID.shape[0]
-    t_lo = _ZS_GRID[np.maximum(inside.argmax(axis=1) - 1, 0)]
-    t_hi = _ZS_GRID[np.minimum(n_grid - inside[:, ::-1].argmax(axis=1), n_grid - 1)]
-    return shift, t_lo, t_hi - t_lo
+    """Per model, on the lattice: the log peak (the shift), the window start
+    one step before the first point within exp(-45) of it, the split at the
+    first multiple of 4 after the peak, and the window end one step beyond
+    the last point within exp(-45), rounded up to a multiple of 4."""
+    psi = _zs_log_integrand(_ZS_LATTICE[None, :], n, q, p[:, None], omr2[:, None])
+    peak = psi.argmax(axis=1)
+    shift = psi.max(axis=1)
+    inside = psi >= shift[:, None] - _ZS_LOG_WINDOW
+    last = _ZS_LATTICE.size - 1
+    t_lo = _ZS_LATTICE[np.maximum(inside.argmax(axis=1) - 1, 0)]
+    t_hi = _ZS_LATTICE[np.minimum(last + 1 - inside[:, ::-1].argmax(axis=1), last)]
+    t_end = _ZS_TAIL * np.ceil(t_hi / _ZS_TAIL)
+    split = np.minimum(_ZS_TAIL * (np.floor(_ZS_LATTICE[peak] / _ZS_TAIL) + 1), t_end)
+    return shift, t_lo, split, t_end
 
 
-def _zs_kronrod(n, q, p, omr2, shift, t_lo, width, panels, want_shrinkage):
+def _zs_kronrod(n, q, p, omr2, shift, t_lo, split, t_end, level, want_shrinkage):
     """21-point Gauss-Kronrod sums of exp(log integrand - shift) over each
-    model's ``panels`` equal panels of its window.
+    model's panels: 2^-level wide from t_lo to split and 4 x 2^-level wide
+    from split to t_end, every edge on the lattice halved ``level`` times.
 
     All panels of all models form one flat array (``np.repeat`` of the model
     index), summed back per model with ``np.add.reduceat``, so a model's
@@ -505,10 +516,16 @@ def _zs_kronrod(n, q, p, omr2, shift, t_lo, width, panels, want_shrinkage):
     at least ``_ROUNDOFF``) and, when asked, the Kronrod sums of the
     integrand times g/(1+g).
     """
+    step = np.ldexp(1.0, -level)
+    head = ((split - t_lo) / step).astype(np.intp)
+    panels = head + ((t_end - split) / (_ZS_TAIL * step)).astype(np.intp)
     model = np.repeat(np.arange(panels.size), panels)
     starts = np.cumsum(panels) - panels
-    half = 0.5 * (width / panels)[model]
-    centre = t_lo[model] + 2.0 * half * (np.arange(model.size) - starts[model] + 0.5)
+    j = np.arange(model.size) - starts[model]  # each panel's place in its model
+    in_tail = j >= head[model]
+    half = 0.5 * step[model] * np.where(in_tail, _ZS_TAIL, 1)
+    centre = np.where(in_tail, split[model] + (2.0 * (j - head[model]) + 1.0) * half,
+                      t_lo[model] + (2.0 * j + 1.0) * half)
     # Nodes run down the rows and panels along them, so every broadcast and
     # every weighted sum (row by row, in a fixed order) is over long rows.
     tt = centre + half * _KRONROD_X[:, None]
@@ -540,14 +557,17 @@ def zs_evidence_batch(
     ``one_minus_r2`` (one model list, or the (R, m) models of R stacked
     replicates).
 
-    Each model's window gets ceil(width) panels of the 21-point
-    Gauss-Kronrod rule, evaluated once; a model whose Kronrod-Gauss gap
-    exceeds ``cfg.relative_tolerance`` doubles its own panels and is
-    evaluated again, alone, while panels x 21 stays within
-    ``cfg.node_count`` (a per-model budget; the first pass always runs).
-    A model still missing the tolerance then raises ``QuadratureError``
-    with the worst such model's last estimate.  No model's value depends on
-    the other models of the batch.
+    Each model's window on the integer lattice of t = log g gets unit
+    panels up to the first multiple of 4 after its peak and 4-unit panels
+    from there to its end, each with the 21-point Gauss-Kronrod rule,
+    evaluated once.  A model whose Kronrod-Gauss gap exceeds
+    ``cfg.relative_tolerance`` halves all its own panels and is evaluated
+    again, alone, while panels x 21 stays within ``cfg.node_count`` (a
+    per-model budget; the first pass always runs).  A model still missing
+    the tolerance then raises ``QuadratureError`` with the worst such
+    model's last estimate.  Every panel edge follows from the model's own
+    (n, p0, p, 1 - r2), so no model's value depends on the other models of
+    the batch.
     """
     cfg = cfg or QuadratureConfig()
     p_arr, omr2, log_bf, work = _zs_batch(p_sizes, one_minus_r2)
@@ -558,7 +578,7 @@ def zs_evidence_batch(
     q = n - p0
     pw, ow = p_arr[work], omr2[work]
     m = pw.shape[0]
-    shift, t_lo, width = np.empty(m), np.empty(m), np.empty(m)
+    shift, t_lo, split, t_end = np.empty(m), np.empty(m), np.empty(m), np.empty(m)
     total, estimate = np.empty(m), np.empty(m)
     weighted = np.empty(m) if want_shrinkage else None
 
@@ -567,22 +587,24 @@ def zs_evidence_batch(
         for lo in range(0, idx.size, _ZS_BLOCK):
             b = idx[lo:lo + _ZS_BLOCK]
             total[b], estimate[b], s = _zs_kronrod(
-                n, q, pw[b], ow[b], shift[b], t_lo[b], width[b], panels[b], want_shrinkage)
+                n, q, pw[b], ow[b], shift[b], t_lo[b], split[b], t_end[b], level[b],
+                want_shrinkage)
             if want_shrinkage:
                 weighted[b] = s
 
     for lo in range(0, m, _ZS_BLOCK):
         b = slice(lo, lo + _ZS_BLOCK)
-        shift[b], t_lo[b], width[b] = _zs_window(n, q, pw[b], ow[b])
-    panels = np.maximum(1, np.ceil(width).astype(np.intp))
+        shift[b], t_lo[b], split[b], t_end[b] = _zs_window(n, q, pw[b], ow[b])
+    panels = (split - t_lo + (t_end - split) / _ZS_TAIL).astype(np.intp)  # at level 0
+    level = np.zeros(m, dtype=np.intp)
     integrate(np.arange(m))
     miss = np.flatnonzero(estimate > cfg.relative_tolerance)
     while miss.size:
-        over = 2 * panels[miss] * _KRONROD_X.size > cfg.node_count
+        over = 2 * (panels[miss] << level[miss]) * _KRONROD_X.size > cfg.node_count
         if over.any():
             raise QuadratureError("Zellner-Siow quadrature did not converge",
                                   float(estimate[miss[over]].max()))
-        panels[miss] *= 2
+        level[miss] += 1
         integrate(miss)
         miss = miss[estimate[miss] > cfg.relative_tolerance]
 

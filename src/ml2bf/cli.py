@@ -27,7 +27,7 @@ def _parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", help="flat key = value config file")
     parser.add_argument("--seed", type=int, help="64-bit unsigned seed")
     parser.add_argument("--replicates", type=int)
-    parser.add_argument("--out", help="output directory")
+    parser.add_argument("--out", help="output directory (required)")
     parser.add_argument("--methods", help="comma-separated evidence rules, "
                         "e.g. ml,lb,bic,bicprior,zs,ghat")
     parser.add_argument("--threads", type=int,
@@ -51,6 +51,9 @@ def main(argv=None) -> int:
         )
         if cfg.experiment != "bf" and args.seed is None and "seed" not in file_values:
             raise ConfigError("simulations need an explicit --seed")
+        if not cfg.output_dir:
+            raise ConfigError("no output directory: pass --out DIR "
+                              "(or set out or output_dir in the config file)")
     except ConfigError as exc:
         print(f"ml2bf: config error: {exc}", file=sys.stderr)
         return 2
@@ -62,8 +65,7 @@ def main(argv=None) -> int:
     except (QuadratureError, FloatingPointError, ValueError) as exc:
         print(f"ml2bf: numerical failure: {exc}", file=sys.stderr)
         return 3
-    if cfg.output_dir:
-        print(f"results written to {cfg.output_dir}")
+    print(f"results written to {cfg.output_dir}")
     return 0
 
 

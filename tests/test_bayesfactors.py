@@ -444,16 +444,16 @@ class TestZellnerSiowKronrod:
 
     def test_forced_refinement_matches_quad(self):
         # A tolerance just below the median first-pass estimate makes about
-        # half the models double their panels; those must still match an
+        # half the models halve their panels; those must still match an
         # adaptive scipy quadrature and the others must not move.
         rng = np.random.default_rng(52)
         n, p0 = 3000, 1
         q = n - p0
         sizes = rng.integers(1, 21, size=40).astype(np.float64)
         omr2 = np.exp(rng.uniform(math.log(1e-3), 0.0, size=40))
-        shift, t_lo, width = _zs_window(n, q, sizes, omr2)
-        panels = np.maximum(1, np.ceil(width).astype(np.intp))
-        _, first, _ = _zs_kronrod(n, q, sizes, omr2, shift, t_lo, width, panels, False)
+        shift, t_lo, split, t_end = _zs_window(n, q, sizes, omr2)
+        level = np.zeros(sizes.size, dtype=np.intp)
+        _, first, _ = _zs_kronrod(n, q, sizes, omr2, shift, t_lo, split, t_end, level, False)
         tol = float(np.median(first)) * (1.0 - 1e-9)
         refined = first > tol
         assert 10 <= refined.sum() <= 30
@@ -467,7 +467,7 @@ class TestZellnerSiowKronrod:
             def f(t):
                 return math.exp(_zs_log_integrand(t, n, q, sizes[i], omr2[i]) - shift[i])
 
-            grid = np.linspace(t_lo[i], t_lo[i] + width[i], 2001)
+            grid = np.linspace(t_lo[i], t_end[i], 2001)
             mode = float(grid[np.argmax([f(t) for t in grid])])
             kw = dict(points=[mode], epsabs=0.0, epsrel=1e-13, limit=1000)
             val, _ = integrate.quad(f, mode - 60.0, mode + 100.0, **kw)
@@ -476,6 +476,32 @@ class TestZellnerSiowKronrod:
             ref = shift[i] + math.log(val)
             assert abs(got[0][i] - ref) <= 1e-12 * max(1.0, abs(ref)), i
             assert got[1][i] == pytest.approx(wval / val, rel=1e-12), i
+
+    def test_lattice_layout_and_first_pass(self):
+        # Edges sit on the integer lattice of log g, the split is the first
+        # multiple of 4 after the lattice peak, and on figure-size tables the
+        # first pass already meets the default tolerance, so that refining
+        # stays rare.
+        rng = np.random.default_rng(53)
+        estimates = []
+        for n, beta_scale in [(10, 3.0), (20, 0.3), (50, 1.0), (200, 3.0), (1000, 0.3)]:
+            ds = random_dataset(rng, n=n, p=8, beta_scale=beta_scale)
+            models = [c for size in range(1, 9) for c in itertools.combinations(range(8), size)]
+            table = fit_models(ds, models)
+            sizes, omr2 = table.sizes.astype(np.float64), table.one_minus_r2
+            q = n - 1
+            shift, t_lo, split, t_end = _zs_window(n, q, sizes, omr2)
+            lattice = np.arange(-32.0, 81.0)
+            psi = _zs_log_integrand(lattice, n, q, sizes[:, None], omr2[:, None])
+            peak = lattice[psi.argmax(axis=1)]
+            np.testing.assert_array_equal(shift, psi.max(axis=1))
+            np.testing.assert_array_equal(t_lo, np.round(t_lo))
+            np.testing.assert_array_equal(split, 4 * np.floor(peak / 4) + 4)
+            assert np.all(t_lo < peak) and np.all(split <= t_end) and np.all(t_end % 4 == 0)
+            level = np.zeros(sizes.size, dtype=np.intp)
+            _, first, _ = _zs_kronrod(n, q, sizes, omr2, shift, t_lo, split, t_end, level, False)
+            estimates.append(first)
+        assert np.mean(np.concatenate(estimates) > QuadratureConfig().relative_tolerance) < 0.01
 
     def test_budget_exhaustion_reports_last_estimate(self):
         s = make_stats(10, 1, 2, 0.5)

@@ -11,6 +11,7 @@ import pytest
 from ml2bf import bayesfactors, nonparametric
 from ml2bf.cli import main
 from ml2bf.harness import (
+    EXPERIMENTS,
     SETTINGS,
     ConfigError,
     ExperimentConfig,
@@ -381,18 +382,31 @@ class TestCli:
     def test_seed_required(self):
         assert main(["table1"]) == 2
 
+    @pytest.mark.parametrize("experiment", EXPERIMENTS)
+    def test_output_directory_required(self, tmp_path, monkeypatch, capsys, experiment):
+        # A run that writes nothing would compute everything and exit 0.
+        argv = [experiment, "--seed", "1", "--replicates", "1"]
+        if experiment == "bf":
+            argv.insert(1, str(_write_data_csv(tmp_path, n=20, p=2)))
+        before = sorted(tmp_path.rglob("*"))
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "--out" in err
+        assert sorted(tmp_path.rglob("*")) == before
+
     @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity"])
     def test_non_finite_csv_cell_is_malformed(self, tmp_path, capsys, cell):
         path = tmp_path / "bad.csv"
         path.write_text(f"y,x1\n1.0,0.5\n2.0,{cell}\n3.0,0.1\n4.0,0.7\n", encoding="utf-8")
-        assert main(["bf", str(path)]) == 2
+        assert main(["bf", str(path), "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert f"malformed CSV: column 'x1' row 3 is not finite: {cell!r}" in err
 
     def test_malformed_csv_names_column(self, tmp_path, capsys):
         path = tmp_path / "bad.csv"
         path.write_text("y,x1\n1.0,0.5\n2.0,oops\n", encoding="utf-8")
-        code = main(["bf", str(path)])
+        code = main(["bf", str(path), "--out", str(tmp_path / "o")])
         assert code == 2
         assert "x1" in capsys.readouterr().err
 
@@ -412,11 +426,13 @@ class TestCli:
         assert sidecar["seed"] == 4 and sidecar["overrides"]["p_grid"] == "30"
 
     def test_methods_flag_validation(self, tmp_path):
-        code = main(["anova", "--seed", "1", "--replicates", "2", "--methods", "zs"])
+        code = main(["anova", "--seed", "1", "--replicates", "2", "--methods", "zs",
+                     "--out", str(tmp_path / "o")])
         assert code == 2
 
-    def test_unknown_rule_is_config_error(self, capsys):
-        code = main(["table1", "--seed", "1", "--replicates", "2", "--methods", "bogus"])
+    def test_unknown_rule_is_config_error(self, tmp_path, capsys):
+        code = main(["table1", "--seed", "1", "--replicates", "2", "--methods", "bogus",
+                     "--out", str(tmp_path / "o")])
         assert code == 2
         assert "config error" in capsys.readouterr().err
 
@@ -427,7 +443,8 @@ class TestCli:
     def test_bad_setting_is_config_error(self, tmp_path, capsys, experiment, key):
         cfg_path = tmp_path / "run.cfg"
         cfg_path.write_text(f"{key} = bogus\nreplicates = 2\n", encoding="utf-8")
-        argv = [experiment, "--config", str(cfg_path), "--seed", "1"]
+        argv = [experiment, "--config", str(cfg_path), "--seed", "1",
+                "--out", str(tmp_path / "o")]
         if experiment == "bf":
             argv.insert(1, str(_write_data_csv(tmp_path, n=20, p=2)))
         assert main(argv) == 2
@@ -441,7 +458,8 @@ class TestCli:
         # A key listed for an experiment its driver ignored would run and exit 0.
         cfg_path = tmp_path / "run.cfg"
         cfg_path.write_text(f"{key} = bogus!\nreplicates = 1\n", encoding="utf-8")
-        argv = [experiment, "--config", str(cfg_path), "--seed", "1"]
+        argv = [experiment, "--config", str(cfg_path), "--seed", "1",
+                "--out", str(tmp_path / "o")]
         if experiment == "bf":
             argv.insert(1, str(_write_data_csv(tmp_path, n=20, p=2)))
         assert main(argv) == 2
@@ -495,14 +513,15 @@ class TestCli:
         # Each is checked before any work starts, not met as a numerical failure.
         cfg_path = tmp_path / "run.cfg"
         cfg_path.write_text(f"{setting}\nreplicates = 2\n", encoding="utf-8")
-        assert main([experiment, "--config", str(cfg_path), "--seed", "1"]) == 2
+        assert main([experiment, "--config", str(cfg_path), "--seed", "1",
+                     "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert "config error" in err and named in err
 
     @pytest.mark.parametrize("p", [_MAX_ALL_SUBSETS + 1, 26])
     def test_too_many_predictors_is_config_error(self, tmp_path, capsys, p):
         path = _write_data_csv(tmp_path, n=p + 5, p=p)
-        assert main(["bf", str(path)]) == 2
+        assert main(["bf", str(path), "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert f"capped at {_MAX_ALL_SUBSETS}" in err
 
@@ -516,7 +535,7 @@ class TestCli:
     def test_insufficient_sample_size_is_config_error(self, tmp_path, capsys):
         # n = p0 + p: the intercept and three candidates leave no residual.
         path = _write_data_csv(tmp_path, n=4, p=3)
-        assert main(["bf", str(path)]) == 2
+        assert main(["bf", str(path), "--out", str(tmp_path / "o")]) == 2
         assert "insufficient sample size" in capsys.readouterr().err
 
 
@@ -539,7 +558,7 @@ class TestCli:
         lines += [",".join(repr(float(c[i])) for c in cols.values()) for i in range(n)]
         path = tmp_path / "data.csv"
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        assert main(["bf", str(path)]) == 2
+        assert main(["bf", str(path), "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert "config error" in err and "linearly dependent" in err and named in err
 
@@ -562,12 +581,15 @@ class TestNoGeneralPurposeOptimizer:
         run_experiment(build_config("shibata", {"n": "30", "k": "9"}, seed=1, replicates=2))
 
 
-_NO_SCIPY_RUN = """
+# Runs each argv list of the JSON in argv[1] through the CLI, in a fresh process.
+_RUN_ALL = """
 import json, sys
 from ml2bf.cli import main
 for argv in json.loads(sys.argv[1]):
     if main(argv) != 0:
         sys.exit(f"ml2bf {argv} failed")
+"""
+_NO_SCIPY_RUN = _RUN_ALL + """
 print(json.dumps(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))))
 """
 
@@ -595,6 +617,33 @@ class TestNumpyOnlyRuntime:
                               capture_output=True, text=True, env=env, timeout=300)
         assert done.returncode == 0, done.stderr
         assert json.loads(done.stdout.splitlines()[-1]) == []
+
+
+class TestBlasThreads:
+    def test_outputs_do_not_depend_on_blas_threads(self, tmp_path):
+        # OpenBLAS reads its thread count once, at import, so each count
+        # gets its own process.
+        settings = [("table1", ""), ("figure_ar1", "g_grid = 5\nk_grid = 0,3\n"),
+                    ("shibata", "scenario = 1\n")]
+        data = _write_data_csv(tmp_path, 40, 4)
+        outs = {}
+        for threads in ("1", "2"):
+            runs = []
+            for experiment, text in settings:
+                config = tmp_path / f"{experiment}.cfg"
+                config.write_text(text, encoding="utf-8")
+                runs.append([experiment, "--config", str(config), "--seed", "3",
+                             "--replicates", "2", "--out", str(tmp_path / threads)])
+            runs.append(["bf", str(data), "--out", str(tmp_path / threads),
+                         "--methods", "ml,lb,bic,bicprior,zs,ghat"])
+            src = os.path.dirname(os.path.dirname(bayesfactors.__file__))
+            env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads)
+            done = subprocess.run([sys.executable, "-c", _RUN_ALL, json.dumps(runs)],
+                                  capture_output=True, text=True, env=env, timeout=300)
+            assert done.returncode == 0, done.stderr
+            outs[threads] = {f.name: f.read_bytes() for f in (tmp_path / threads).iterdir()}
+        assert len(outs["1"]) == 8
+        assert outs["1"] == outs["2"]
 
 
 def _write_data_csv(tmp_path, n, p, seed=0):

@@ -1,0 +1,90 @@
+"""Exact Zellner-Siow evidence against a 40-digit mpmath integral.
+
+The reference integrates the same mixture, BF(g) pi(g) with g ~
+inverse-gamma(1/2, n/2), on the t = log g axis, cut at the mode and at
+growing steps on either side so that each piece is smooth for the
+Gauss-Legendre rule.  It checks the log Bayes factor and the posterior
+mean of g/(1+g) from ``zs_evidence_batch`` across sample sizes, model
+sizes and fits, including n = p0 + p + 1, the smallest sample the rule
+accepts.
+"""
+
+import math
+
+import mpmath
+import numpy as np
+import pytest
+
+from ml2bf.bayesfactors import QuadratureError, _zs_mode, zs_evidence_batch
+
+P0 = 1
+_SIZES = (1, 2, 8, 16)
+_FITS = (0.5, 1e-3, 1e-8)  # 1 - r2
+# Piece edges around the mode, in units of log g.
+_EDGES = (-32, -8, -4, -2, -1, 0, 1, 2, 4, 8, 16, 32, 64, 128, 256)
+
+
+def _cells(ns):
+    for p in _SIZES:
+        for n in sorted({int(n) for n in ns(p)}):
+            if n > P0 + p:
+                for omr2 in _FITS:
+                    yield n, p, omr2
+
+
+def _reference(n, p, omr2):
+    """log BF and E[g/(1+g)] of the mixture, by mpmath at 40 digits."""
+    with mpmath.workdps(40):
+        q, w = n - P0, mpmath.mpf(omr2)
+        const = 0.5 * mpmath.log(mpmath.mpf(n) / 2) - 0.5 * mpmath.log(mpmath.pi)
+
+        def psi(t, g):
+            return (0.5 * (q - p) * mpmath.log1p(g) - 0.5 * q * mpmath.log1p(w * g)
+                    - 0.5 * t - 0.5 * n / g + const)
+
+        # Any centre near the peak will do: the mode in g, with the bend of
+        # the likelihood at g = 1/w as one more edge.
+        mode = mpmath.log(float(_zs_mode(n, P0, np.array([float(p)]), np.array([omr2]))[0]))
+        edges = sorted({mode + e for e in _EDGES} | {-mpmath.log(w)})
+        edges = [t for t in edges if mode + _EDGES[0] <= t <= mode + _EDGES[-1]]
+        top = psi(mode, mpmath.exp(mode))
+        nodes = {}  # both integrals visit the same nodes
+
+        def node(t):
+            if t not in nodes:
+                g = mpmath.exp(t)
+                f = mpmath.exp(psi(t, g) - top)
+                nodes[t] = f, f * g / (1 + g)
+            return nodes[t]
+
+        # Degree 6 is 96 Gauss-Legendre nodes a piece; the error estimates
+        # confirm that it is far more than the comparison needs.
+        rule = dict(method="gauss-legendre", maxdegree=6, error=True)
+        total, err = mpmath.quad(lambda t: node(t)[0], edges, **rule)
+        weighted, werr = mpmath.quad(lambda t: node(t)[1], edges, **rule)
+        assert err <= 1e-20 * total and werr <= 1e-20 * weighted
+        return float(top + mpmath.log(total)), float(weighted / total)
+
+
+def _check(n, p, omr2):
+    log_bf, shrink = zs_evidence_batch(n, P0, [p], [omr2], want_shrinkage=True)
+    ref_bf, ref_shrink = _reference(n, p, omr2)
+    assert np.isfinite(log_bf[0]) and np.isfinite(shrink[0])
+    assert abs(log_bf[0] - ref_bf) <= 1e-12 * max(1.0, abs(ref_bf)), (log_bf[0], ref_bf)
+    assert shrink[0] == pytest.approx(ref_shrink, rel=1e-10, abs=0.0)
+
+
+@pytest.mark.parametrize("n,p,omr2", list(_cells(lambda p: (P0 + p + 1, 10, 1e3, 1e6))))
+def test_matches_mpmath(n, p, omr2):
+    _check(n, p, omr2)
+
+
+@pytest.mark.parametrize("n,p,omr2", list(_cells(lambda p: (1e8, 1e10))))
+def test_large_n_is_accurate_or_raises(n, p, omr2):
+    # At this size the log integrand is O(n), and its own rounding can keep
+    # the error estimate above the tolerance at any panel count: a typed
+    # error is then the right answer, a wrong value or a NaN never is.
+    try:
+        _check(n, p, omr2)
+    except QuadratureError as exc:
+        assert math.isfinite(exc.residual) and exc.residual > 0
