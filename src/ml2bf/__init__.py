@@ -3,8 +3,8 @@
 Closed-form Bayes factors for normal linear models under a marginal-
 likelihood-maximizing prior covariance constrained to dominate the unit-
 information scale, together with the standard comparators (fixed g-priors,
-Zellner-Siow, BIC and relatives), posterior model summaries, shrinkage
-estimators, and seeded simulation harnesses.
+Zellner-Siow, BIC and relatives), posterior model summaries, and seeded
+simulation harnesses.
 """
 
 __version__ = "0.1.0"
@@ -52,14 +52,6 @@ from .modelspace import (
     mpm,
     posterior_from_evidence,
 )
-from .estimation import (
-    Estimate,
-    bma_estimate,
-    posterior_mean_gprior,
-    posterior_mean_ml2,
-    posterior_mean_zs,
-    predictive_loss,
-)
 from .anova import (
     AnovaStats,
     AnovaTruth,
@@ -71,10 +63,7 @@ from .anova import (
 )
 from .nonparametric import (
     NonparametricConfig,
-    PowerLawPrior,
     chebyshev_design,
-    fit_power_law_prior,
-    nested_evidence,
     predictive_loss_integral,
     run_study,
     true_signal,

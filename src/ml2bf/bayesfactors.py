@@ -23,6 +23,7 @@ __all__ = [
     "QuadratureError",
     "ml2_covariance",
     "log_bf_ml2",
+    "shrinkage_factor_ml2",
     "log_bf_gprior",
     "log_bf_bic",
     "log_bf_bic_prior",
@@ -230,6 +231,21 @@ def log_bf_ml2(stats: SuffStats) -> float:
     omr2 = _one_minus_r2(stats)
     log_phi = (p - 1) * math.log(n + 1) + q * math.log(q) - (q - 1) * math.log(q - 1)
     return -0.5 * log_phi - 0.5 * math.log(r2) - 0.5 * (q - 1) * math.log(omr2)
+
+
+def shrinkage_factor_ml2(stats: SuffStats) -> float:
+    """Posterior-mean shrinkage under the constrained type II ML prior.
+
+    Equals n/(n+1) up to the evidence threshold r2 = (n+1)/(2n-p0) and
+    ``1 - (1-r2)/((n-p0-1) r2)`` above it; continuous at the threshold, and
+    tends to 1 as r2 tends to 1.
+    """
+    _require_scope(stats)
+    n, p0 = stats.n, stats.p0
+    r2 = stats.r2
+    if r2 <= (n + 1) / (2 * n - p0):
+        return n / (n + 1.0)
+    return 1.0 - (1.0 - r2) / ((n - p0 - 1) * r2)
 
 
 def log_bf_bic(stats: SuffStats) -> float:
@@ -699,11 +715,11 @@ def evidence(method, table: ModelTable, want_shrinkage: bool = False,
 
     With ``want_shrinkage`` it returns ``(log_evidence, shrinkage)``: the
     posterior-mean factor on each model's least-squares coefficients.  That
-    is ``shrinkage_factor_ml2`` for ml2, g/(1+g) for lb, ghat/(1+ghat) for
-    ghat (0 where ghat is clamped at 0, 1 where the fit saturates), and the
-    exact mixture's E[g/(1+g)] for zs whichever ``zs_rule`` is used (1 where
-    the quadrature reports saturation); it is 1 for BIC, BIC-prior, AIC and
-    for null models.
+    is the scalar oracle ``shrinkage_factor_ml2`` (in this module) for ml2,
+    g/(1+g) for lb, ghat/(1+ghat) for ghat (0 where ghat is clamped at 0,
+    1 where the fit saturates), and the exact mixture's E[g/(1+g)] for zs
+    whichever ``zs_rule`` is used (1 where the quadrature reports
+    saturation); it is 1 for BIC, BIC-prior, AIC and for null models.
 
     The table of a stacked dataset gives (R, m) arrays, row j scoring
     replicate j; every value depends only on its own model's n, p0, size

@@ -46,9 +46,9 @@ from .bayesfactors import (  # noqa: F401
     log_bf_local_eb,
     log_bf_ml2,
     log_bf_zs_laplace,
+    shrinkage_factor_ml2,
     zs_evidence_batch,
 )
-from .estimation import shrinkage_factor_ml2  # noqa: F401
 from .regression import fit_suffstats  # noqa: F401
 
 __all__ = [
@@ -596,7 +596,12 @@ def run_shibata_experiment(cfg: ExperimentConfig) -> list[dict]:
 
 
 def run_bf(dataset_path, cfg: ExperimentConfig) -> dict:
-    """All-subsets posterior summary of a CSV dataset, one block per method."""
+    """All-subsets posteriors of a CSV dataset: ``{method: ModelPosterior}``.
+
+    With an output directory it also writes ``bf_results.json``: n, p, the
+    labels, and per method the HPM, MPM, inclusion probabilities and every
+    model's log evidence and probability.
+    """
     methods = _parse_methods(cfg, _BF_METHODS)
     try:
         dataset, labels = load_dataset_csv(dataset_path)
@@ -620,29 +625,15 @@ def run_bf(dataset_path, cfg: ExperimentConfig) -> dict:
         raise ConfigError(f"linearly dependent columns: {', '.join(np.array(labels)[dependent])} "
                           "(each a combination of the common and earlier candidate columns)")
     table = fit_models(ds, space.models())
-    result = {
-        "dataset": str(dataset_path),
-        "n": ds.n,
-        "p": ds.p,
-        "labels": labels,
-        "methods": {},
-    }
-    posteriors = {}
-    for method in methods:
-        posterior = posterior_from_evidence(table.models, evidence(method, table), space)
-        posteriors[method] = posterior
-        result["methods"][method] = {
-            "models": posterior.to_json_obj(),
-            "hpm": list(hpm(posterior)),
-            "mpm": list(mpm(posterior, table.mask)),
-            "inclusion_probs": [float(v) for v in inclusion_probs(posterior, table.mask)],
-        }
+    posteriors = {method: posterior_from_evidence(table.models, evidence(method, table), space)
+                  for method in methods}
     if cfg.output_dir:
         outdir = Path(cfg.output_dir)
         outdir.mkdir(parents=True, exist_ok=True)
-        _write_bf_results(outdir / "bf_results.json", result, table.models, posteriors)
+        _write_bf_results(outdir / "bf_results.json", str(dataset_path), labels, table,
+                          posteriors)
         _write_sidecar(outdir, "bf", cfg)
-    return result
+    return posteriors
 
 
 # json writes these for the non-finite floats; float.__repr__ gives the rest.
@@ -664,17 +655,33 @@ def _json_floats(values: np.ndarray) -> list[str]:
     return text
 
 
-def _write_bf_results(path, result, models, posteriors):
-    """``json.dumps(result, indent=2, sort_keys=True) + "\\n"``, byte for byte,
-    written piece by piece.
+def _write_bf_results(path, dataset, labels, table, posteriors):
+    """Write the bf report piece by piece, byte for byte what
+    ``json.dumps(report, indent=2, sort_keys=True) + "\\n"`` gives.
 
-    Everything but the per-model lists goes through ``json.dumps``; each
-    method's list is rendered from its posterior's arrays, with each model's
-    ``"model"`` text built once for all methods.
+    ``report`` holds the dataset path, the labels, n, p and per method the
+    HPM, MPM, inclusion probabilities and a ``models`` list with each
+    model's log evidence and probability.  Everything but those lists goes
+    through ``json.dumps``; each list is rendered from its posterior's
+    arrays, with each model's ``"model"`` text built once for all methods.
     """
-    skeleton = dict(result, methods={method: dict(block, models=None)
-                                     for method, block in result["methods"].items()})
+    skeleton = {
+        "dataset": dataset,
+        "labels": labels,
+        "n": table.n,
+        "p": table.dataset.p,
+        "methods": {
+            method: {
+                "hpm": list(hpm(posterior)),
+                "mpm": list(mpm(posterior, table.mask)),
+                "inclusion_probs": [float(v) for v in inclusion_probs(posterior, table.mask)],
+                "models": None,
+            }
+            for method, posterior in posteriors.items()
+        },
+    }
     head, *tails = json.dumps(skeleton, indent=2, sort_keys=True).split(_MODELS_SLOT)
+    models = table.models
     model_text = ["[\n" + ",\n".join(f"            {j}" for j in m) + "\n          ]"
                   if m else "[]" for m in models]
     with open(path, "w", encoding="utf-8") as fh:

@@ -103,13 +103,6 @@ class ModelPosterior:
     posterior_prob: np.ndarray
     space: ModelSpace
 
-    def to_json_obj(self) -> list[dict]:
-        return [
-            {"model": list(m), "log_evidence": le, "prob": pr}
-            for m, le, pr in zip(self.models, self.log_evidence.tolist(),
-                                 self.posterior_prob.tolist())
-        ]
-
 
 def _model_order(model) -> tuple:
     # Parsimony first, then lexicographic: the deterministic tie-break.

@@ -20,17 +20,14 @@ import numpy as np
 from numpy.polynomial import chebyshev
 
 from .bayesfactors import ml2_known_variance_from_scalars
-from .modelspace import ModelPosterior, ModelSpace, hpm, mpm, posterior_from_evidence
+from .modelspace import ModelSpace, hpm, mpm, posterior_from_evidence
 from .pool import derive_stream, mean_se, run_replicates
 
 __all__ = [
     "NonparametricConfig",
-    "PowerLawPrior",
     "chebyshev_design",
     "true_signal",
     "series_coefficients",
-    "fit_power_law_prior",
-    "nested_evidence",
     "predictive_loss_integral",
     "run_study",
     "STUDY_METHODS",
@@ -79,23 +76,6 @@ class NonparametricConfig:
     @property
     def label(self) -> str:
         return f"n{self.n}_k{self.k}_s{self.sigma2:g}"
-
-
-@dataclass(frozen=True)
-class PowerLawPrior:
-    """Diagonal prior scale c * i^(-a); ``boundary_hit`` flags a fit that
-    stopped on the edge of the search box."""
-
-    c: float
-    a: float
-    boundary_hit: bool = False
-
-    def __post_init__(self):
-        if self.c < 0 or self.a < 0:
-            raise ValueError("c and a must be nonnegative")
-
-    def diagonal(self, k: int) -> np.ndarray:
-        return self.c * np.arange(1.0, k + 1.0) ** (-self.a)
 
 
 def chebyshev_design(n: int, k: int):
@@ -329,36 +309,6 @@ def _fit_nested_power_law(u, sigma2, n):
     return params, value, shrink, boundary
 
 
-def _fit_power_law(u, sigma2, n) -> tuple[PowerLawPrior, float]:
-    """Maximize the diagonal power-law evidence for one model.
-
-    The last row of the nested fit (``_fit_nested_power_law``): grid start
-    and projected Newton refinement inside the box log10(c) in [-4, 4],
-    a in [0, 6].  Returns the fit and its log Bayes factor against the null
-    model.
-    """
-    params, value, _, boundary = _fit_nested_power_law(u, sigma2, n)
-    log10c, a = params[-1]
-    prior = PowerLawPrior(c=10.0**log10c, a=float(a), boundary_hit=bool(boundary[-1]))
-    return prior, float(value[-1])
-
-
-def fit_power_law_prior(y, x, sigma2: float) -> PowerLawPrior:
-    """Fit the power-law diagonal prior on the full design by evidence.
-
-    The design must be a Chebyshev-type orthogonal matrix as produced by
-    ``chebyshev_design`` (this is checked).
-    """
-    x = np.asarray(x, dtype=np.float64)
-    n, k = x.shape
-    gram = x.T @ x
-    if np.max(np.abs(gram - (n / 2.0) * np.eye(k))) > _ORTHO_TOL * (n / 2.0):
-        raise ValueError("design is not orthogonal with X'X = (n/2) I")
-    _, _, u = _summaries(y, x)
-    prior, _ = _fit_power_law(u, sigma2, n)
-    return prior
-
-
 def _evidence_and_shrinkage(u, n, method, sigma2, refit_per_model=True):
     """Log evidence per nested model and per-coordinate shrinkage factors.
 
@@ -386,21 +336,6 @@ def _evidence_and_shrinkage(u, n, method, sigma2, refit_per_model=True):
     else:
         raise ValueError(f"unknown study method {method!r}")
     return log_ev, shrink
-
-
-def nested_evidence(
-    y, x, method: str, sigma2: float, refit_per_model: bool = True
-) -> ModelPosterior:
-    """Posterior over the nested truncations under one evidence rule.
-
-    Log evidence is stored relative to the empty expansion; the prior over
-    sizes 1..k is uniform.
-    """
-    n, k = x.shape
-    _, _, u = _summaries(y, x)
-    log_ev, _ = _evidence_and_shrinkage(u, n, method, sigma2, refit_per_model)
-    space = ModelSpace.nested(k)
-    return posterior_from_evidence(space.models(), log_ev, space)
 
 
 # Nodes asked of ``_loss_rule``; it rounds down to whole panels.

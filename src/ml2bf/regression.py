@@ -554,7 +554,7 @@ def load_dataset_csv(path) -> tuple[Dataset, list[str]]:
 
     Expected layout: a header row with a ``y`` column, optional common
     predictors named ``x0_*`` (an intercept is added when none are present),
-    and candidate predictors named ``x1`` .. ``xp``.
+    and candidate predictors named ``x1`` .. ``xp``; no name may repeat.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -565,6 +565,9 @@ def load_dataset_csv(path) -> tuple[Dataset, list[str]]:
         header = [h.strip() for h in header]
         rows = [row for row in reader if row and any(cell.strip() for cell in row)]
 
+    repeated = next((h for i, h in enumerate(header) if h in header[:i]), None)
+    if repeated is not None:
+        raise ValueError(f"malformed CSV: duplicate column {repeated!r}")
     if "y" not in header:
         raise ValueError("malformed CSV: missing required column 'y'")
     x0_names = [h for h in header if h.startswith("x0_")]

@@ -1,23 +1,31 @@
-"""Shrinkage estimators, model averaging, and predictive loss."""
+"""Posterior-mean shrinkage: the scalar ml2 oracle and the factors that
+``evidence(..., want_shrinkage=True)`` puts on each model's least squares."""
 
 import math
 
 import numpy as np
 import pytest
 
-from ml2bf.estimation import (
-    Estimate,
-    bma_estimate,
-    posterior_mean_gprior,
-    posterior_mean_ml2,
-    posterior_mean_zs,
-    predictive_loss,
-    shrinkage_factor_ml2,
-)
-from ml2bf.modelspace import ModelSpace, posterior_from_evidence
-from ml2bf.regression import fit_suffstats
+from ml2bf.bayesfactors import PriorMethod, evidence, shrinkage_factor_ml2
+from ml2bf.regression import Dataset, ModelTable, fit_models, orthogonalize
 
 from util import make_stats, random_dataset
+
+
+def _table(stats):
+    """The one-model table of ``make_stats``'s synthetic statistics."""
+    dataset = Dataset(y=np.zeros(stats.n), x0=np.ones((stats.n, stats.p0)),
+                      x=np.zeros((stats.n, stats.p)))
+    return ModelTable(dataset=dataset, models=(tuple(range(stats.p)),),
+                      sizes=np.array([stats.p]), sse=np.array([stats.sse]),
+                      ssr=np.array([stats.ssr]), beta=stats.beta_hat[None, :],
+                      mask=np.ones((1, stats.p), dtype=bool))
+
+
+def _posterior_mean(method, table):
+    """Each model's posterior-mean coefficients under one rule."""
+    _, shrink = evidence(method, table, want_shrinkage=True)
+    return shrink[..., None] * table.beta
 
 
 class TestShrinkageMl2:
@@ -37,7 +45,7 @@ class TestShrinkageMl2:
 
     def test_zero_coefficients_stay_zero(self):
         s = make_stats(20, 1, 3, 0.0)
-        np.testing.assert_array_equal(posterior_mean_ml2(s), np.zeros(3))
+        np.testing.assert_array_equal(_posterior_mean("ml2", _table(s))[0], np.zeros(3))
 
     def test_limit_at_perfect_fit(self):
         s = make_stats(20, 1, 2, 1.0)
@@ -55,102 +63,35 @@ class TestShrinkageMl2:
         rng = np.random.default_rng(0)
         for _ in range(20):
             ds = random_dataset(rng, beta_scale=2.0)
-            s = fit_suffstats(ds, range(ds.p))
-            assert np.linalg.norm(posterior_mean_ml2(s)) <= np.linalg.norm(s.beta_hat)
+            table = fit_models(ds, [tuple(range(ds.p))])
+            assert np.linalg.norm(_posterior_mean("ml2", table)) <= np.linalg.norm(table.beta)
 
 
 class TestGpriorMean:
     def test_large_g_limit(self):
         s = make_stats(10, 1, 2, 0.5)
-        np.testing.assert_allclose(posterior_mean_gprior(s, 1e12), s.beta_hat, rtol=1e-10)
+        np.testing.assert_allclose(_posterior_mean(PriorMethod.lb(1e12), _table(s))[0],
+                                   s.beta_hat, rtol=1e-10)
 
     def test_half_at_unit_g(self):
         s = make_stats(10, 1, 2, 0.5)
-        np.testing.assert_allclose(posterior_mean_gprior(s, 1.0), s.beta_hat / 2)
+        np.testing.assert_allclose(_posterior_mean(PriorMethod.lb(1.0), _table(s))[0],
+                                   s.beta_hat / 2)
 
     def test_matches_ml2_in_lower_branch(self):
         n = 14
-        s = make_stats(n, 1, 2, 0.2)
+        table = _table(make_stats(n, 1, 2, 0.2))
         np.testing.assert_allclose(
-            posterior_mean_gprior(s, float(n)), posterior_mean_ml2(s), rtol=1e-12
+            _posterior_mean(PriorMethod.lb(n), table), _posterior_mean("ml2", table), rtol=1e-12
         )
 
 
 class TestZsMean:
     def test_between_zero_and_ls(self):
         s = make_stats(25, 1, 3, 0.6)
-        mean = posterior_mean_zs(s)
+        mean = _posterior_mean("zs", _table(s))[0]
         ratio = mean[0] / s.beta_hat[0]
         assert 0.0 < ratio < 1.0
-
-
-class TestBma:
-    def _space(self, p):
-        return ModelSpace.all_subsets(p)
-
-    def test_point_mass(self):
-        space = self._space(2)
-        post = posterior_from_evidence(space.models(), [0.0, 0.0, 0.0, 60.0], space)
-        estimates = [Estimate(np.zeros(2), m, "bic") for m in post.models[:-1]]
-        estimates.append(Estimate(np.array([1.0, -2.0]), (0, 1), "bic"))
-        np.testing.assert_allclose(bma_estimate(post, estimates), [1.0, -2.0])
-
-    def test_even_average(self):
-        space = ModelSpace(kind="all_subsets", size=2)
-        models = [(0,), (1,)]
-        post = posterior_from_evidence(models, [1.0, 1.0], space)
-        e1 = Estimate(np.array([2.0, 0.0]), (0,), "lb")
-        e2 = Estimate(np.array([0.0, 4.0]), (1,), "lb")
-        np.testing.assert_allclose(bma_estimate(post, [e1, e2]), [1.0, 2.0])
-
-    def test_matches_direct_weighted_sum(self):
-        rng = np.random.default_rng(1)
-        space = self._space(2)
-        models = space.models()
-        log_ev = rng.normal(0, 1, 4)
-        post = posterior_from_evidence(models, log_ev, space)
-        betas = []
-        for m in models:
-            b = np.zeros(2)
-            for j in m:
-                b[j] = rng.normal()
-            betas.append(Estimate(b, m, "ml2"))
-        direct = sum(pr * e.beta for pr, e in zip(post.posterior_prob, betas))
-        np.testing.assert_allclose(bma_estimate(post, betas), direct, atol=1e-12)
-
-    def test_rejects_infinite_markers(self):
-        space = self._space(1)
-        post = posterior_from_evidence([(), (0,)], [0.0, math.inf], space)
-        ests = [Estimate(np.zeros(1), (), "bic"), Estimate(np.ones(1), (0,), "bic")]
-        with pytest.raises(ValueError, match="overwhelming"):
-            bma_estimate(post, ests)
-
-    def test_estimate_zero_pattern_enforced(self):
-        with pytest.raises(ValueError, match="outside the model"):
-            Estimate(np.array([1.0, 1.0]), (0,), "bic")
-
-
-class TestPredictiveLoss:
-    def test_zero_at_truth(self):
-        x = np.random.default_rng(2).standard_normal((10, 3))
-        beta = np.array([1.0, 2.0, 3.0])
-        assert predictive_loss(x, beta, beta) == 0.0
-
-    def test_orthonormal_unit_direction(self):
-        q, _ = np.linalg.qr(np.random.default_rng(3).standard_normal((12, 3)))
-        beta = np.array([1.0, 0.0, 0.0])
-        assert predictive_loss(q, beta, np.zeros(3)) == pytest.approx(1.0)
-
-    def test_elementwise_recomputation(self):
-        rng = np.random.default_rng(4)
-        x = rng.standard_normal((20, 4))
-        b, d = rng.normal(0, 1, 4), rng.normal(0, 1, 4)
-        direct = sum((x[i] @ (b - d)) ** 2 for i in range(20))
-        assert predictive_loss(x, b, d) == pytest.approx(direct, rel=1e-12)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="mismatch"):
-            predictive_loss(np.ones((5, 2)), np.ones(2), np.ones(3))
 
 
 class TestMseSanityCheck:
@@ -169,14 +110,11 @@ class TestMseSanityCheck:
                 beta = np.zeros(p)
                 beta[0] = norm
                 y = 1.0 + x @ beta + rng.standard_normal(n)
-                from ml2bf.regression import Dataset, orthogonalize
-
-                ds = orthogonalize(Dataset.with_intercept(y, x))
-                s = fit_suffstats(ds, range(p))
-                gram = s.gram_chol.T @ s.gram_chol
-                shrunk = posterior_mean_ml2(s)
+                table = fit_models(orthogonalize(Dataset.with_intercept(y, x)), [tuple(range(p))])
+                gram = table.gram_chol(0).T @ table.gram_chol(0)
+                shrunk, beta_hat = _posterior_mean("ml2", table)[0], table.beta[0]
                 loss_shrunk = (shrunk - beta) @ gram @ (shrunk - beta)
-                loss_ls = (s.beta_hat - beta) @ gram @ (s.beta_hat - beta)
+                loss_ls = (beta_hat - beta) @ gram @ (beta_hat - beta)
                 diff[i] = loss_shrunk - loss_ls
             se = diff.std(ddof=1) / math.sqrt(reps)
             assert diff.mean() <= 3 * se

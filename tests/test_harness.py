@@ -25,7 +25,8 @@ from ml2bf.harness import (
     run_experiment,
     run_table1,
 )
-from ml2bf.modelspace import _MAX_ALL_SUBSETS
+from ml2bf.modelspace import _MAX_ALL_SUBSETS, hpm, inclusion_probs, mpm
+from ml2bf.regression import load_dataset_csv
 from ml2bf.pool import chunk_bounds, mean_se, run_replicates
 
 
@@ -294,9 +295,9 @@ class TestRunBf:
         rng = np.random.default_rng(3)
         path = self._write_csv(tmp_path, rng, signal=False)
         cfg = ExperimentConfig(experiment="bf", seed=0, methods=("ml2", "lb", "zs"))
-        result = run_bf(path, cfg)
+        posteriors = run_bf(path, cfg)
         for method in ("ml2", "lb", "zs"):
-            assert result["methods"][method]["hpm"] == []
+            assert hpm(posteriors[method]) == ()
 
     def test_single_predictor_branch_behavior(self, tmp_path):
         # Low signal: constrained rule coincides with the unit-information
@@ -305,8 +306,8 @@ class TestRunBf:
         weak = self._write_csv(tmp_path, rng, signal=False, p=1, n=20)
         cfg = ExperimentConfig(experiment="bf", seed=0, methods=("ml2", "lb"))
         res = run_bf(weak, cfg)
-        ml2 = {tuple(m["model"]): m["log_evidence"] for m in res["methods"]["ml2"]["models"]}
-        lb = {tuple(m["model"]): m["log_evidence"] for m in res["methods"]["lb"]["models"]}
+        ml2 = dict(zip(res["ml2"].models, res["ml2"].log_evidence))
+        lb = dict(zip(res["lb"].models, res["lb"].log_evidence))
         assert ml2[(0,)] == pytest.approx(lb[(0,)], abs=1e-12)
 
         x = np.linspace(-1, 1, 20)
@@ -317,8 +318,8 @@ class TestRunBf:
             encoding="utf-8",
         )
         res = run_bf(strong, cfg)
-        ml2 = {tuple(m["model"]): m["log_evidence"] for m in res["methods"]["ml2"]["models"]}
-        lb = {tuple(m["model"]): m["log_evidence"] for m in res["methods"]["lb"]["models"]}
+        ml2 = dict(zip(res["ml2"].models, res["ml2"].log_evidence))
+        lb = dict(zip(res["lb"].models, res["lb"].log_evidence))
         assert ml2[(0,)] > lb[(0,)] + 0.1
 
     def test_json_written(self, tmp_path):
@@ -351,9 +352,27 @@ class TestRunBf:
         cfg = ExperimentConfig(experiment="bf", seed=0, methods=("ml2", "lb", "bic",
                                                                  "bicprior", "zs", "ghat"),
                                output_dir=str(out))
-        result = run_bf(path, cfg)
+        posteriors = run_bf(path, cfg)
+        _, labels = load_dataset_csv(path)
+        report = {
+            "dataset": str(path),
+            "labels": labels,
+            "n": 12,
+            "p": len(labels),
+            "methods": {
+                method: {
+                    "hpm": list(hpm(post)),
+                    "mpm": list(mpm(post)),
+                    "inclusion_probs": inclusion_probs(post).tolist(),
+                    "models": [{"model": list(m), "log_evidence": le, "prob": pr}
+                               for m, le, pr in zip(post.models, post.log_evidence.tolist(),
+                                                    post.posterior_prob.tolist())],
+                }
+                for method, post in posteriors.items()
+            },
+        }
         text = (out / "bf_results.json").read_text(encoding="utf-8")
-        assert text == json.dumps(result, indent=2, sort_keys=True) + "\n"
+        assert text == json.dumps(report, indent=2, sort_keys=True) + "\n"
         marker = {"exact_fit": '"log_evidence": Infinity', "p1": '"model": []',
                   "escaped_path": 'da\\"t\\u00e4.csv'}.get(case, '"prob": ')
         assert marker in text
@@ -529,8 +548,8 @@ class TestCli:
         # The largest allowed p runs; that is what the cap's measurements say.
         cfg = ExperimentConfig(experiment="bf", seed=0, methods=("bic",))
         path = _write_data_csv(tmp_path, n=_MAX_ALL_SUBSETS + 4, p=_MAX_ALL_SUBSETS)
-        result = run_bf(path, cfg)
-        assert len(result["methods"]["bic"]["models"]) == 2**_MAX_ALL_SUBSETS
+        posteriors = run_bf(path, cfg)
+        assert len(posteriors["bic"].models) == 2**_MAX_ALL_SUBSETS
 
     def test_insufficient_sample_size_is_config_error(self, tmp_path, capsys):
         # n = p0 + p: the intercept and three candidates leave no residual.

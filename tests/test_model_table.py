@@ -21,9 +21,9 @@ from ml2bf.bayesfactors import (
     log_bf_ml2,
     log_bf_zs,
     log_bf_zs_laplace,
+    shrinkage_factor_ml2,
     zs_posterior_shrinkage,
 )
-from ml2bf.estimation import shrinkage_factor_ml2
 from ml2bf.modelspace import (
     ModelPosterior,
     ModelSpace,

@@ -99,12 +99,6 @@ class TestPosterior:
         for m, pr in zip(post2.models, post2.posterior_prob):
             assert pr == pytest.approx(lookup[m], abs=1e-14)
 
-    def test_json_export(self):
-        post = _posterior([(), (0,)], [0.0, 1.0])
-        obj = post.to_json_obj()
-        assert obj[0] == {"model": [], "log_evidence": 0.0, "prob": post.posterior_prob[0]}
-        assert obj[1]["model"] == [0]
-
 
 class TestEnumerate:
     def test_brute_force_recomputation(self):

@@ -13,7 +13,7 @@ from ml2bf.bayesfactors import (
     ml2_known_variance_from_scalars,
     ml2_known_variance_log_bf,
 )
-from ml2bf.modelspace import hpm
+from ml2bf.modelspace import ModelSpace, hpm, posterior_from_evidence
 from ml2bf.nonparametric import (
     _A_HI,
     _LN10,
@@ -21,18 +21,14 @@ from ml2bf.nonparametric import (
     _LOG10C_LO,
     PRESETS,
     NonparametricConfig,
-    PowerLawPrior,
     _evidence_and_shrinkage,
     _fit_nested_power_law,
-    _fit_power_law,
     _logistic,
     _make_loss_fn,
     _nested_power_law,
     _power_law_log_bf,
     _summaries,
     chebyshev_design,
-    fit_power_law_prior,
-    nested_evidence,
     predictive_loss_integral,
     run_study,
     series_coefficients,
@@ -88,17 +84,17 @@ class TestPowerLawPrior:
         # model stays small.
         n, k = 60, 10
         _, x, _ = chebyshev_design(n, k)
-        fits = []
+        fits = []  # (c, log BF, boundary hit) of the full model, the nested fit's last row
         for seed in range(8):
             y = np.random.default_rng(seed).standard_normal(n)
             _, _, u = _summaries(y, x)
-            fits.append(_fit_power_law(u, 1.0, n))
-        assert np.median([prior.c for prior, _ in fits]) <= 1e-2
-        assert sum(prior.boundary_hit for prior, _ in fits) >= len(fits) // 2
-        assert max(val for _, val in fits) < 2.0
-        y = np.random.default_rng(1).standard_normal(n)
-        prior = fit_power_law_prior(y, x, 1.0)
-        assert prior.c == pytest.approx(1e-4, rel=0.01) and prior.boundary_hit
+            params, value, _, boundary = _fit_nested_power_law(u, 1.0, n)
+            fits.append((10.0 ** params[-1, 0], value[-1], boundary[-1]))
+        assert np.median([c for c, _, _ in fits]) <= 1e-2
+        assert sum(hit for _, _, hit in fits) >= len(fits) // 2
+        assert max(val for _, val, _ in fits) < 2.0
+        c, _, hit = fits[1]
+        assert c == pytest.approx(1e-4, rel=0.01) and hit
 
     def test_dense_grid_oracle(self):
         # Every nested model's fit against a 400 x 400 grid of its evidence.
@@ -108,9 +104,6 @@ class TestPowerLawPrior:
         y = true_signal(knots) + rng.standard_normal(n)
         _, _, u = _summaries(y, x)
         params, fitted, _, _ = _fit_nested_power_law(u, 1.0, n)
-        prior, fitted_val = _fit_power_law(u, 1.0, n)
-        assert fitted_val == fitted[-1]
-        assert (math.log10(prior.c), prior.a) == pytest.approx(tuple(params[-1]), rel=1e-12, abs=1e-12)
 
         log10c = np.linspace(-4, 4, 400)
         a_grid = np.linspace(0, 6, 400)
@@ -205,12 +198,13 @@ class TestPowerLawPrior:
             general = log_bf_known_variance(stats, c * np.eye(k), 1.0)
             assert fast == pytest.approx(general, rel=1e-8)
 
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            PowerLawPrior(c=-1.0, a=0.0)
-        rng = np.random.default_rng(4)
-        with pytest.raises(ValueError, match="orthogonal"):
-            fit_power_law_prior(rng.standard_normal(10), rng.standard_normal((10, 3)), 1.0)
+
+def _nested_posterior(y, x, method, refit_per_model=True):
+    """Posterior over the nested truncations, as the study computes it."""
+    n, k = x.shape
+    log_ev, _ = _evidence_and_shrinkage(_summaries(y, x)[2], n, method, 1.0, refit_per_model)
+    space = ModelSpace.nested(k)
+    return posterior_from_evidence(space.models(), log_ev, space)
 
 
 class TestNestedEvidence:
@@ -219,8 +213,8 @@ class TestNestedEvidence:
         n, k = 50, 10
         _, x, knots = chebyshev_design(n, k)
         y = true_signal(knots) + rng.standard_normal(n)
-        post_aic = nested_evidence(y, x, "aic", 1.0)
-        post_bic = nested_evidence(y, x, "bic", 1.0)
+        post_aic = _nested_posterior(y, x, "aic")
+        post_bic = _nested_posterior(y, x, "bic")
         for j, (la, lb) in enumerate(zip(post_aic.log_evidence, post_bic.log_evidence), start=1):
             assert la - lb == pytest.approx(0.5 * j * (math.log(n) - 2.0), abs=1e-10)
 
@@ -229,7 +223,7 @@ class TestNestedEvidence:
         n, k = 60, 12
         _, x, knots = chebyshev_design(n, k)
         y = true_signal(knots) + rng.standard_normal(n)
-        post = nested_evidence(y, x, "bic", 1.0)
+        post = _nested_posterior(y, x, "bic")
         # Each size's residual sum of squares from its own least-squares fit.
         sse = [np.linalg.lstsq(np.column_stack([np.ones(n), x[:, :j]]), y, rcond=None)[1][0]
                for j in range(k + 1)]
@@ -242,7 +236,7 @@ class TestNestedEvidence:
         n, k = 30, 8
         _, x, knots = chebyshev_design(n, k)
         y = true_signal(knots) + rng.standard_normal(n)
-        post = nested_evidence(y, x, "ml2", 1.0)
+        post = _nested_posterior(y, x, "ml2")
         ds = orthogonalize(Dataset.with_intercept(y, x))
         for j in range(1, k + 1):
             stats = fit_suffstats(ds, range(j))
@@ -301,8 +295,8 @@ class TestNestedEvidence:
         n, k = 40, 6
         _, x, knots = chebyshev_design(n, k)
         y = true_signal(knots) + rng.standard_normal(n)
-        per_model = nested_evidence(y, x, "powerlaw", 1.0, refit_per_model=True)
-        truncated = nested_evidence(y, x, "powerlaw", 1.0, refit_per_model=False)
+        per_model = _nested_posterior(y, x, "powerlaw", refit_per_model=True)
+        truncated = _nested_posterior(y, x, "powerlaw", refit_per_model=False)
         # Per-model refitting can only raise each model's evidence.
         assert np.all(per_model.log_evidence >= truncated.log_evidence - 1e-7)
 

@@ -252,3 +252,12 @@ class TestCsvLoader:
         path = self._write(tmp_path, "y,foo\n1,2\n")
         with pytest.raises(ValueError, match="'foo'"):
             load_dataset_csv(path)
+
+    @pytest.mark.parametrize("header,name", [("y,x1,y", "y"), ("y,x1,x1", "x1"),
+                                             ("y,x1,x0_a,x0_a", "x0_a")])
+    def test_duplicate_column(self, tmp_path, header, name):
+        # Each name would otherwise map to its first column only.
+        fields = header.count(",") + 1
+        path = self._write(tmp_path, header + "\n" + ",".join(["1"] * fields) + "\n")
+        with pytest.raises(ValueError, match=f"malformed CSV: duplicate column '{name}'"):
+            load_dataset_csv(path)

@@ -5,8 +5,8 @@ inverse-gamma(1/2, n/2), on the t = log g axis, cut at the mode and at
 growing steps on either side so that each piece is smooth for the
 Gauss-Legendre rule.  It checks the log Bayes factor and the posterior
 mean of g/(1+g) from ``zs_evidence_batch`` across sample sizes, model
-sizes and fits, including n = p0 + p + 1, the smallest sample the rule
-accepts.
+sizes, fits and common-predictor counts p0, including n = p0 + p + 1, the
+smallest sample the rule accepts.
 """
 
 import math
@@ -17,25 +17,25 @@ import pytest
 
 from ml2bf.bayesfactors import QuadratureError, _zs_mode, zs_evidence_batch
 
-P0 = 1
+P0 = 1  # the common predictors of every cell but the p0 sweep
 _SIZES = (1, 2, 8, 16)
 _FITS = (0.5, 1e-3, 1e-8)  # 1 - r2
 # Piece edges around the mode, in units of log g.
 _EDGES = (-32, -8, -4, -2, -1, 0, 1, 2, 4, 8, 16, 32, 64, 128, 256)
 
 
-def _cells(ns):
-    for p in _SIZES:
-        for n in sorted({int(n) for n in ns(p)}):
-            if n > P0 + p:
+def _cells(ns, p0=P0, sizes=_SIZES):
+    for p in sizes:
+        for n in sorted({int(n) for n in ns(p0, p)}):
+            if n > p0 + p:
                 for omr2 in _FITS:
                     yield n, p, omr2
 
 
-def _reference(n, p, omr2):
+def _reference(n, p, omr2, p0=P0):
     """log BF and E[g/(1+g)] of the mixture, by mpmath at 40 digits."""
     with mpmath.workdps(40):
-        q, w = n - P0, mpmath.mpf(omr2)
+        q, w = n - p0, mpmath.mpf(omr2)
         const = 0.5 * mpmath.log(mpmath.mpf(n) / 2) - 0.5 * mpmath.log(mpmath.pi)
 
         def psi(t, g):
@@ -44,7 +44,7 @@ def _reference(n, p, omr2):
 
         # Any centre near the peak will do: the mode in g, with the bend of
         # the likelihood at g = 1/w as one more edge.
-        mode = mpmath.log(float(_zs_mode(n, P0, np.array([float(p)]), np.array([omr2]))[0]))
+        mode = mpmath.log(float(_zs_mode(n, p0, np.array([float(p)]), np.array([omr2]))[0]))
         edges = sorted({mode + e for e in _EDGES} | {-mpmath.log(w)})
         edges = [t for t in edges if mode + _EDGES[0] <= t <= mode + _EDGES[-1]]
         top = psi(mode, mpmath.exp(mode))
@@ -66,20 +66,32 @@ def _reference(n, p, omr2):
         return float(top + mpmath.log(total)), float(weighted / total)
 
 
-def _check(n, p, omr2):
-    log_bf, shrink = zs_evidence_batch(n, P0, [p], [omr2], want_shrinkage=True)
-    ref_bf, ref_shrink = _reference(n, p, omr2)
+def _check(n, p, omr2, p0=P0):
+    log_bf, shrink = zs_evidence_batch(n, p0, [p], [omr2], want_shrinkage=True)
+    ref_bf, ref_shrink = _reference(n, p, omr2, p0)
     assert np.isfinite(log_bf[0]) and np.isfinite(shrink[0])
     assert abs(log_bf[0] - ref_bf) <= 1e-12 * max(1.0, abs(ref_bf)), (log_bf[0], ref_bf)
     assert shrink[0] == pytest.approx(ref_shrink, rel=1e-10, abs=0.0)
 
 
-@pytest.mark.parametrize("n,p,omr2", list(_cells(lambda p: (P0 + p + 1, 10, 1e3, 1e6))))
-def test_matches_mpmath(n, p, omr2):
-    _check(n, p, omr2)
+# p0 = 1 over every size up to n = 1e6; p0 = 0 and 2 over p in {1, 8} up to
+# n = 1e3.  The p0 = 1 cells are named n-p-omr2, the others carry p0 first.
+_MPMATH_CELLS = [
+    pytest.param(n, p, omr2, P0, id=f"{n}-{p}-{omr2}")
+    for n, p, omr2 in _cells(lambda p0, p: (p0 + p + 1, 10, 1e3, 1e6))
+] + [
+    pytest.param(n, p, omr2, p0, id=f"p0={p0}-{n}-{p}-{omr2}")
+    for p0 in (0, 2)
+    for n, p, omr2 in _cells(lambda p0, p: (p0 + p + 1, 10, 1e3), p0, (1, 8))
+]
 
 
-@pytest.mark.parametrize("n,p,omr2", list(_cells(lambda p: (1e8, 1e10))))
+@pytest.mark.parametrize("n,p,omr2,p0", _MPMATH_CELLS)
+def test_matches_mpmath(n, p, omr2, p0):
+    _check(n, p, omr2, p0)
+
+
+@pytest.mark.parametrize("n,p,omr2", list(_cells(lambda p0, p: (1e8, 1e10))))
 def test_large_n_is_accurate_or_raises(n, p, omr2):
     # At this size the log integrand is O(n), and its own rounding can keep
     # the error estimate above the tolerance at any panel count: a typed
