@@ -39,7 +39,7 @@ for token in ("ml2", "lb", "bic", "zs", "ghat"):
     post = enumerate_models(ds, space, PriorMethod.parse(token))
     incl = inclusion_probs(post)
     print(f"\n--- {token} ---")
-    print(f"highest probability model: {hpm(post)}")
-    print(f"median probability model:  {mpm(post)}")
+    print(f"highest probability model: {post.models[hpm(post)]}")
+    print(f"median probability model:  {post.models[mpm(post)]}")
     print(f"posterior entropy: {entropy(post):.2f} nats (max {np.log(256):.2f})")
     print("inclusion probabilities:", np.array2string(incl, precision=2))

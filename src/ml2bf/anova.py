@@ -159,7 +159,7 @@ def simulate_consistency(
         for m in methods:
             log_bf = _LOG_BF[m](p, r, norm2)
             log_ev = np.stack([np.zeros_like(log_bf), log_bf], axis=1)
-            post = posterior_from_evidence(_TWO_MODELS.models(), log_ev, _TWO_MODELS)
+            post = posterior_from_evidence(_TWO_MODELS, log_ev)
             avg, se = mean_se(post.posterior_prob[:, true_model], f"p={p}, method={m}")
             rows.append(
                 {

@@ -133,12 +133,16 @@ class ExperimentConfig:
 
     def get_list(self, key, default, parse, need, valid=None):
         """The values of the list setting ``key`` (commas or spaces between
-        them), each parsed and checked before any work starts."""
+        them), each parsed and checked, none repeated, before any work starts."""
         raw = self.overrides.get(key, default)
         tokens = raw.replace(",", " ").split() if isinstance(raw, str) else list(raw)
         if not tokens:
             raise ConfigError(f"{key} lists no values")
-        return [_parse(key, tok, parse, need, valid) for tok in tokens]
+        values = [_parse(key, tok, parse, need, valid) for tok in tokens]
+        for i, value in enumerate(values):
+            if value in values[:i]:
+                raise ConfigError(f"{key}: {tokens[i]!r} repeats {tokens[values.index(value)]!r}")
+        return values
 
 
 _FLAGS = {"1": True, "true": True, "yes": True, "on": True,
@@ -306,8 +310,6 @@ def _table1_chunk(cell, lo, hi):
     p = beta.shape[0]
     out = np.empty((hi - lo, len(n_grid), len(r_values), len(methods)))
     space = ModelSpace.all_subsets(p, model_prior=model_prior)
-    models = space.models()
-    full_index = models.index(tuple(range(p)))
     specs = [CorrelationSpec.explicit([[1.0, r], [r, 1.0]]) if p == 2
              else CorrelationSpec.identity() for r in r_values]
     # Every replicate's draws, from the same streams in the same order as
@@ -334,14 +336,13 @@ def _table1_chunk(cell, lo, hi):
                 if design_scale == "corrected":
                     x = x * math.sqrt((n - 1.0) / n)
                 y = x @ beta + eps[ni]
-                table = fit_models(orthogonalize(Dataset.with_intercept(y, x)), models)
+                table = fit_models(orthogonalize(Dataset.with_intercept(y, x)), space.models)
             except ValueError as exc:
                 raise ValueError(f"n={n}, r={r_values[ri]}, stack of replicates "
                                  f"{lo}..{hi - 1}: {exc}") from None
             for mi, method in enumerate(methods):
-                log_ev = evidence(method, table, zs_rule=zs_rule)
-                posterior = posterior_from_evidence(models, log_ev, space)
-                out[:, ni, ri, mi] = posterior.posterior_prob[:, full_index]
+                posterior = posterior_from_evidence(space, evidence(method, table, zs_rule=zs_rule))
+                out[:, ni, ri, mi] = posterior.posterior_prob[:, -1]  # the full model is last
     return (out,)
 
 
@@ -409,8 +410,6 @@ def _figure_chunk(cell, lo, hi):
     design, g_signal, k_active, seed, key, methods, model_prior, zs_rule = cell
     n, p = _FIG_N, _FIG_P
     space = ModelSpace.all_subsets(p, model_prior=model_prior)
-    models = space.models()
-    model_index = {m: i for i, m in enumerate(models)}
     spec = CorrelationSpec.ar1(_FIG_RHO) if design == "ar1" else CorrelationSpec.identity()
     scale = 1.0 / math.sqrt(n) if design == "orthogonal" else math.sqrt((n - 1.0) / n)
     losses = np.empty((hi - lo, len(methods), len(_SELECTORS)))
@@ -427,32 +426,33 @@ def _figure_chunk(cell, lo, hi):
             beta[list(active)] = rng.normal(0.0, math.sqrt(g_signal), size=k_active)
         y = _FIG_ALPHA + x @ beta + rng.standard_normal(n)
         ds = orthogonalize(Dataset.with_intercept(y, x))
-        table = fit_models(ds, models)
+        table = fit_models(ds, space.models)
         gram_full = x.T @ x
         for mi, method in enumerate(methods):
             log_ev, shrink = evidence(method, table, want_shrinkage=True, zs_rule=zs_rule)
-            posterior = posterior_from_evidence(models, log_ev, space)
+            posterior = posterior_from_evidence(space, log_ev)
             estimates = shrink[:, None] * table.beta
-            hpm_model = hpm(posterior)
-            mpm_model = mpm(posterior, table.mask)
+            i_hpm, i_mpm = hpm(posterior), mpm(posterior)
             bma_coef = posterior.posterior_prob @ estimates
-            for si, delta in enumerate(
-                (estimates[model_index[hpm_model]], estimates[model_index[mpm_model]], bma_coef)
-            ):
+            for si, delta in enumerate((estimates[i_hpm], estimates[i_mpm], bma_coef)):
                 diff = beta - delta
                 losses[rep - lo, mi, si] = float(diff @ gram_full @ diff)
             ent[rep - lo, mi] = entropy(posterior)
-            match[rep - lo, mi] = 1.0 if mpm_model == active else 0.0
-            mpm_size[rep - lo, mi] = len(mpm_model)
+            match[rep - lo, mi] = 1.0 if space.models[i_mpm] == active else 0.0
+            mpm_size[rep - lo, mi] = space.sizes[i_mpm]
     return losses, ent, match, mpm_size
+
+
+def _g_key(g_signal) -> int:
+    # A cell's stream-key part for g (Python's hash() is salted per run).
+    return int(round(1000 * float(g_signal)))
 
 
 def _figure_cell(design, g_signal, k_active, seed, methods, model_prior, zs_rule):
     """One cell's settings for ``_figure_chunk``, with its stream key."""
     if design not in ("orthogonal", "ar1"):
         raise ConfigError(f"unknown design {design!r}")
-    # Deterministic stream-key component (Python's hash() is salted per run).
-    key = (0 if design == "orthogonal" else 1, int(round(1000 * float(g_signal))), int(k_active))
+    key = (0 if design == "orthogonal" else 1, _g_key(g_signal), int(k_active))
     return design, g_signal, k_active, seed, key, tuple(methods), model_prior, zs_rule
 
 
@@ -492,6 +492,11 @@ def run_figure_sims(cfg: ExperimentConfig) -> list[dict]:
     g_values = cfg.get_list("g_grid", "5,25", float,
                             "a signal variance of at least 0 with 1000 g finite",
                             lambda g: g >= 0 and math.isfinite(1000 * g))
+    first = {}
+    for g_signal in g_values:
+        if first.setdefault(_g_key(g_signal), g_signal) != g_signal:
+            raise ConfigError(f"g_grid: {first[_g_key(g_signal)]!r} and {g_signal!r} share a "
+                              "replicate stream (1000 g rounds to the same integer)")
     k_values = cfg.get_list("k_grid", range(0, _FIG_P + 1), int,
                             f"an active-predictor count from 0 to {_FIG_P}",
                             lambda k: 0 <= k <= _FIG_P)
@@ -624,14 +629,14 @@ def run_bf(dataset_path, cfg: ExperimentConfig) -> dict:
     if dependent.any():
         raise ConfigError(f"linearly dependent columns: {', '.join(np.array(labels)[dependent])} "
                           "(each a combination of the common and earlier candidate columns)")
-    table = fit_models(ds, space.models())
-    posteriors = {method: posterior_from_evidence(table.models, evidence(method, table), space)
+    table = fit_models(ds, space.models)
+    posteriors = {method: posterior_from_evidence(space, evidence(method, table))
                   for method in methods}
     if cfg.output_dir:
         outdir = Path(cfg.output_dir)
         outdir.mkdir(parents=True, exist_ok=True)
-        _write_bf_results(outdir / "bf_results.json", str(dataset_path), labels, table,
-                          posteriors)
+        _write_bf_results(outdir / "bf_results.json", str(dataset_path), labels, ds.n,
+                          space, posteriors)
         _write_sidecar(outdir, "bf", cfg)
     return posteriors
 
@@ -655,7 +660,7 @@ def _json_floats(values: np.ndarray) -> list[str]:
     return text
 
 
-def _write_bf_results(path, dataset, labels, table, posteriors):
+def _write_bf_results(path, dataset, labels, n, space, posteriors):
     """Write the bf report piece by piece, byte for byte what
     ``json.dumps(report, indent=2, sort_keys=True) + "\\n"`` gives.
 
@@ -668,22 +673,21 @@ def _write_bf_results(path, dataset, labels, table, posteriors):
     skeleton = {
         "dataset": dataset,
         "labels": labels,
-        "n": table.n,
-        "p": table.dataset.p,
+        "n": n,
+        "p": space.size,
         "methods": {
             method: {
-                "hpm": list(hpm(posterior)),
-                "mpm": list(mpm(posterior, table.mask)),
-                "inclusion_probs": [float(v) for v in inclusion_probs(posterior, table.mask)],
+                "hpm": list(space.models[hpm(posterior)]),
+                "mpm": list(space.models[mpm(posterior)]),
+                "inclusion_probs": inclusion_probs(posterior).tolist(),
                 "models": None,
             }
             for method, posterior in posteriors.items()
         },
     }
     head, *tails = json.dumps(skeleton, indent=2, sort_keys=True).split(_MODELS_SLOT)
-    models = table.models
     model_text = ["[\n" + ",\n".join(f"            {j}" for j in m) + "\n          ]"
-                  if m else "[]" for m in models]
+                  if m else "[]" for m in space.models]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(head)
         for method, tail in zip(sorted(posteriors), tails, strict=True):
@@ -691,7 +695,7 @@ def _write_bf_results(path, dataset, labels, table, posteriors):
             log_ev = _json_floats(posterior.log_evidence)
             prob = _json_floats(posterior.posterior_prob)
             fh.write(_MODELS_KEY + "[\n")
-            for lo in range(0, len(models), _ENTRIES_PER_WRITE):
+            for lo in range(0, len(model_text), _ENTRIES_PER_WRITE):
                 part = slice(lo, lo + _ENTRIES_PER_WRITE)
                 fh.write((",\n" if lo else "") + ",\n".join(
                     map(_MODEL_ENTRY.format, log_ev[part], model_text[part], prob[part])))

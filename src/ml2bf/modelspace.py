@@ -1,14 +1,17 @@
-"""Model-space enumeration, posterior probabilities, and summaries.
+"""Model spaces, posterior probabilities, and summaries.
 
-Models are tuples of 0-based candidate-column indices.  Evidence arrives as
-null-based log Bayes factors; probabilities come out of a max-shifted
-exponentiation, so the layer is safe for sample sizes where raw Bayes
-factors overflow.
+A ``ModelSpace`` owns its models, tuples of 0-based candidate-column indices
+ordered smaller first and lexicographic within a size.  Evidence arrives as
+null-based log Bayes factors over them; probabilities come out of a
+max-shifted exponentiation, so the layer is safe for sample sizes where raw
+Bayes factors overflow.  Ties go to the first model, and ``hpm`` and ``mpm``
+return indices into the space's models, one per row of a stacked posterior.
 """
 
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -74,126 +77,119 @@ class ModelSpace:
         return cls(kind="nested", size=k, include_null=include_null,
                    model_prior=model_prior)
 
-    def models(self) -> list[tuple[int, ...]]:
+    @cached_property
+    def models(self) -> tuple[tuple[int, ...], ...]:
+        """The models, smaller first and lexicographic within a size."""
         if self.kind == "all_subsets":
-            out = []
-            for size in range(self.size + 1):
-                out.extend(itertools.combinations(range(self.size), size))
-            return out
+            return tuple(itertools.chain.from_iterable(
+                itertools.combinations(range(self.size), size) for size in range(self.size + 1)))
         start = 0 if self.include_null else 1
-        return [tuple(range(j)) for j in range(start, self.size + 1)]
+        return tuple(tuple(range(j)) for j in range(start, self.size + 1))
 
-    def log_prior(self, models) -> np.ndarray:
+    @cached_property
+    def mask(self) -> np.ndarray:
+        return model_mask(self.models, self.size)
+
+    @cached_property
+    def sizes(self) -> np.ndarray:
+        return np.count_nonzero(self.mask, axis=1)
+
+    @cached_property
+    def log_prior(self) -> np.ndarray:
         if self.model_prior == "uniform_models":
-            return np.zeros(len(models))
-        sizes = np.fromiter(map(len, models), dtype=np.intp, count=len(models))
-        counts = np.bincount(sizes)
+            return np.zeros(len(self.models))
+        counts = np.bincount(self.sizes)
         n_sizes = np.count_nonzero(counts)
         per_size = np.array([-math.log(n_sizes) - math.log(c) if c else 0.0
                              for c in counts.tolist()])
-        return per_size[sizes]
+        return per_size[self.sizes]
 
 
 @dataclass(frozen=True)
 class ModelPosterior:
-    """Log evidence and normalized posterior probabilities over a model space."""
+    """Log evidence and normalized posterior probabilities over a model space:
+    column i is ``space.models[i]``, and a stacked posterior has a row per replicate."""
 
-    models: tuple
+    space: ModelSpace
     log_evidence: np.ndarray
     posterior_prob: np.ndarray
-    space: ModelSpace
+
+    @property
+    def models(self) -> tuple[tuple[int, ...], ...]:
+        return self.space.models
 
 
-def _model_order(model) -> tuple:
-    # Parsimony first, then lexicographic: the deterministic tie-break.
-    return (len(model), model)
-
-
-def posterior_from_evidence(models, log_ev, space: ModelSpace) -> ModelPosterior:
-    """Apply the model prior to log evidences and normalize.
+def posterior_from_evidence(space: ModelSpace, log_ev) -> ModelPosterior:
+    """Apply the model prior to log evidences over ``space.models`` and normalize.
 
     A +inf evidence marker hands probability one to the marked model (the
-    tie-break picks one if several are marked).  ``log_ev`` of shape (R, m)
-    holds R stacked replicates' evidences over the same models; each row is
-    normalized on its own, bit for bit as alone, and the posterior's arrays
-    keep the (R, m) shape.
+    first if several are marked).  ``log_ev`` of shape (R, m) holds R
+    stacked replicates' evidences; each row is normalized on its own, bit
+    for bit as alone, and the posterior's arrays keep the (R, m) shape.
     """
-    models = tuple(tuple(m) for m in models)
+    m = len(space.models)
     log_ev = np.asarray(log_ev, dtype=np.float64)
-    if len(models) == 0:
-        raise ValueError("empty model list")
-    if log_ev.ndim not in (1, 2) or log_ev.shape[-1] != len(models):
-        raise ValueError("log evidence length must match the model list")
-    rows = log_ev.reshape(-1, len(models))
+    if m == 0:
+        raise ValueError("empty model space")
+    if log_ev.ndim not in (1, 2) or log_ev.shape[-1] != m:
+        raise ValueError("log evidence length must match the model space")
+    rows = log_ev.reshape(-1, m)
     probs = np.zeros(rows.shape)
     marked = np.isposinf(rows)
     saturated = marked.any(axis=1)
     if not saturated.all():
-        scores = rows[~saturated] + space.log_prior(models)
+        scores = rows[~saturated] + space.log_prior
         scores -= scores.max(axis=1, keepdims=True)
         with np.errstate(under="ignore"):  # an underflowing weight is negligible
             weights = np.exp(scores)
             probs[~saturated] = weights / weights.sum(axis=1, keepdims=True)
     if saturated.any():
-        rank = np.argsort(sorted(range(len(models)), key=lambda i: _model_order(models[i])))
-        winners = np.where(marked[saturated], rank, len(models)).argmin(axis=1)
-        probs[np.flatnonzero(saturated), winners] = 1.0
-    return ModelPosterior(
-        models=models, log_evidence=log_ev, posterior_prob=probs.reshape(log_ev.shape),
-        space=space
-    )
+        probs[np.flatnonzero(saturated), marked[saturated].argmax(axis=1)] = 1.0
+    return ModelPosterior(space, log_ev, probs.reshape(log_ev.shape))
 
 
-def enumerate_models(
-    dataset: Dataset, space: ModelSpace, method: PriorMethod
-) -> ModelPosterior:
+def enumerate_models(dataset: Dataset, space: ModelSpace, method: PriorMethod) -> ModelPosterior:
     """Evidence and posterior for every model in the space, fitted locally.
 
     Each model gets its own fitted prior scale (the local empirical-Bayes
     convention); a model that cannot be fitted raises with its index and
     columns attached.
     """
-    table = fit_models(dataset, space.models())
-    return posterior_from_evidence(table.models, evidence(method, table), space)
+    return posterior_from_evidence(space, evidence(method, fit_models(dataset, space.models)))
 
 
-def hpm(posterior: ModelPosterior) -> tuple[int, ...]:
-    """Highest probability model; exact ties go to the smaller model."""
-    probs = posterior.posterior_prob
-    tied = np.flatnonzero(probs == probs.max())
-    return min((posterior.models[i] for i in tied), key=_model_order)
+def hpm(posterior: ModelPosterior):
+    """Index of the highest probability model (one per row when stacked);
+    exact ties go to the first, that is the smaller, model."""
+    return posterior.posterior_prob.argmax(axis=-1)
 
 
-def inclusion_probs(posterior: ModelPosterior, mask=None) -> np.ndarray:
-    """Posterior probability that each candidate predictor is in the model.
-
-    ``mask`` is the models' boolean inclusion matrix (``ModelTable.mask``);
-    it is built from ``posterior.models`` when not given.
-    """
-    if mask is None:
-        mask = model_mask(posterior.models, posterior.space.size)
-    return posterior.posterior_prob @ mask
+def inclusion_probs(posterior: ModelPosterior) -> np.ndarray:
+    """Posterior probability that each candidate predictor is in the model
+    (one row per replicate when stacked)."""
+    # One (1, m) @ (m, p) product per row keeps each row bit for bit as alone.
+    return (posterior.posterior_prob[..., None, :] @ posterior.space.mask)[..., 0, :]
 
 
-def mpm(posterior: ModelPosterior, mask=None) -> tuple[int, ...]:
-    """Median probability model.
+def mpm(posterior: ModelPosterior):
+    """Index of the median probability model (one per row when stacked).
 
     All-subsets spaces: the model of predictors with inclusion probability
-    at least one half (``mask`` as in ``inclusion_probs``).  Nested spaces:
-    the largest size whose upper-tail posterior probability is at least one
-    half.
+    at least one half.  Nested spaces: the largest model whose upper-tail
+    posterior probability is at least one half.
     """
-    if posterior.space.kind == "all_subsets":
-        incl = inclusion_probs(posterior, mask)
-        return tuple(int(j) for j in np.nonzero(incl >= 0.5)[0])
-    sizes = np.array([len(m) for m in posterior.models])
-    order = np.argsort(sizes)
-    tail = np.cumsum(posterior.posterior_prob[order][::-1])[::-1]
-    return tuple(range(int(sizes[order][np.max(np.flatnonzero(tail >= 0.5), initial=0)])))
+    space = posterior.space
+    if space.kind == "all_subsets":
+        chosen = inclusion_probs(posterior) >= 0.5
+        return (space.mask == chosen[..., None, :]).all(axis=-1).argmax(axis=-1)
+    tail = np.cumsum(posterior.posterior_prob[..., ::-1], axis=-1)[..., ::-1]
+    # The tail mass only shrinks along the models and starts at the total, 1.
+    return np.count_nonzero(tail >= 0.5, axis=-1) - 1
 
 
-def entropy(posterior: ModelPosterior) -> float:
-    """Shannon entropy (nats) of the posterior over models."""
+def entropy(posterior: ModelPosterior):
+    """Shannon entropy (nats) of the posterior over models (one per row when
+    stacked)."""
     p = posterior.posterior_prob
-    nz = p[p > 0]
-    return float(-(nz * np.log(nz)).sum())
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return -np.where(p > 0, p * np.log(p), 0.0).sum(axis=-1)

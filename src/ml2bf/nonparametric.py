@@ -417,7 +417,6 @@ def _study_chunk(cell, lo, hi):
     signal = true_signal(knots)
     loss_fn = _make_loss_fn(loss_kind, k)
     space = ModelSpace.nested(k)
-    models = space.models()
     losses = np.empty((hi - lo, len(methods), len(_SELECTORS)))
     sizes = np.empty((hi - lo, len(methods), 2))
     for r, rep in enumerate(range(lo, hi)):
@@ -426,13 +425,13 @@ def _study_chunk(cell, lo, hi):
         alpha_hat, beta_hat, u = _summaries(y, x)
         for mi, method in enumerate(methods):
             log_ev, shrink = _evidence_and_shrinkage(u, n, method, sigma2, refit_per_model)
-            posterior = posterior_from_evidence(models, log_ev, space)
-            hpm_size, mpm_size = len(hpm(posterior)), len(mpm(posterior))
-            coefs = shrink * beta_hat
+            posterior = posterior_from_evidence(space, log_ev)
+            i_hpm, i_mpm = hpm(posterior), mpm(posterior)
+            coefs = shrink * beta_hat  # row i: the model of size i + 1
             bma_coef = posterior.posterior_prob @ coefs
-            for si, coef in enumerate((coefs[hpm_size - 1], coefs[mpm_size - 1], bma_coef)):
+            for si, coef in enumerate((coefs[i_hpm], coefs[i_mpm], bma_coef)):
                 losses[r, mi, si] = loss_fn(alpha_hat, coef)
-            sizes[r, mi] = hpm_size, mpm_size
+            sizes[r, mi] = space.sizes[i_hpm], space.sizes[i_mpm]
     return losses, sizes
 
 

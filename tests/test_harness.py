@@ -297,7 +297,8 @@ class TestRunBf:
         cfg = ExperimentConfig(experiment="bf", seed=0, methods=("ml2", "lb", "zs"))
         posteriors = run_bf(path, cfg)
         for method in ("ml2", "lb", "zs"):
-            assert hpm(posteriors[method]) == ()
+            post = posteriors[method]
+            assert post.models[hpm(post)] == ()
 
     def test_single_predictor_branch_behavior(self, tmp_path):
         # Low signal: constrained rule coincides with the unit-information
@@ -361,8 +362,8 @@ class TestRunBf:
             "p": len(labels),
             "methods": {
                 method: {
-                    "hpm": list(hpm(post)),
-                    "mpm": list(mpm(post)),
+                    "hpm": list(post.models[hpm(post)]),
+                    "mpm": list(post.models[mpm(post)]),
                     "inclusion_probs": inclusion_probs(post).tolist(),
                     "models": [{"model": list(m), "log_evidence": le, "prob": pr}
                                for m, le, pr in zip(post.models, post.log_evidence.tolist(),
@@ -516,6 +517,12 @@ class TestCli:
         ("figure_ar1", "k_grid = -1", "k_grid: '-1'"),
         ("figure_ar1", "g_grid = abc", "g_grid: 'abc'"),
         ("figure_ar1", "g_grid = 1e308", "g_grid: '1e308'"),
+        ("figure_ar1", "g_grid = 0.0001,0.0004", "g_grid: 0.0001 and 0.0004 share"),
+        ("figure_ar1", "g_grid = 5,5", "g_grid: '5' repeats '5'"),
+        ("figure_ar1", "g_grid = 5,5.0", "g_grid: '5.0' repeats '5'"),
+        ("figure_ar1", "k_grid = 0,3,0", "k_grid: '0' repeats '0'"),
+        ("table1", "n_grid = 5,10,5", "n_grid: '5' repeats '5'"),
+        ("anova", "p_grid = 30,30", "p_grid: '30' repeats '30'"),
         ("anova", "p_grid = 30,x", "p_grid: 'x'"), ("anova", "tau2 = abc", "tau2: 'abc'"),
         ("table1", "beta1 = abc", "beta1: 'abc'"),
         ("table1", "beta2 = nan", "beta2: 'nan'"),

@@ -27,6 +27,7 @@ from ml2bf.bayesfactors import (
 from ml2bf.modelspace import (
     ModelPosterior,
     ModelSpace,
+    entropy,
     hpm,
     inclusion_probs,
     mpm,
@@ -74,7 +75,7 @@ def datasets(draw, max_p=6):
 
 
 def _all_subsets(p):
-    return ModelSpace.all_subsets(p).models()
+    return ModelSpace.all_subsets(p).models
 
 
 class TestFitModels:
@@ -291,23 +292,42 @@ class TestEvidence:
             rule(stats)
 
 
+def _assert_rows_match(post):
+    """Every summary of a stacked posterior equals, row by row and bit for
+    bit, the summary of that row's posterior alone."""
+    summaries = (hpm, mpm, inclusion_probs, entropy)
+    stacked = [f(post) for f in summaries]
+    for j, log_ev in enumerate(post.log_evidence):
+        alone = posterior_from_evidence(post.space, log_ev)
+        np.testing.assert_array_equal(post.posterior_prob[j], alone.posterior_prob)
+        row = ModelPosterior(post.space, log_ev, post.posterior_prob[j])
+        for f, got in zip(summaries, stacked):
+            np.testing.assert_array_equal(got[j], f(alone))
+            np.testing.assert_array_equal(got[j], f(row))
+
+
 class TestSummariesOverMask:
     @settings(max_examples=60, **_SETTINGS)
-    @given(st.integers(1, 6), st.integers(0, 2**32 - 1))
+    @given(st.integers(0, 6), st.integers(0, 2**32 - 1))
     def test_inclusion_and_mpm_match_enumeration(self, p, seed):
         rng = np.random.default_rng(seed)
         space = ModelSpace.all_subsets(p)
-        models = space.models()
+        models = space.models
         log_ev = rng.normal(0.0, 3.0, len(models))
-        post = posterior_from_evidence(models, log_ev, space)
+        post = posterior_from_evidence(space, log_ev)
         by_hand = np.zeros(p)
         for model, prob in zip(models, post.posterior_prob):
             for j in model:
                 by_hand[j] += prob
         mask = fit_models(_any_dataset(p), models).mask
         np.testing.assert_allclose(inclusion_probs(post), by_hand, rtol=0, atol=1e-15)
-        np.testing.assert_array_equal(inclusion_probs(post, mask), inclusion_probs(post))
-        assert mpm(post, mask) == tuple(int(j) for j in np.flatnonzero(by_hand >= 0.5))
+        np.testing.assert_array_equal(space.mask, mask)
+        assert models[mpm(post)] == tuple(int(j) for j in np.flatnonzero(by_hand >= 0.5))
+        # Stacked with rows of ties (evidence rounded to a few levels) and of
+        # +inf markers, the summaries go row by row.
+        rows = np.vstack([log_ev, rng.normal(0.0, 3.0, (3, len(models))).round(),
+                          np.where(rng.random(len(models)) < 0.3, np.inf, 0.0)])
+        _assert_rows_match(posterior_from_evidence(space, rows))
 
 
 def _any_dataset(p):
@@ -377,7 +397,7 @@ def _assert_stack_matches(singles, stacked):
     alone = [orthogonalize(d) for d in singles]
     np.testing.assert_array_equal(ortho.x, np.stack([d.x for d in alone]))
     space = ModelSpace.all_subsets(stacked.p)
-    models = space.models()
+    models = space.models
     table = fit_models(ortho, models)
     tables = [fit_models(d, models) for d in alone]
     assert table.replicates == len(singles) and table.models == tables[0].models
@@ -391,10 +411,10 @@ def _assert_stack_matches(singles, stacked):
             np.testing.assert_array_equal(got[1], np.stack([e[1] for e in each]))
             got, each = got[0], [e[0] for e in each]
         np.testing.assert_array_equal(got, np.stack(each))
-        post = posterior_from_evidence(models, got, space)
+        post = posterior_from_evidence(space, got)
         assert post.posterior_prob.shape == got.shape
         for j, log_ev in enumerate(each):
-            single = posterior_from_evidence(models, log_ev, space)
+            single = posterior_from_evidence(space, log_ev)
             np.testing.assert_array_equal(post.posterior_prob[j], single.posterior_prob)
     return table
 
@@ -423,33 +443,48 @@ class TestReplicateAxis:
         assert np.all(np.isfinite(bic[0])) and np.isposinf(bic[1]).any()
         ghat = evidence("ghat", table)
         assert np.all(ghat[2] == 0.0)  # every model ties with the empty one
-        space = ModelSpace.all_subsets(p)
-        post = posterior_from_evidence(table.models, ghat, space)
-        row = ModelPosterior(models=post.models, log_evidence=ghat[2],
-                             posterior_prob=post.posterior_prob[2], space=space)
-        assert hpm(row) == ()
+        post = posterior_from_evidence(ModelSpace.all_subsets(p), ghat)
+        row = ModelPosterior(post.space, ghat[2], post.posterior_prob[2])
+        assert row.models[hpm(row)] == () and hpm(post)[2] == 0
 
     def test_posterior_rows_keep_ties_and_markers(self):
         space = ModelSpace.all_subsets(2, model_prior="uniform_size")
-        models = space.models()  # (), (0,), (1,), (0, 1)
+        models = space.models  # (), (0,), (1,), (0, 1)
         rows = np.array([
             [0.0, 1.5, 1.5, -2.0],              # exact tie of the two one-predictor models
             [0.0, np.inf, np.inf, np.inf],      # several markers: the tie-break picks (0,)
             [0.0, 0.0, 0.0, np.inf],            # one marker
             [3.0, 3.0, 3.0, 3.0],
         ])
-        post = posterior_from_evidence(models, rows, space)
+        post = posterior_from_evidence(space, rows)
+        _assert_rows_match(post)
         winners = []
         for j, log_ev in enumerate(rows):
-            single = posterior_from_evidence(models, log_ev, space)
+            single = posterior_from_evidence(space, log_ev)
             np.testing.assert_array_equal(post.posterior_prob[j], single.posterior_prob)
-            row = ModelPosterior(models=post.models, log_evidence=log_ev,
-                                 posterior_prob=post.posterior_prob[j], space=space)
+            row = ModelPosterior(space, log_ev, post.posterior_prob[j])
             assert hpm(row) == hpm(single)
-            winners.append(hpm(row))
+            winners.append(models[hpm(row)])
         assert winners == [(0,), (0,), (0, 1), ()]
+        # The last row's inclusion probabilities are exactly 1/6 + 1/3 = 1/2.
+        assert [models[i] for i in mpm(post)] == [(), (0,), (0, 1), (0, 1)]
         with pytest.raises(ValueError, match="length must match"):
-            posterior_from_evidence(models, rows[:, :3], space)
+            posterior_from_evidence(space, rows[:, :3])
+        # Nested with the empty model: it wins a tie, a marker and a clear lead.
+        nested = ModelSpace.nested(3, include_null=True)
+        post = posterior_from_evidence(nested, [[2.0, 2.0, 2.0, 2.0],
+                                                [np.inf, 0.0, np.inf, 0.0],
+                                                [9.0, 0.0, 0.0, 0.0],
+                                                [0.0, 0.0, 0.0, 9.0]])
+        _assert_rows_match(post)
+        np.testing.assert_array_equal(hpm(post), [0, 0, 0, 3])
+        np.testing.assert_array_equal(mpm(post), [2, 0, 0, 3])
+        # p = 0: the empty model is the whole space.
+        space = ModelSpace.all_subsets(0)
+        _assert_rows_match(posterior_from_evidence(space, [[0.0], [np.inf]]))
+        post = posterior_from_evidence(space, [0.0])
+        assert hpm(post) == mpm(post) == 0
+        assert inclusion_probs(post).shape == (0,) and entropy(post) == 0.0
 
     def test_rank_deficient_replicate_is_named(self):
         rng = np.random.default_rng(1)

@@ -15,26 +15,40 @@ from ml2bf.modelspace import (
     mpm,
     posterior_from_evidence,
 )
-from ml2bf.regression import fit_suffstats
+from ml2bf.regression import fit_suffstats, model_mask
 
 from util import random_dataset
 
 
-def _posterior(models, log_ev, space=None):
-    space = space or ModelSpace.all_subsets(max((max(m) + 1 for m in models if m), default=1))
-    return posterior_from_evidence(models, log_ev, space)
+def _posterior(models, log_ev):
+    """Posterior over the all-subsets space of the predictors ``models``
+    name: each given model has its log evidence, every other model -inf."""
+    space = ModelSpace.all_subsets(max((max(m) + 1 for m in models if m), default=0))
+    full = np.full(len(space.models), -np.inf)
+    full[[space.models.index(m) for m in models]] = log_ev
+    return posterior_from_evidence(space, full)
 
 
 class TestModelSpace:
     def test_all_subsets_enumeration(self):
         space = ModelSpace.all_subsets(3)
-        models = space.models()
+        models = space.models
         assert len(models) == 8
         assert () in models and (0, 1, 2) in models
 
     def test_nested_enumeration(self):
-        assert ModelSpace.nested(3).models() == [(0,), (0, 1), (0, 1, 2)]
-        assert ModelSpace.nested(2, include_null=True).models() == [(), (0,), (0, 1)]
+        assert ModelSpace.nested(3).models == ((0,), (0, 1), (0, 1, 2))
+        assert ModelSpace.nested(2, include_null=True).models == ((), (0,), (0, 1))
+
+    @pytest.mark.parametrize("space", [ModelSpace.all_subsets(p) for p in range(9)]
+                             + [ModelSpace.nested(k, include_null=null)
+                                for k in (1, 4, 79) for null in (False, True)],
+                             ids=lambda s: f"{s.kind}-{s.size}-null{int(s.include_null)}")
+    def test_parsimony_then_lexicographic_order(self, space):
+        # The argmax and +inf tie-breaks take the first model in this order.
+        assert space.models == tuple(sorted(space.models, key=lambda m: (len(m), m)))
+        np.testing.assert_array_equal(space.sizes, [len(m) for m in space.models])
+        np.testing.assert_array_equal(space.mask, model_mask(space.models, space.size))
 
     def test_enumeration_guard(self):
         with pytest.raises(ValueError, match="capped"):
@@ -42,8 +56,8 @@ class TestModelSpace:
 
     def test_uniform_size_prior(self):
         space = ModelSpace.all_subsets(2, model_prior="uniform_size")
-        models = space.models()
-        lp = space.log_prior(models)
+        models = space.models
+        lp = space.log_prior
         probs = np.exp(lp)
         assert probs.sum() == pytest.approx(1.0)
         by_size = {0: 0.0, 1: 0.0, 2: 0.0}
@@ -58,16 +72,11 @@ class TestModelSpace:
             counts = {s: sizes.count(s) for s in set(sizes)}
             return np.array([-math.log(len(counts)) - math.log(counts[s]) for s in sizes])
 
-        rng = np.random.default_rng(61)
         spaces = [ModelSpace.all_subsets(p, model_prior="uniform_size") for p in (0, 1, 5, 10)]
         spaces += [ModelSpace.nested(k, include_null=null) for k in (1, 7, 79)
                    for null in (False, True)]
         for space in spaces:
-            models = space.models()
-            shuffled = [models[i] for i in rng.permutation(len(models))]
-            partial = shuffled[: max(1, len(models) // 3)]
-            for group in (models, shuffled, partial):
-                np.testing.assert_array_equal(space.log_prior(group), counted(group))
+            np.testing.assert_array_equal(space.log_prior, counted(space.models))
 
 
 class TestPosterior:
@@ -78,26 +87,13 @@ class TestPosterior:
     def test_normalization(self):
         rng = np.random.default_rng(0)
         log_ev = rng.normal(0, 300, 32)  # overflow-scale spread
-        space = ModelSpace.all_subsets(5)
-        post = posterior_from_evidence(space.models(), log_ev, space)
+        post = posterior_from_evidence(ModelSpace.all_subsets(5), log_ev)
         assert abs(post.posterior_prob.sum() - 1.0) < 1e-12
         assert np.all(post.posterior_prob >= 0)
 
     def test_infinite_marker_takes_all_mass(self):
         post = _posterior([(), (0,), (1,), (0, 1)], [0.0, math.inf, 1.0, math.inf])
         np.testing.assert_array_equal(post.posterior_prob, [0.0, 1.0, 0.0, 0.0])
-
-    def test_order_invariance(self):
-        rng = np.random.default_rng(1)
-        ds = random_dataset(rng, n=30, p=4)
-        space = ModelSpace.all_subsets(4)
-        post = enumerate_models(ds, space, PriorMethod.bic())
-        lookup = dict(zip(post.models, post.posterior_prob))
-        order = rng.permutation(len(post.models))
-        models2 = [post.models[i] for i in order]
-        post2 = posterior_from_evidence(models2, post.log_evidence[order], space)
-        for m, pr in zip(post2.models, post2.posterior_prob):
-            assert pr == pytest.approx(lookup[m], abs=1e-14)
 
 
 class TestEnumerate:
@@ -136,21 +132,22 @@ class TestEnumerate:
 
 class TestSummaries:
     def test_hpm_single_model(self):
-        assert hpm(_posterior([(0,)], [0.0])) == (0,)
+        post = _posterior([(0,)], [0.0])
+        assert post.models[hpm(post)] == (0,)
 
     def test_hpm_clear_winner(self):
         post = _posterior([(0,), (1,)], [math.log(0.7), math.log(0.3)])
-        assert hpm(post) == (0,)
+        assert post.models[hpm(post)] == (0,)
 
     def test_hpm_tie_breaks_to_smaller(self):
         post = _posterior([(0, 1), (0,)], [2.0, 2.0])
-        assert hpm(post) == (0,)
+        assert post.models[hpm(post)] == (0,)
         post = _posterior([(1,), (0,)], [2.0, 2.0])
-        assert hpm(post) == (0,)
+        assert post.models[hpm(post)] == (0,)
 
     def test_mpm_point_mass(self):
         post = _posterior([(), (0,), (1,), (0, 1)], [0.0, 0.0, 0.0, 40.0])
-        assert mpm(post) == (0, 1)
+        assert post.models[mpm(post)] == (0, 1)
 
     def test_mpm_hand_enumeration(self):
         # probs 0.4, 0.2, 0.2, 0.2 -> inclusion (0.4, 0.4) -> empty model
@@ -158,15 +155,12 @@ class TestSummaries:
         post = _posterior([(), (0,), (1,), (0, 1)], logs)
         incl = inclusion_probs(post)
         np.testing.assert_allclose(incl, [0.4, 0.4], atol=1e-12)
-        assert mpm(post) == ()
+        assert post.models[mpm(post)] == ()
 
     def test_mpm_nested_cumulative(self):
-        space = ModelSpace.nested(3)
-        post = posterior_from_evidence(
-            space.models(), np.log([0.3, 0.3, 0.4]), space
-        )
+        post = posterior_from_evidence(ModelSpace.nested(3), np.log([0.3, 0.3, 0.4]))
         # tail mass by size: 1.0, 0.7, 0.4 -> largest size with tail >= 1/2 is 2
-        assert mpm(post) == (0, 1)
+        assert post.models[mpm(post)] == (0, 1)
 
     def test_inclusion_extremes(self):
         post = _posterior([(0, 1)], [0.0])
@@ -176,8 +170,7 @@ class TestSummaries:
 
     def test_entropy_values(self):
         assert entropy(_posterior([(0,), (1,)], [50.0, 0.0])) == pytest.approx(0.0, abs=1e-12)
-        space = ModelSpace.all_subsets(8)
-        post = posterior_from_evidence(space.models(), np.zeros(256), space)
+        post = posterior_from_evidence(ModelSpace.all_subsets(8), np.zeros(256))
         assert entropy(post) == pytest.approx(math.log(256))
         post = _posterior([(), (0,), (1,)], np.log([0.5, 0.25, 0.25]))
         assert entropy(post) == pytest.approx(1.5 * math.log(2))

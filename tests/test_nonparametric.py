@@ -203,8 +203,7 @@ def _nested_posterior(y, x, method, refit_per_model=True):
     """Posterior over the nested truncations, as the study computes it."""
     n, k = x.shape
     log_ev, _ = _evidence_and_shrinkage(_summaries(y, x)[2], n, method, 1.0, refit_per_model)
-    space = ModelSpace.nested(k)
-    return posterior_from_evidence(space.models(), log_ev, space)
+    return posterior_from_evidence(ModelSpace.nested(k), log_ev)
 
 
 class TestNestedEvidence:
@@ -228,7 +227,7 @@ class TestNestedEvidence:
         sse = [np.linalg.lstsq(np.column_stack([np.ones(n), x[:, :j]]), y, rcond=None)[1][0]
                for j in range(k + 1)]
         crit = [sse[j] + j * math.log(n) for j in range(1, k + 1)]
-        assert len(hpm(post)) == int(np.argmin(crit)) + 1
+        assert len(post.models[hpm(post)]) == int(np.argmin(crit)) + 1
 
     def test_ml2_cross_module_equivalence(self):
         # Fast orthogonal path vs the general machinery, model by model.
