@@ -336,7 +336,7 @@ def _table1_chunk(cell, lo, hi):
                 if design_scale == "corrected":
                     x = x * math.sqrt((n - 1.0) / n)
                 y = x @ beta + eps[ni]
-                table = fit_models(orthogonalize(Dataset.with_intercept(y, x)), space.models)
+                table = fit_models(orthogonalize(Dataset.with_intercept(y, x)), space)
             except ValueError as exc:
                 raise ValueError(f"n={n}, r={r_values[ri]}, stack of replicates "
                                  f"{lo}..{hi - 1}: {exc}") from None
@@ -426,7 +426,7 @@ def _figure_chunk(cell, lo, hi):
             beta[list(active)] = rng.normal(0.0, math.sqrt(g_signal), size=k_active)
         y = _FIG_ALPHA + x @ beta + rng.standard_normal(n)
         ds = orthogonalize(Dataset.with_intercept(y, x))
-        table = fit_models(ds, space.models)
+        table = fit_models(ds, space)
         gram_full = x.T @ x
         for mi, method in enumerate(methods):
             log_ev, shrink = evidence(method, table, want_shrinkage=True, zs_rule=zs_rule)
@@ -629,7 +629,7 @@ def run_bf(dataset_path, cfg: ExperimentConfig) -> dict:
     if dependent.any():
         raise ConfigError(f"linearly dependent columns: {', '.join(np.array(labels)[dependent])} "
                           "(each a combination of the common and earlier candidate columns)")
-    table = fit_models(ds, space.models)
+    table = fit_models(ds, space)
     posteriors = {method: posterior_from_evidence(space, evidence(method, table))
                   for method in methods}
     if cfg.output_dir:

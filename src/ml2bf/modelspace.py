@@ -31,9 +31,9 @@ __all__ = [
 
 # Time and memory of an all-subsets run double with each added predictor.
 # `ml2bf bf` on a 100-row CSV under all six rules (2-core VM, one BLAS
-# thread, wall time of the whole process) took 0.6 s / 62 MB peak at
-# p = 12, 0.9 s / 81 MB at 13, 1.6 s / 128 MB at 14, 2.8 s / 219 MB at 15
-# and 5.4 s / 421 MB at 16 (the same figures are in the README).
+# thread, wall time of the whole process) took 0.6 s / 46 MB peak at
+# p = 12, 0.6 s / 49 MB at 13, 1.2 s / 59 MB at 14, 2.0 s / 83 MB at 15
+# and 3.5 s / 136 MB at 16 (the same figures are in the README).
 _MAX_ALL_SUBSETS = 16
 
 
@@ -58,11 +58,14 @@ class ModelSpace:
             raise ValueError(f"unknown model_prior {self.model_prior!r}")
         if self.size < 0:
             raise ValueError("size must be nonnegative")
+        if self.kind == "nested" and self.size == 0 and not self.include_null:
+            raise ValueError("empty model space: a nested space without the null model "
+                             "needs size >= 1")
         if self.kind == "all_subsets" and self.size > _MAX_ALL_SUBSETS:
             raise ValueError(
                 f"all-subsets enumeration capped at {_MAX_ALL_SUBSETS} predictors, "
                 f"got {self.size}: time and memory double with each predictor, "
-                f"and {2**_MAX_ALL_SUBSETS} models already take about 5 s and 0.42 GB "
+                f"and {2**_MAX_ALL_SUBSETS} models already take about 3.5 s and 0.14 GB "
                 "in `ml2bf bf` (see the README)"
             )
 
@@ -86,13 +89,18 @@ class ModelSpace:
         start = 0 if self.include_null else 1
         return tuple(tuple(range(j)) for j in range(start, self.size + 1))
 
+    # mask and sizes are shared by every table fitted over the space.
     @cached_property
     def mask(self) -> np.ndarray:
-        return model_mask(self.models, self.size)
+        mask = model_mask(self.models, self.size)
+        mask.flags.writeable = False
+        return mask
 
     @cached_property
     def sizes(self) -> np.ndarray:
-        return np.count_nonzero(self.mask, axis=1)
+        sizes = np.count_nonzero(self.mask, axis=1)
+        sizes.flags.writeable = False
+        return sizes
 
     @cached_property
     def log_prior(self) -> np.ndarray:
@@ -129,8 +137,6 @@ def posterior_from_evidence(space: ModelSpace, log_ev) -> ModelPosterior:
     """
     m = len(space.models)
     log_ev = np.asarray(log_ev, dtype=np.float64)
-    if m == 0:
-        raise ValueError("empty model space")
     if log_ev.ndim not in (1, 2) or log_ev.shape[-1] != m:
         raise ValueError("log evidence length must match the model space")
     rows = log_ev.reshape(-1, m)
@@ -155,7 +161,7 @@ def enumerate_models(dataset: Dataset, space: ModelSpace, method: PriorMethod) -
     convention); a model that cannot be fitted raises with its index and
     columns attached.
     """
-    return posterior_from_evidence(space, evidence(method, fit_models(dataset, space.models)))
+    return posterior_from_evidence(space, evidence(method, fit_models(dataset, space)))
 
 
 def hpm(posterior: ModelPosterior):

@@ -372,20 +372,30 @@ class ModelTable:
 def fit_models(dataset: Dataset, models) -> ModelTable:
     """``fit_suffstats`` for every subset in ``models``, batched by model size.
 
-    The dataset must already be orthogonalized.  The common predictors are
-    projected out of y once, and all models of one size share one stacked
-    QR factorization, over the replicates too when the dataset is stacked:
-    each replicate's fits are bit for bit those of fitting it alone.
-    Coefficients, sse and ssr do not depend on the signs QR gives R's rows,
-    so the sign convention applies only in ``gram_chol``.  A model that
-    ``fit_suffstats`` rejects raises the same ValueError here, prefixed with
-    the index and columns of the first such model (and, when stacked, of the
-    first replicate that has one).
+    ``models`` is a list of column subsets, or a ``ModelSpace`` whose cached
+    models and mask are used as they are.  The dataset must already be
+    orthogonalized.  The common predictors are projected out of y once, and
+    [x, y~] = Q R is factored once per replicate, R having min(n, p + 1)
+    rows.  As x[:, S] = Q R[:, S], all models of one size are fitted by one
+    stacked QR of their columns of R against R's last column: the singular
+    values of x[:, S] on p + 1 rows instead of n.  Each replicate's fits
+    are bit for bit those of fitting it alone.  Coefficients, sse and ssr
+    do not depend on the signs QR gives R's rows, so the sign convention
+    applies only in ``gram_chol``.
+    A model that ``fit_suffstats`` rejects raises the same ValueError here,
+    prefixed with the index and columns of the first such model (and, when
+    stacked, of the first replicate that has one).
     """
     n, p0, p = dataset.n, dataset.p0, dataset.p
-    models, mask = _canonical_models(models, p)
+    # A ModelSpace (duck-typed: modelspace imports this module) over these
+    # columns carries its models in canonical order with their mask.
+    space_mask = getattr(models, "mask", None)
+    if space_mask is not None and space_mask.shape[1] == p:
+        models, mask, sizes = models.models, space_mask, models.sizes
+    else:
+        models, mask = _canonical_models(getattr(models, "models", models), p)
+        sizes = np.count_nonzero(mask, axis=1)
     m = len(models)
-    sizes = np.count_nonzero(mask, axis=1)
     # The single dataset is the one-replicate stack.
     stacked = dataset.replicates is not None
     y = dataset.y if stacked else dataset.y[None]
@@ -417,19 +427,23 @@ def fit_models(dataset: Dataset, models) -> ModelTable:
     sse = np.repeat(tss, m, axis=1)
     ssr = np.zeros((reps, m))
     beta = np.zeros((reps, m, p))
-    xt = np.ascontiguousarray(np.swapaxes(x, -1, -2))
+    # [x, y~] = Q R, so each model is fitted from R's min(n, p + 1) rows:
+    # its columns of R in place of x[:, S], R's last column in place of y~.
+    r_full = np.linalg.qr(np.concatenate([x, ytilde[..., None]], axis=-1), mode="r")
+    rt = np.ascontiguousarray(np.swapaxes(r_full[..., :p], -1, -2))
+    r_y = r_full[..., p]
     # The sizes present, without np.unique: it imports numpy.ma on first use.
     for k in np.flatnonzero(np.bincount(sizes[(sizes > 0) & ~too_small])):
         sel = np.flatnonzero(sizes == k)
         idx = np.nonzero(mask[sel])[1].reshape(sel.size, k)
-        q, r = np.linalg.qr(np.swapaxes(xt[:, idx], -1, -2))
+        q, r = np.linalg.qr(np.swapaxes(rt[:, idx], -1, -2))
         diag = np.abs(np.diagonal(r, axis1=-2, axis2=-1))
         rank_deficient[:, sel] = np.any(
             diag <= RANK_RTOL * np.maximum(col_norms[:, idx], 1e-300), axis=-1)
         if rank_deficient[:, sel].any() or not_orthogonal[:, sel].any():
             continue
-        u = (ytilde[:, None, None, :] @ q)[..., 0, :]
-        resid = ytilde[:, None, :] - (q @ u[..., None])[..., 0]
+        u = (r_y[:, None, None, :] @ q)[..., 0, :]
+        resid = r_y[:, None, :] - (q @ u[..., None])[..., 0]
         beta[:, sel[:, None], idx] = np.linalg.solve(r, u[..., None])[..., 0]
         sse[:, sel] = np.einsum("...j,...j->...", resid, resid)
         ssr[:, sel] = np.einsum("...j,...j->...", u, u)

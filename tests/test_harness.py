@@ -652,6 +652,8 @@ class TestBlasThreads:
         settings = [("table1", ""), ("figure_ar1", "g_grid = 5\nk_grid = 0,3\n"),
                     ("shibata", "scenario = 1\n")]
         data = _write_data_csv(tmp_path, 40, 4)
+        # A tall dataset: every fit hangs on one QR of its 2000 x 7 [x, y].
+        tall = _write_data_csv(tmp_path, 2000, 6, name="tall.csv")
         outs = {}
         for threads in ("1", "2"):
             runs = []
@@ -662,22 +664,24 @@ class TestBlasThreads:
                              "--replicates", "2", "--out", str(tmp_path / threads)])
             runs.append(["bf", str(data), "--out", str(tmp_path / threads),
                          "--methods", "ml,lb,bic,bicprior,zs,ghat"])
+            runs.append(["bf", str(tall), "--out", str(tmp_path / threads / "tall")])
             src = os.path.dirname(os.path.dirname(bayesfactors.__file__))
             env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads)
             done = subprocess.run([sys.executable, "-c", _RUN_ALL, json.dumps(runs)],
                                   capture_output=True, text=True, env=env, timeout=300)
             assert done.returncode == 0, done.stderr
-            outs[threads] = {f.name: f.read_bytes() for f in (tmp_path / threads).iterdir()}
-        assert len(outs["1"]) == 8
+            outs[threads] = {str(f.relative_to(tmp_path / threads)): f.read_bytes()
+                             for f in (tmp_path / threads).rglob("*") if f.is_file()}
+        assert len(outs["1"]) == 10
         assert outs["1"] == outs["2"]
 
 
-def _write_data_csv(tmp_path, n, p, seed=0):
+def _write_data_csv(tmp_path, n, p, seed=0, name="data.csv"):
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((n, p))
     y = 1.0 + x[:, 0] + rng.standard_normal(n)
     lines = ["y," + ",".join(f"x{j + 1}" for j in range(p))]
     lines += [",".join(repr(float(v)) for v in (y[i], *x[i])) for i in range(n)]
-    path = tmp_path / "data.csv"
+    path = tmp_path / name
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return path

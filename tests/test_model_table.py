@@ -4,6 +4,7 @@ against one dataset at a time."""
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -150,6 +151,101 @@ class TestFitModels:
             assert str(info.value) == message
         else:
             assert str(info.value) == f"model {i} (columns {tuple(model)}): {message}"
+
+
+def _paired_dataset(n, p, cond, load, seed=0):
+    """Intercept plus p centered columns, the first two unit columns a and
+    cos(t) a + sin(t) b at condition number ``cond`` = cot(t/2), the others
+    orthogonal to b, all scaled by sqrt(n).  b is the near-singular
+    direction of every model holding the pair, and the response loads on it
+    ``load`` times as much as a random vector would."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, p))
+    x -= x.mean(axis=0)
+    a, b = np.linalg.qr(x[:, :2])[0].T
+    theta = 2.0 * math.atan(1.0 / cond)
+    x[:, 0], x[:, 1] = a, math.cos(theta) * a + math.sin(theta) * b
+    x[:, 2:] -= np.outer(b, b @ x[:, 2:])
+    x[:, 2:] /= np.linalg.norm(x[:, 2:], axis=0)
+    x *= math.sqrt(n)
+    signal = x[:, 0] + 0.5 * x[:, -1] + rng.standard_normal(n)
+    signal += (load - 1.0) * (b @ signal) * b
+    return orthogonalize(Dataset.with_intercept(2.0 + signal, x))
+
+
+def _mp_least_squares(ds, cols):
+    """sse and ssr of the selected columns, taken as exactly orthogonal to
+    the common ones (what ``orthogonalize`` promises), from the normal
+    equations in 40-digit arithmetic."""
+    with mpmath.workdps(40):
+        y = mpmath.matrix(ds.y.tolist())
+
+        def residual(a, v):
+            a = mpmath.matrix(a.tolist())
+            return v - a * mpmath.lu_solve(a.T * a, a.T * v)
+
+        ytilde = residual(ds.x0, y)
+        tss = mpmath.fsum(r**2 for r in ytilde)
+        if not cols:
+            return float(tss), 0.0
+        sse = mpmath.fsum(r**2 for r in residual(ds.x[:, list(cols)], ytilde))
+        return float(sse), float(tss - sse)
+
+
+class TestFitModelsEdgeCases:
+    """Ill-conditioned designs and the smallest sample sizes, against
+    ``fit_suffstats`` and a 40-digit least-squares reference."""
+
+    @pytest.mark.parametrize("n, p, cond", [
+        (30, 4, 1e4), (30, 4, 1e6), (30, 4, 1e8), (30, 4, 1e9),
+        (6, 4, 1e4),      # n = p0 + p + 1
+        (6, 8, 1e6),      # n < p + 1: only the models that fit
+    ], ids=["cond1e4", "cond1e6", "cond1e8", "cond1e9", "minimal_n", "n_below_p"])
+    @pytest.mark.parametrize("load", [0.0, 1.0], ids=["unloaded", "loaded"])
+    def test_matches_fit_suffstats_and_reference(self, n, p, cond, load):
+        # A backward-stable fit's sums of squares err by about eps * cond
+        # times the response's load on the near-singular direction (a fit
+        # through the Gram matrix would err by eps * cond**2); without that
+        # load every model is within 1e-12 of tss.  Its fitted values err by
+        # about eps * cond either way.
+        eps = np.finfo(float).eps
+        tol = max(1e-12, load * eps * cond)
+        ds = _paired_dataset(n, p, cond, load)
+        space = ModelSpace.all_subsets(p)
+        models = [m for m in space.models if len(m) < n - ds.p0]
+        table = fit_models(ds, models)
+        tss = fit_suffstats(ds, ()).sse
+        for i, model in enumerate(models):
+            s = fit_suffstats(ds, model)
+            sse_ref, ssr_ref = _mp_least_squares(ds, model)
+            for sse, ssr in ((table.sse[i], table.ssr[i]), (s.sse, s.ssr)):
+                assert abs(sse - sse_ref) <= tol * tss, (model, sse, sse_ref)
+                assert abs(ssr - ssr_ref) <= tol * tss, (model, ssr, ssr_ref)
+            cols = list(model)
+            gap = ds.x[:, cols] @ (table.beta[i, cols] - s.beta_hat)
+            assert gap @ gap <= (eps * cond) ** 2 * tss
+
+    def test_near_singular_pair_is_rank_deficient(self):
+        ds = _paired_dataset(30, 4, 1e11, 1.0)
+        models = ModelSpace.all_subsets(4).models
+        i = models.index((0, 1))
+        with pytest.raises(ValueError) as alone:
+            fit_suffstats(ds, (0, 1))
+        assert "rank deficient" in str(alone.value)
+        with pytest.raises(ValueError) as info:
+            fit_models(ds, models)
+        assert str(info.value) == f"model {i} (columns (0, 1)): {alone.value}"
+
+    @pytest.mark.parametrize("space", [ModelSpace.all_subsets(5), ModelSpace.nested(5),
+                                       ModelSpace.nested(3, include_null=True)],
+                             ids=lambda s: f"{s.kind}-{s.size}")
+    def test_space_and_its_model_list_fit_alike(self, space):
+        ds = _paired_dataset(20, 5, 10.0, 1.0)
+        table = fit_models(ds, space)
+        listed = fit_models(ds, list(space.models))
+        assert table.models == listed.models == space.models
+        for name in ("sizes", "mask", "sse", "ssr", "beta"):
+            np.testing.assert_array_equal(getattr(table, name), getattr(listed, name))
 
 
 def _table(n, p0, sizes, sse, ssr):

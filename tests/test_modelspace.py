@@ -54,6 +54,12 @@ class TestModelSpace:
         with pytest.raises(ValueError, match="capped"):
             ModelSpace.all_subsets(26)
 
+    def test_empty_space_is_rejected(self):
+        with pytest.raises(ValueError, match="empty model space"):
+            ModelSpace.nested(0)
+        assert ModelSpace.nested(0, include_null=True).models == ((),)
+        assert ModelSpace.all_subsets(0).models == ((),)
+
     def test_uniform_size_prior(self):
         space = ModelSpace.all_subsets(2, model_prior="uniform_size")
         models = space.models
