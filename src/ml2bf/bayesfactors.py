@@ -1,16 +1,17 @@
 """Closed-form log marginal likelihoods and null-based Bayes factors.
 
 Everything is computed and returned in the natural-log domain; conversion to
-probabilities happens only at the model-space layer.  A perfect fit
-(r2 indistinguishable from 1) is reported as +inf, an explicit
-overwhelming-evidence marker, never as a silent overflow.
+probabilities happens only at the model-space layer.  Every rule scores the
+null model 0 and an exact fit (r2 >= ``R2_SATURATION``) +inf, an explicit
+overwhelming-evidence marker, never a silent overflow.
 
 The scalar ``log_bf_*`` functions score one ``SuffStats``; ``evidence``
-scores every model of a ``ModelTable`` at once with the same branches.
+scores every model of a ``ModelTable`` at once with the same branches and
+alone decides its markers: the Zellner-Siow kernels only integrate.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,12 +41,12 @@ __all__ = [
     "ml2_known_variance_log_bf",
     "zs_evidence_batch",
     "zs_laplace_batch",
-    "zs_posterior_shrinkage",
     "evidence",
     "METHOD_KINDS",
+    "ZS_RULES",
 ]
 
-# r2 beyond this is treated as an exact fit and mapped to the +inf marker.
+# r2 at or beyond this is an exact fit, scored +inf by every rule.
 R2_SATURATION = 1.0 - 1e-14
 
 
@@ -109,21 +110,19 @@ class Ml2Covariance:
 
 
 METHOD_KINDS = ("ml2", "lb", "bic", "bicprior", "zs", "ghat", "aic")
+ZS_RULES = ("exact", "laplace")  # how ``evidence`` scores the zs rule
 
 _METHOD_ALIASES = {"ml": "ml2", "bic_prior": "bicprior", "local_eb": "ghat"}
 
 
 @dataclass(frozen=True)
 class PriorMethod:
-    """Tagged choice of evidence rule.
-
-    ``lb`` carries an optional fixed g (defaults to the sample size at
-    evaluation time); ``zs`` carries its quadrature configuration.
-    """
+    """An evidence rule's name (one of ``METHOD_KINDS``), plus the fixed g
+    that only ``lb`` takes (the sample size when None).  ``evidence`` also
+    takes the bare name."""
 
     kind: str
     g: float | None = None
-    quadrature: QuadratureConfig = field(default_factory=QuadratureConfig)
 
     def __post_init__(self):
         if self.kind not in METHOD_KINDS:
@@ -133,34 +132,6 @@ class PriorMethod:
                 raise ValueError("fixed g only applies to the lb rule")
             if not self.g > 0:
                 raise ValueError("g must be positive")
-
-    @classmethod
-    def ml2(cls):
-        return cls(kind="ml2")
-
-    @classmethod
-    def lb(cls, g=None):
-        return cls(kind="lb", g=None if g is None else float(g))
-
-    @classmethod
-    def bic(cls):
-        return cls(kind="bic")
-
-    @classmethod
-    def bic_prior(cls):
-        return cls(kind="bicprior")
-
-    @classmethod
-    def zs(cls, quadrature=None):
-        return cls(kind="zs", quadrature=quadrature or QuadratureConfig())
-
-    @classmethod
-    def ghat(cls):
-        return cls(kind="ghat")
-
-    @classmethod
-    def aic(cls):
-        return cls(kind="aic")
 
     @classmethod
     def parse(cls, token: str) -> "PriorMethod":
@@ -173,6 +144,16 @@ def _require_scope(stats: SuffStats):
         raise ValueError(
             f"insufficient sample size: n={stats.n}, p0={stats.p0}, p={stats.p}"
         )
+
+
+def _marker(stats: SuffStats) -> float | None:
+    """The null model's 0 and an exact fit's +inf, or None for a model that
+    its rule scores."""
+    if stats.p == 0:
+        return 0.0
+    if stats.r2 >= R2_SATURATION:
+        return math.inf
+    return None
 
 
 def _one_minus_r2(stats: SuffStats) -> float:
@@ -201,11 +182,8 @@ def log_bf_gprior(stats: SuffStats, g: float) -> float:
     _require_scope(stats)
     if not g > 0:
         raise ValueError("g must be positive")
-    if stats.p == 0:
-        return 0.0
-    r2 = stats.r2
-    if r2 >= R2_SATURATION:
-        return math.inf
+    if (marker := _marker(stats)) is not None:
+        return marker
     q = stats.n - stats.p0
     omr2 = _one_minus_r2(stats)
     return 0.5 * (q - stats.p) * math.log1p(g) - 0.5 * q * math.log1p(g * omr2)
@@ -219,12 +197,10 @@ def log_bf_ml2(stats: SuffStats) -> float:
     fitted covariance is active.
     """
     _require_scope(stats)
-    if stats.p == 0:
-        return 0.0
+    if (marker := _marker(stats)) is not None:
+        return marker
     n, p0, p = stats.n, stats.p0, stats.p
     r2 = stats.r2
-    if r2 >= R2_SATURATION:
-        return math.inf
     if r2 <= (n + 1) / (2 * n - p0):
         return log_bf_gprior(stats, float(n))
     q = n - p0
@@ -251,10 +227,8 @@ def shrinkage_factor_ml2(stats: SuffStats) -> float:
 def log_bf_bic(stats: SuffStats) -> float:
     """Log Bayes factor implied by treating exp(-BIC/2) as the marginal."""
     _require_scope(stats)
-    if stats.p == 0:
-        return 0.0
-    if stats.r2 >= R2_SATURATION:
-        return math.inf
+    if (marker := _marker(stats)) is not None:
+        return marker
     omr2 = _one_minus_r2(stats)
     return -0.5 * stats.p * math.log(stats.n) - 0.5 * stats.n * math.log(omr2)
 
@@ -262,10 +236,8 @@ def log_bf_bic(stats: SuffStats) -> float:
 def log_bf_bic_prior(stats: SuffStats) -> float:
     """Log Bayes factor of the MLE-centered unit-information normal prior."""
     _require_scope(stats)
-    if stats.p == 0:
-        return 0.0
-    if stats.r2 >= R2_SATURATION:
-        return math.inf
+    if (marker := _marker(stats)) is not None:
+        return marker
     omr2 = _one_minus_r2(stats)
     q = stats.n - stats.p0
     return -0.5 * stats.p * math.log(stats.n + 1) - 0.5 * q * math.log(omr2)
@@ -274,10 +246,8 @@ def log_bf_bic_prior(stats: SuffStats) -> float:
 def log_bf_aic(stats: SuffStats) -> float:
     """Log Bayes factor from exp(-AIC/2) with the criterion -2*loglik + 2p."""
     _require_scope(stats)
-    if stats.p == 0:
-        return 0.0
-    if stats.r2 >= R2_SATURATION:
-        return math.inf
+    if (marker := _marker(stats)) is not None:
+        return marker
     omr2 = _one_minus_r2(stats)
     return -0.5 * stats.n * math.log(omr2) - stats.p
 
@@ -290,11 +260,9 @@ def log_bf_local_eb(stats: SuffStats) -> tuple[float, float]:
     log Bayes factor is therefore never negative.
     """
     _require_scope(stats)
-    if stats.p == 0:
-        return 0.0, 0.0
+    if (marker := _marker(stats)) is not None:
+        return marker, marker
     r2 = stats.r2
-    if r2 >= R2_SATURATION:
-        return math.inf, math.inf
     q = stats.n - stats.p0
     omr2 = _one_minus_r2(stats)
     g_hat = max(0.0, (q * r2 - stats.p) / (stats.p * omr2))
@@ -482,15 +450,16 @@ _GAUSS_W = np.concatenate([_QK21_WG, _QK21_WG[::-1]])  # on _KRONROD_X[1::2]
 _ROUNDOFF = 50 * np.finfo(np.float64).eps
 
 
-def _zs_batch(p_sizes, one_minus_r2):
-    """Sizes and 1 - r2 as arrays, log Bayes factors holding the null (0)
-    and saturation (+inf) markers, and the mask of models left to score."""
-    p_arr = np.atleast_1d(np.asarray(p_sizes, dtype=np.float64))
-    omr2 = np.atleast_1d(np.asarray(one_minus_r2, dtype=np.float64))
-    if p_arr.shape != omr2.shape:
-        raise ValueError("p_sizes and one_minus_r2 must have matching shapes")
-    log_bf = np.where((p_arr > 0) & (omr2 <= 1e-14), np.inf, 0.0)
-    return p_arr, omr2, log_bf, (p_arr > 0) & (omr2 > 1e-14)
+def _zs_models(p_sizes, one_minus_r2):
+    """Sizes and 1 - r2 as matching 1-d float arrays; every model must have
+    p > 0 and 1 - r2 > 0 (``evidence`` marks the others)."""
+    p_arr = np.asarray(p_sizes, dtype=np.float64)
+    omr2 = np.asarray(one_minus_r2, dtype=np.float64)
+    if p_arr.ndim != 1 or p_arr.shape != omr2.shape:
+        raise ValueError("p_sizes and one_minus_r2 must be 1-d arrays of one length")
+    if not (np.all(p_arr > 0) and np.all(omr2 > 0)):
+        raise ValueError("the Zellner-Siow kernels integrate models with p > 0 and 1 - r2 > 0")
+    return p_arr, omr2
 
 
 def _zs_log_integrand(t, n, q, p, omr2, g=None):
@@ -567,11 +536,12 @@ def zs_evidence_batch(
 ):
     """Zellner-Siow log Bayes factors for a batch of models sharing n and p0.
 
-    Returns the array of log Bayes factors and, when requested, the
-    posterior expectation of g/(1+g) per model (the posterior-mean shrinkage
-    factor; NaN for null models), in the shape of ``p_sizes`` and
-    ``one_minus_r2`` (one model list, or the (R, m) models of R stacked
-    replicates).
+    ``p_sizes`` and ``one_minus_r2`` are 1-d, one entry per model, each
+    with p > 0 and 1 - r2 > 0 (anything else raises ``ValueError``: the
+    null model and exact fits are marked by ``evidence``, not integrated).
+    Returns the 1-d array of log Bayes factors and, when requested, the
+    posterior expectation of g/(1+g) per model (the posterior-mean
+    shrinkage factor), all finite.
 
     Each model's window on the integer lattice of t = log g gets unit
     panels up to the first multiple of 4 after its peak and 4-unit panels
@@ -586,14 +556,9 @@ def zs_evidence_batch(
     the batch.
     """
     cfg = cfg or QuadratureConfig()
-    p_arr, omr2, log_bf, work = _zs_batch(p_sizes, one_minus_r2)
-    shrink = np.full_like(omr2, np.nan)
-    if not np.any(work):
-        return (log_bf, shrink) if want_shrinkage else log_bf
-
+    p_arr, omr2 = _zs_models(p_sizes, one_minus_r2)
     q = n - p0
-    pw, ow = p_arr[work], omr2[work]
-    m = pw.shape[0]
+    m = p_arr.shape[0]
     shift, t_lo, split, t_end = np.empty(m), np.empty(m), np.empty(m), np.empty(m)
     total, estimate = np.empty(m), np.empty(m)
     weighted = np.empty(m) if want_shrinkage else None
@@ -603,14 +568,14 @@ def zs_evidence_batch(
         for lo in range(0, idx.size, _ZS_BLOCK):
             b = idx[lo:lo + _ZS_BLOCK]
             total[b], estimate[b], s = _zs_kronrod(
-                n, q, pw[b], ow[b], shift[b], t_lo[b], split[b], t_end[b], level[b],
+                n, q, p_arr[b], omr2[b], shift[b], t_lo[b], split[b], t_end[b], level[b],
                 want_shrinkage)
             if want_shrinkage:
                 weighted[b] = s
 
     for lo in range(0, m, _ZS_BLOCK):
         b = slice(lo, lo + _ZS_BLOCK)
-        shift[b], t_lo[b], split[b], t_end[b] = _zs_window(n, q, pw[b], ow[b])
+        shift[b], t_lo[b], split[b], t_end[b] = _zs_window(n, q, p_arr[b], omr2[b])
     panels = (split - t_lo + (t_end - split) / _ZS_TAIL).astype(np.intp)  # at level 0
     level = np.zeros(m, dtype=np.intp)
     integrate(np.arange(m))
@@ -624,11 +589,8 @@ def zs_evidence_batch(
         integrate(miss)
         miss = miss[estimate[miss] > cfg.relative_tolerance]
 
-    log_bf[work] = shift + np.log(total)
-    if want_shrinkage:
-        shrink[work] = weighted / total
-        return log_bf, shrink
-    return log_bf
+    log_bf = shift + np.log(total)
+    return (log_bf, weighted / total) if want_shrinkage else log_bf
 
 
 def _zs_mode(n: int, p0: int, k, w):
@@ -654,26 +616,28 @@ def _zs_mode(n: int, p0: int, k, w):
 
 def zs_laplace_batch(n: int, p0: int, p_sizes, one_minus_r2):
     """Zellner-Siow log Bayes factors for a batch of models sharing n and p0
-    (any one shape, as ``zs_evidence_batch``), by Laplace approximation at
-    the closed-form mode g0 (``_zs_mode``): f(g0) + log(2 pi / -f''(g0)) / 2
-    for the log integrand f, with the analytic
-    -f''(g) = (q-p)/(2(1+g)^2) - q w^2/(2(1+wg)^2) - 3/(2g^2) + n/g^3
+    (1-d, each with p > 0 and 1 - r2 > 0, as ``zs_evidence_batch``), by
+    Laplace approximation at the closed-form mode g0 (``_zs_mode``):
+    f(g0) + log(2 pi / -f''(g0)) / 2 for the log integrand f, with the
+    analytic -f''(g) = (q-p)/(2(1+g)^2) - q w^2/(2(1+wg)^2) - 3/(2g^2) + n/g^3
     where q = n - p0 and w = 1 - r2."""
-    p_arr, omr2, log_bf, work = _zs_batch(p_sizes, one_minus_r2)
+    k, w = _zs_models(p_sizes, one_minus_r2)
     q = n - p0
-    k, w = p_arr[work], omr2[work]
     g = _zs_mode(n, p0, k, w)
     t = np.log(g)
     curvature = (0.5 * (q - k) / (1.0 + g) ** 2 - 0.5 * q * (w / (1.0 + w * g)) ** 2
                  - 1.5 / g**2 + n / g**3)
-    log_bf[work] = (_zs_log_integrand(t, n, q, k, w) - t
-                    + 0.5 * np.log(2.0 * math.pi / curvature))
-    return log_bf
+    return (_zs_log_integrand(t, n, q, k, w) - t
+            + 0.5 * np.log(2.0 * math.pi / curvature))
 
 
 def log_bf_zs(stats: SuffStats, cfg: QuadratureConfig | None = None) -> float:
-    """Null-based log Bayes factor under the Zellner-Siow Cauchy prior."""
+    """Null-based log Bayes factor under the Zellner-Siow Cauchy prior: 0 for
+    the null model, +inf for an exact fit, otherwise the quadrature of
+    ``zs_evidence_batch`` with node budget and tolerance ``cfg``."""
     _require_scope(stats)
+    if (marker := _marker(stats)) is not None:
+        return marker
     return float(zs_evidence_batch(stats.n, stats.p0, [stats.p], [_one_minus_r2(stats)], cfg)[0])
 
 
@@ -687,39 +651,32 @@ def log_bf_zs_laplace(stats: SuffStats) -> float:
     typically come from this approximation rather than from exact quadrature.
     """
     _require_scope(stats)
+    if (marker := _marker(stats)) is not None:
+        return marker
     return float(zs_laplace_batch(stats.n, stats.p0, [stats.p], [_one_minus_r2(stats)])[0])
-
-
-def zs_posterior_shrinkage(stats: SuffStats, cfg: QuadratureConfig | None = None) -> float:
-    """Posterior expectation of g/(1+g) under the Zellner-Siow prior."""
-    _require_scope(stats)
-    if stats.p == 0:
-        raise ValueError("null model has no coefficients to shrink")
-    _, shrink = zs_evidence_batch(
-        stats.n, stats.p0, [stats.p], [_one_minus_r2(stats)], cfg, want_shrinkage=True
-    )
-    return float(shrink[0])
 
 
 def evidence(method, table: ModelTable, want_shrinkage: bool = False,
              zs_rule: str = "exact"):
     """Null-based log evidence of every model in ``table`` under one rule.
 
-    ``method`` is a ``PriorMethod`` or its name.  The closed forms (ml2, lb,
-    bic, bicprior, aic, ghat) are array expressions over each model's size,
-    r2 and 1 - r2, with the branches and the +inf saturation marker of the
-    scalar ``log_bf_*`` functions.  Zellner-Siow runs as one batched
-    quadrature (``zs_rule="exact"``) or as the Laplace approximation at the
-    closed-form mode of every model at once (``"laplace"``,
-    ``zs_laplace_batch``).
+    ``method`` is a ``PriorMethod`` or its name.  This is the one place that
+    marks models, for every rule: the null model scores 0 and a model with
+    r2 >= ``R2_SATURATION`` scores +inf, both with shrinkage 1.  The other
+    models go to the closed forms (ml2, lb, bic, bicprior, aic, ghat), array
+    expressions over each model's size, r2 and 1 - r2 with the branches of
+    the scalar ``log_bf_*`` functions, or to the Zellner-Siow kernels, which
+    integrate them as 1-d arrays: one batched quadrature
+    (``zs_rule="exact"``, ``zs_evidence_batch`` with the default
+    ``QuadratureConfig``) or the Laplace approximation at the closed-form
+    mode of every model at once (``"laplace"``, ``zs_laplace_batch``).
 
     With ``want_shrinkage`` it returns ``(log_evidence, shrinkage)``: the
     posterior-mean factor on each model's least-squares coefficients.  That
     is the scalar oracle ``shrinkage_factor_ml2`` (in this module) for ml2,
-    g/(1+g) for lb, ghat/(1+ghat) for ghat (0 where ghat is clamped at 0,
-    1 where the fit saturates), and the exact mixture's E[g/(1+g)] for zs
-    whichever ``zs_rule`` is used (1 where the quadrature reports
-    saturation); it is 1 for BIC, BIC-prior, AIC and for null models.
+    g/(1+g) for lb, ghat/(1+ghat) for ghat (0 where ghat is clamped at 0),
+    and the exact mixture's E[g/(1+g)] for zs whichever ``zs_rule`` is used;
+    it is 1 for BIC, BIC-prior, AIC and for every marked model.
 
     The table of a stacked dataset gives (R, m) arrays, row j scoring
     replicate j; every value depends only on its own model's n, p0, size
@@ -728,7 +685,7 @@ def evidence(method, table: ModelTable, want_shrinkage: bool = False,
     if isinstance(method, str):
         method = PriorMethod.parse(method)
     kind = method.kind
-    if zs_rule not in ("exact", "laplace"):
+    if zs_rule not in ZS_RULES:
         raise ValueError(f"unknown zs_rule {zs_rule!r}")
     n, p0, sizes = table.n, table.p0, table.sizes
     q = n - p0
@@ -741,25 +698,24 @@ def evidence(method, table: ModelTable, want_shrinkage: bool = False,
     sizes = np.broadcast_to(sizes, r2.shape)
     log_ev = np.zeros(r2.shape)
     shrink = np.ones(r2.shape)
-    active = sizes > 0
-    saturated = active & (r2 >= R2_SATURATION)
-    work = active & ~saturated
+    saturated = (sizes > 0) & (r2 >= R2_SATURATION)
+    work = (sizes > 0) & ~saturated
     log_ev[saturated] = np.inf
     k, r2w, ow = sizes[work].astype(np.float64), r2[work], omr2[work]
 
     if kind == "zs":
         if want_shrinkage:
-            log_ev, zshr = zs_evidence_batch(n, p0, sizes, omr2, method.quadrature, True)
-            shrink = np.where(np.isnan(zshr), 1.0, zshr)
+            values, shrink[work] = zs_evidence_batch(n, p0, k, ow, want_shrinkage=True)
         elif zs_rule == "exact":
-            log_ev = zs_evidence_batch(n, p0, sizes, omr2, method.quadrature)
+            values = zs_evidence_batch(n, p0, k, ow)
         if zs_rule == "laplace":
-            log_ev = zs_laplace_batch(n, p0, sizes, omr2)
+            values = zs_laplace_batch(n, p0, k, ow)
+        log_ev[work] = values
     elif kind in ("ml2", "lb"):
         g = float(n) if method.g is None else method.g
         values = 0.5 * (q - k) * math.log1p(g) - 0.5 * q * np.log1p(g * ow)
         if kind == "lb":
-            shrink[active] = g / (1.0 + g)
+            shrink[work] = g / (1.0 + g)
         else:
             knot = (n + 1) / (2 * n - p0)
             upper = r2w > knot
@@ -769,11 +725,9 @@ def evidence(method, table: ModelTable, want_shrinkage: bool = False,
                 values[upper] = (-0.5 * log_phi - 0.5 * np.log(r2w[upper])
                                  - 0.5 * (q - 1) * np.log(ow[upper]))
             if want_shrinkage:
-                ra = r2[active]
-                shrink_a = np.full(ra.shape, n / (n + 1.0))
-                above = ra > knot
-                shrink_a[above] = 1.0 - (1.0 - ra[above]) / ((n - p0 - 1) * ra[above])
-                shrink[active] = shrink_a
+                shrink_w = np.full(r2w.shape, n / (n + 1.0))
+                shrink_w[upper] = 1.0 - (1.0 - r2w[upper]) / ((n - p0 - 1) * r2w[upper])
+                shrink[work] = shrink_w
         log_ev[work] = values
     elif kind == "bic":
         log_ev[work] = -0.5 * k * math.log(n) - 0.5 * n * np.log(ow)

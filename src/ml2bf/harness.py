@@ -15,7 +15,7 @@ import numpy as np
 
 from . import __version__
 from .anova import ANOVA_METHODS, AnovaTruth, simulate_consistency
-from .bayesfactors import _METHOD_ALIASES, METHOD_KINDS, evidence
+from .bayesfactors import _METHOD_ALIASES, METHOD_KINDS, ZS_RULES, evidence
 from .modelspace import (
     ModelSpace,
     entropy,
@@ -297,7 +297,7 @@ def _all_subsets_space(p, cfg: ExperimentConfig, default_prior) -> ModelSpace:
 
 def _zs_rule(cfg: ExperimentConfig, default) -> str:
     zs_rule = cfg.overrides.get("zs_rule", default)
-    if zs_rule not in ("exact", "laplace"):
+    if zs_rule not in ZS_RULES:
         raise ConfigError(f"unknown zs_rule {zs_rule!r}")
     return zs_rule
 

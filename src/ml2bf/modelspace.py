@@ -154,7 +154,8 @@ def posterior_from_evidence(space: ModelSpace, log_ev) -> ModelPosterior:
     return ModelPosterior(space, log_ev, probs.reshape(log_ev.shape))
 
 
-def enumerate_models(dataset: Dataset, space: ModelSpace, method: PriorMethod) -> ModelPosterior:
+def enumerate_models(dataset: Dataset, space: ModelSpace,
+                    method: PriorMethod | str) -> ModelPosterior:
     """Evidence and posterior for every model in the space, fitted locally.
 
     Each model gets its own fitted prior scale (the local empirical-Bayes

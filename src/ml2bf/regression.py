@@ -577,7 +577,11 @@ def load_dataset_csv(path) -> tuple[Dataset, list[str]]:
         except StopIteration:
             raise ValueError("malformed CSV: empty file")
         header = [h.strip() for h in header]
-        rows = [row for row in reader if row and any(cell.strip() for cell in row)]
+        rows, lines = [], []  # the non-blank rows and their line numbers
+        for row in reader:
+            if row and any(cell.strip() for cell in row):
+                rows.append(row)
+                lines.append(reader.line_num)
 
     repeated = next((h for i, h in enumerate(header) if h in header[:i]), None)
     if repeated is not None:
@@ -601,18 +605,19 @@ def load_dataset_csv(path) -> tuple[Dataset, list[str]]:
         out = np.empty(len(rows))
         for i, row in enumerate(rows):
             if len(row) != len(header):
-                raise ValueError(f"malformed CSV: row {i + 2} has {len(row)} fields, expected {len(header)}")
+                raise ValueError(f"malformed CSV: row {lines[i]} has {len(row)} fields, "
+                                 f"expected {len(header)}")
             cell = row[idx[name]].strip()
             try:
                 out[i] = float(cell)
             except ValueError:
                 raise ValueError(
-                    f"malformed CSV: column {name!r} row {i + 2} is not numeric: {cell!r}"
+                    f"malformed CSV: column {name!r} row {lines[i]} is not numeric: {cell!r}"
                 )
         bad = np.flatnonzero(~np.isfinite(out))
         if bad.size:
             i = int(bad[0])
-            raise ValueError(f"malformed CSV: column {name!r} row {i + 2} is not finite: "
+            raise ValueError(f"malformed CSV: column {name!r} row {lines[i]} is not finite: "
                              f"{rows[i][idx[name]].strip()!r}")
         return out
 

@@ -37,7 +37,7 @@ from ml2bf.bayesfactors import (
     ml2_known_variance_from_scalars,
     ml2_known_variance_log_bf,
     zs_evidence_batch,
-    zs_posterior_shrinkage,
+    zs_laplace_batch,
 )
 from ml2bf.regression import Dataset, fit_models, fit_suffstats, orthogonalize
 
@@ -409,9 +409,9 @@ class TestZellnerSiow:
     def test_shrinkage_in_unit_interval(self):
         rng = np.random.default_rng(31)
         for _ in range(20):
-            s = make_stats(20, 1, 3, float(rng.uniform(0, 0.99)))
-            shr = zs_posterior_shrinkage(s)
-            assert 0.0 < shr < 1.0
+            r2 = float(rng.uniform(0, 0.99))
+            _, shr = zs_evidence_batch(20, 1, [3], [1.0 - r2], want_shrinkage=True)
+            assert 0.0 < shr[0] < 1.0
 
 
 class TestZellnerSiowKronrod:
@@ -427,20 +427,21 @@ class TestZellnerSiowKronrod:
 
     def test_value_does_not_depend_on_batch_mates(self):
         # Each model has its own panels, so scoring it inside a table (in any
-        # row order, across model blocks) gives its one-model value.
+        # row order, across model blocks) gives its one-model value.  The
+        # kernel integrates models with p > 0 only: ``evidence`` marks the rest.
         rng = np.random.default_rng(51)
         for n, p in [(15, 4), (60, 6), (200, 9)]:
             ds = random_dataset(rng, n=n, p=p, beta_scale=2.0)
             models = [c for size in range(p + 1) for c in itertools.combinations(range(p), size)]
             table = fit_models(ds, models)
             order = rng.permutation(len(table))
+            order = order[table.sizes[order] > 0]
             sizes, omr2 = table.sizes[order], table.one_minus_r2[order]
             log_bf, shrink = zs_evidence_batch(n, 1, sizes, omr2, want_shrinkage=True)
             one = np.array([zs_evidence_batch(n, 1, [k], [w], want_shrinkage=True)
                             for k, w in zip(sizes, omr2)])[:, :, 0]
-            active = sizes > 0
             np.testing.assert_array_max_ulp(log_bf, one[:, 0], maxulp=4)
-            np.testing.assert_array_max_ulp(shrink[active], one[active, 1], maxulp=4)
+            np.testing.assert_array_max_ulp(shrink, one[:, 1], maxulp=4)
 
     def test_forced_refinement_matches_quad(self):
         # A tolerance just below the median first-pass estimate makes about
@@ -476,6 +477,17 @@ class TestZellnerSiowKronrod:
             ref = shift[i] + math.log(val)
             assert abs(got[0][i] - ref) <= 1e-12 * max(1.0, abs(ref)), i
             assert got[1][i] == pytest.approx(wval / val, rel=1e-12), i
+
+    @pytest.mark.parametrize("kernel", [zs_evidence_batch, zs_laplace_batch])
+    def test_kernels_integrate_only(self, kernel):
+        # The null model and exact fits are marked by ``evidence``; the
+        # kernels take 1-d models with p > 0 and 1 - r2 > 0, and nothing else.
+        assert np.all(np.isfinite(kernel(30, 1, [1, 3], [0.5, 1e-15])))
+        assert kernel(30, 1, [], []).shape == (0,)
+        for sizes, omr2 in [([0], [0.5]), ([2], [0.0]), ([2], [-0.1]), ([2], [np.nan]),
+                            ([[2]], [[0.5]]), ([1, 2], [0.5])]:
+            with pytest.raises(ValueError):
+                kernel(30, 1, sizes, omr2)
 
     def test_lattice_layout_and_first_pass(self):
         # Edges sit on the integer lattice of log g, the split is the first

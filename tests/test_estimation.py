@@ -70,19 +70,19 @@ class TestShrinkageMl2:
 class TestGpriorMean:
     def test_large_g_limit(self):
         s = make_stats(10, 1, 2, 0.5)
-        np.testing.assert_allclose(_posterior_mean(PriorMethod.lb(1e12), _table(s))[0],
+        np.testing.assert_allclose(_posterior_mean(PriorMethod("lb", g=1e12), _table(s))[0],
                                    s.beta_hat, rtol=1e-10)
 
     def test_half_at_unit_g(self):
         s = make_stats(10, 1, 2, 0.5)
-        np.testing.assert_allclose(_posterior_mean(PriorMethod.lb(1.0), _table(s))[0],
+        np.testing.assert_allclose(_posterior_mean(PriorMethod("lb", g=1.0), _table(s))[0],
                                    s.beta_hat / 2)
 
     def test_matches_ml2_in_lower_branch(self):
         n = 14
         table = _table(make_stats(n, 1, 2, 0.2))
         np.testing.assert_allclose(
-            _posterior_mean(PriorMethod.lb(n), table), _posterior_mean("ml2", table), rtol=1e-12
+            _posterior_mean(PriorMethod("lb", g=n), table), _posterior_mean("ml2", table), rtol=1e-12
         )
 
 

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from ml2bf.bayesfactors import (
     R2_SATURATION,
     PriorMethod,
+    _one_minus_r2,
     evidence,
     log_bf_aic,
     log_bf_bic,
@@ -23,7 +24,7 @@ from ml2bf.bayesfactors import (
     log_bf_zs,
     log_bf_zs_laplace,
     shrinkage_factor_ml2,
-    zs_posterior_shrinkage,
+    zs_evidence_batch,
 )
 from ml2bf.modelspace import (
     ModelPosterior,
@@ -279,17 +280,18 @@ _RULES = {
 
 
 def _scalar_shrinkage(method, s):
-    if s.p == 0 or method in ("bic", "bicprior", "aic"):
+    # The null model and an exact fit carry a marker and shrinkage 1.
+    if s.p == 0 or s.r2 >= R2_SATURATION or method in ("bic", "bicprior", "aic"):
         return 1.0
     if method == "ml2":
         return shrinkage_factor_ml2(s)
     if method == "lb":
         return s.n / (s.n + 1.0)
     if method == "zs":
-        value = zs_posterior_shrinkage(s)
-        return 1.0 if math.isnan(value) else value
+        _, shrink = zs_evidence_batch(s.n, s.p0, [s.p], [_one_minus_r2(s)], want_shrinkage=True)
+        return float(shrink[0])
     g_hat = log_bf_local_eb(s)[1]
-    return g_hat / (1.0 + g_hat) if math.isfinite(g_hat) else 1.0
+    return g_hat / (1.0 + g_hat)
 
 
 def _agree(got, want, tol):
@@ -355,7 +357,7 @@ class TestEvidence:
         r2 = np.array([0.0, 0.05, knot, 0.9, 1.0 - 1e-15, 1.0])
         table = _table(n, p0, [0, 2, 2, 2, 2, 2], 1.0 - r2, r2)
         ml2, ml2_shrink = evidence("ml2", table, want_shrinkage=True)
-        lb = evidence(PriorMethod.lb(), table)
+        lb = evidence("lb", table)
         assert ml2[2] == lb[2] and ml2[3] > lb[3]
         assert ml2_shrink[3] > n / (n + 1.0)
         ghat, ghat_shrink = evidence("ghat", table, want_shrinkage=True)
@@ -368,7 +370,7 @@ class TestEvidence:
 
     def test_fixed_g(self):
         table = _table(30, 1, [1, 3], [0.6, 0.2], [0.4, 0.8])
-        log_ev, shrink = evidence(PriorMethod.lb(g=7.0), table, want_shrinkage=True)
+        log_ev, shrink = evidence(PriorMethod("lb", g=7.0), table, want_shrinkage=True)
         for i in range(2):
             assert log_ev[i] == pytest.approx(log_bf_gprior(_stats(table, i), 7.0), rel=1e-13)
         np.testing.assert_array_equal(shrink, 7.0 / 8.0)
@@ -380,6 +382,30 @@ class TestEvidence:
                 evidence(method, table)
         with pytest.raises(ValueError, match="zs_rule"):
             evidence("zs", _table(5, 1, [0], [1.0], [0.0]), zs_rule="bogus")
+
+    # Fits near r2 = 1 as a fit leaves them: sse, and ssr = 1 - sse.  One
+    # saturation rule, r2 >= R2_SATURATION, marks the same fits +inf for
+    # every rule; it falls between 1 - r2 = 1.006e-14 and 1.003e-14.
+    @pytest.mark.parametrize("size,sse,expect", [
+        (0, 1.0, "zero"), (1, 1e-12, "finite"), (1, 1.006e-14, "finite"),
+        (1, 1.003e-14, "inf"), (1, 1e-14, "inf"), (1, 1e-16, "inf"), (1, 0.0, "inf"),
+    ])
+    @pytest.mark.parametrize("rule", [*sorted(_RULES), "zs", "zs_laplace"])
+    def test_marker_cells(self, rule, size, sse, expect):
+        table = _table(30, 1, [size], [sse], [1.0 - sse])
+        method, zs_rule = ("zs", "laplace") if rule == "zs_laplace" else (rule, "exact")
+        scalar = {**_RULES, "zs": log_bf_zs, "zs_laplace": log_bf_zs_laplace}[rule]
+        values = [scalar(_stats(table, 0)), float(evidence(method, table, zs_rule=zs_rule)[0])]
+        log_ev, shrink = evidence(method, table, want_shrinkage=True, zs_rule=zs_rule)
+        values.append(float(log_ev[0]))
+        assert not any(math.isnan(v) for v in values) and not np.isnan(shrink[0])
+        if expect == "finite":
+            assert all(math.isfinite(v) for v in values), values
+            assert all(_agree(v, values[0], 1e-12) for v in values), values
+            assert 0.0 <= shrink[0] <= 1.0
+        else:
+            assert values == [0.0 if expect == "zero" else math.inf] * 3, values
+            assert shrink[0] == 1.0
 
     @pytest.mark.parametrize("rule", [log_bf_bic, log_bf_bic_prior, log_bf_aic])
     def test_bic_family_scope(self, rule):

@@ -108,7 +108,7 @@ class TestEnumerate:
         rng = np.random.default_rng(2)
         ds = random_dataset(rng, n=40, p=8)
         space = ModelSpace.all_subsets(8)
-        post = enumerate_models(ds, space, PriorMethod.lb())
+        post = enumerate_models(ds, space, "lb")
         assert len(post.models) == 256
         for m, le in zip(post.models, post.log_evidence):
             s = fit_suffstats(ds, m)
@@ -124,14 +124,14 @@ class TestEnumerate:
 
         bad = Dataset(y=ds.y, x0=ds.x0, x=x)
         with pytest.raises(ValueError, match=r"model \d+ \(columns"):
-            enumerate_models(bad, ModelSpace.all_subsets(3), PriorMethod.bic())
+            enumerate_models(bad, ModelSpace.all_subsets(3), "bic")
 
     def test_zs_batch_matches_scalar(self):
         from ml2bf.bayesfactors import log_bf_zs
 
         rng = np.random.default_rng(4)
         ds = random_dataset(rng, n=25, p=3)
-        post = enumerate_models(ds, ModelSpace.all_subsets(3), PriorMethod.zs())
+        post = enumerate_models(ds, ModelSpace.all_subsets(3), "zs")
         for m, le in zip(post.models, post.log_evidence):
             assert le == pytest.approx(log_bf_zs(fit_suffstats(ds, m)), rel=1e-9)
 

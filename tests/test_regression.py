@@ -243,6 +243,16 @@ class TestCsvLoader:
         with pytest.raises(ValueError, match="column 'x1'"):
             load_dataset_csv(path)
 
+    def test_bad_cell_names_its_line_past_blank_lines(self, tmp_path):
+        path = self._write(tmp_path, "y,x1\n1,2\n\n\n3,abc\n")
+        with pytest.raises(ValueError, match="column 'x1' row 5 is not numeric: 'abc'"):
+            load_dataset_csv(path)
+
+    def test_short_row_names_its_line_past_blank_lines(self, tmp_path):
+        path = self._write(tmp_path, "y,x1\n1,2\n\n3,4,5\n")
+        with pytest.raises(ValueError, match="row 4 has 3 fields, expected 2"):
+            load_dataset_csv(path)
+
     def test_non_contiguous_candidates(self, tmp_path):
         path = self._write(tmp_path, "y,x1,x3\n1,2,3\n")
         with pytest.raises(ValueError, match="x2"):
