@@ -23,7 +23,6 @@ from .regression import (
 from .bayesfactors import (
     Ml2Covariance,
     PriorMethod,
-    QuadratureConfig,
     QuadratureError,
     evidence,
     log_bf_aic,

@@ -20,7 +20,6 @@ from .regression import ModelTable, SuffStats, inverse_from_factor
 __all__ = [
     "Ml2Covariance",
     "PriorMethod",
-    "QuadratureConfig",
     "QuadratureError",
     "ml2_covariance",
     "log_bf_ml2",
@@ -59,33 +58,11 @@ def __getattr__(name):
 
 
 class QuadratureError(RuntimeError):
-    """Quadrature failed to reach the requested tolerance within budget."""
+    """Quadrature missed its tolerance; ``residual`` is the error estimate."""
 
     def __init__(self, message, residual):
         super().__init__(f"{message} (residual estimate {residual:.3e})")
         self.residual = residual
-
-
-@dataclass(frozen=True)
-class QuadratureConfig:
-    """Node budget and relative tolerance for the Zellner-Siow integral.
-
-    ``node_count`` is a per-model budget of panels x 21 Gauss-Kronrod
-    nodes: a model whose error estimate misses ``relative_tolerance``
-    halves all its panels (on the log-g lattice: unit panels up to the
-    peak, 4-unit panels in the tail) only while twice its panels stay
-    within the budget (its first pass always runs).  Estimates never fall
-    below 50 machine epsilons, so a smaller tolerance is never met.
-    """
-
-    node_count: int = 4096
-    relative_tolerance: float = 1e-8
-
-    def __post_init__(self):
-        if self.node_count < 32:
-            raise ValueError("node_count must be at least 32")
-        if not self.relative_tolerance > 0:
-            raise ValueError("relative_tolerance must be positive")
 
 
 @dataclass(frozen=True)
@@ -214,9 +191,12 @@ def shrinkage_factor_ml2(stats: SuffStats) -> float:
 
     Equals n/(n+1) up to the evidence threshold r2 = (n+1)/(2n-p0) and
     ``1 - (1-r2)/((n-p0-1) r2)`` above it; continuous at the threshold, and
-    tends to 1 as r2 tends to 1.
+    tends to 1 as r2 tends to 1.  The null model and an exact fit
+    (r2 >= ``R2_SATURATION``) get the marker's 1, as in ``evidence``.
     """
     _require_scope(stats)
+    if _marker(stats) is not None:
+        return 1.0
     n, p0 = stats.n, stats.p0
     r2 = stats.r2
     if r2 <= (n + 1) / (2 * n - p0):
@@ -403,51 +383,22 @@ def ml2_known_variance_log_bf(
 # The multivariate Cauchy prior with scale n (X'X)^{-1} is a mixture of
 # fixed-g priors with g ~ inverse-gamma(1/2, n/2); the Bayes factor is the
 # corresponding one-dimensional integral of the fixed-g Bayes factor.  It is
-# computed on a log axis, t = log g, and every panel edge lies on a fixed
-# lattice in t.  A scan of the integers t = -32 ... 80 finds each model's
-# window (where the integrand is within exp(-45) of its lattice peak).  Left
-# of the peak the exp(-n/2g) cliff gets unit panels; from the first multiple
-# of 4 after the peak the log integrand is almost linear with slope
-# -(p+1)/2 (Liang, Paulo, Molina, Clyde & Berger, JASA 2008), so the tail
-# gets 4-unit panels.  Each panel gets the 21-point Gauss-Kronrod rule,
-# whose embedded 10-point Gauss rule gives the error estimate from the same
-# nodes (QUADPACK qk21; Piessens, de Doncker-Kapenga, Ueberhuber & Kahaner,
-# 1983), and a model that misses the tolerance halves all its panels.
+# computed on a log axis, t = log g, where the integrand is analytic and
+# decays on both sides, so the plain trapezoidal rule converges
+# geometrically in 1/h (Trefethen & Weideman, SIAM Review 56, 2014).  Each
+# model's nodes are t0 + j h around its closed-form mode t0 in t, with h set
+# by its closed-form curvature there.  The log integrand is strictly concave
+# in t, so the nodes walk out, 16 at a time on each side, until the outer
+# node is exp(-45) below the mode value: nothing further out rises again.
+# The even nodes form the rule with step 2h, which gives the error estimate
+# from the same nodes.
 # ---------------------------------------------------------------------------
 
-_ZS_LATTICE = np.arange(-32.0, 81.0)  # the window scan, one unit of log g apart
-_ZS_TAIL = 4  # tail panels span 4 lattice steps, between multiples of 4
-_ZS_LOG_WINDOW = 45.0  # integrand below exp(-45) of the peak is negligible
+_ZS_STEP = 0.2  # the largest step in t
+_ZS_PANEL = 16  # nodes added per side and round of the walk-out
+_ZS_LOG_WINDOW = 45.0  # integrand below exp(-45) of the mode value is negligible
 _ZS_BLOCK = 256  # models per quadrature block
-
-# qk21 abscissae (descending to the centre; odd entries are the 10-point
-# Gauss nodes) and weights, laid out over [-1, 1].
-_QK21_X = np.array([
-    0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
-    0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
-    0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
-    0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
-    0.294392862701460198131126603103866, 0.148874338981631210884826001129720,
-])
-_QK21_WK = np.array([
-    0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
-    0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
-    0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
-    0.123491976262065851077600525063319, 0.134709217311473325928054001771707,
-    0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
-    0.149445554002916905664936468389821,
-])
-_QK21_WG = np.array([
-    0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
-    0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
-    0.295524224714752870173892994651338,
-])
-_KRONROD_X = np.concatenate([-_QK21_X, [0.0], _QK21_X[::-1]])
-_KRONROD_W = np.concatenate([_QK21_WK, _QK21_WK[-2::-1]])
-_GAUSS_W = np.concatenate([_QK21_WG, _QK21_WG[::-1]])  # on _KRONROD_X[1::2]
-# The smallest error estimate reported, 50 machine epsilons, as in QUADPACK:
-# a relative tolerance below it is never met, it is out of double precision.
-_ROUNDOFF = 50 * np.finfo(np.float64).eps
+_ZS_TOLERANCE = 1e-8  # largest error estimate accepted
 
 
 def _zs_models(p_sizes, one_minus_r2):
@@ -472,68 +423,51 @@ def _zs_log_integrand(t, n, q, p, omr2, g=None):
     return lam + dens
 
 
-def _zs_window(n, q, p, omr2):
-    """Per model, on the lattice: the log peak (the shift), the window start
-    one step before the first point within exp(-45) of it, the split at the
-    first multiple of 4 after the peak, and the window end one step beyond
-    the last point within exp(-45), rounded up to a multiple of 4."""
-    psi = _zs_log_integrand(_ZS_LATTICE[None, :], n, q, p[:, None], omr2[:, None])
-    peak = psi.argmax(axis=1)
-    shift = psi.max(axis=1)
-    inside = psi >= shift[:, None] - _ZS_LOG_WINDOW
-    last = _ZS_LATTICE.size - 1
-    t_lo = _ZS_LATTICE[np.maximum(inside.argmax(axis=1) - 1, 0)]
-    t_hi = _ZS_LATTICE[np.minimum(last + 1 - inside[:, ::-1].argmax(axis=1), last)]
-    t_end = _ZS_TAIL * np.ceil(t_hi / _ZS_TAIL)
-    split = np.minimum(_ZS_TAIL * (np.floor(_ZS_LATTICE[peak] / _ZS_TAIL) + 1), t_end)
-    return shift, t_lo, split, t_end
+def _zs_trapezoid(n, p0, p, omr2, want_shrinkage):
+    """The trapezoidal rule in t for one block of models.
 
-
-def _zs_kronrod(n, q, p, omr2, shift, t_lo, split, t_end, level, want_shrinkage):
-    """21-point Gauss-Kronrod sums of exp(log integrand - shift) over each
-    model's panels: 2^-level wide from t_lo to split and 4 x 2^-level wide
-    from split to t_end, every edge on the lattice halved ``level`` times.
-
-    All panels of all models form one flat array (``np.repeat`` of the model
-    index), summed back per model with ``np.add.reduceat``, so a model's
-    value depends only on its own inputs.  Returns the Kronrod sums, the
-    relative gap to the embedded 10-point Gauss sums (the error estimate,
-    at least ``_ROUNDOFF``) and, when asked, the Kronrod sums of the
-    integrand times g/(1+g).
+    Per model: the mode t0 in t (``_zs_mode`` with a = 1), the step
+    h = min(0.2, sigma/2) with sigma = (-f''(t0))^(-1/2) for the log
+    integrand f, and nodes t0 + j h for j from -16 L to 16 R - 1, where the
+    walk-out stopped after L panels on the left and R on the right.  Nodes
+    run down the rows and panels along them, so every broadcast is over long
+    rows.  Each model's sums follow from its own inputs alone.  Returns the
+    log Bayes factors, the error estimates ((T(h) - T(2h)) / T(h))^2, the
+    posterior means of g/(1+g) (None unless asked), t0, h and the panel
+    counts, shape (2, m), left then right.
     """
-    step = np.ldexp(1.0, -level)
-    head = ((split - t_lo) / step).astype(np.intp)
-    panels = head + ((t_end - split) / (_ZS_TAIL * step)).astype(np.intp)
-    model = np.repeat(np.arange(panels.size), panels)
-    starts = np.cumsum(panels) - panels
-    j = np.arange(model.size) - starts[model]  # each panel's place in its model
-    in_tail = j >= head[model]
-    half = 0.5 * step[model] * np.where(in_tail, _ZS_TAIL, 1)
-    centre = np.where(in_tail, split[model] + (2.0 * (j - head[model]) + 1.0) * half,
-                      t_lo[model] + (2.0 * j + 1.0) * half)
-    # Nodes run down the rows and panels along them, so every broadcast and
-    # every weighted sum (row by row, in a fixed order) is over long rows.
-    tt = centre + half * _KRONROD_X[:, None]
-    g = np.exp(tt)
-    vals = np.exp(_zs_log_integrand(tt, n, q, p[model], omr2[model], g) - shift[model])
-    kronrod = np.add.reduceat(half * (_KRONROD_W[:, None] * vals).sum(axis=0), starts)
-    gauss = np.add.reduceat(half * (_GAUSS_W[:, None] * vals[1::2]).sum(axis=0), starts)
-    estimate = np.maximum(np.abs(kronrod - gauss) / np.maximum(kronrod, 1e-300), _ROUNDOFF)
-    weighted = None
-    if want_shrinkage:
-        vals *= g / (1.0 + g)
-        weighted = np.add.reduceat(half * (_KRONROD_W[:, None] * vals).sum(axis=0), starts)
-    return kronrod, estimate, weighted
+    q = n - p0
+    g0 = _zs_mode(n, p0, p, omr2, 1)
+    curvature = 0.5 * (n / g0 - (q - p) * g0 / (1.0 + g0) ** 2
+                       + q * omr2 * g0 / (1.0 + omr2 * g0) ** 2)
+    t0 = np.log(g0)
+    h = np.minimum(_ZS_STEP, 0.5 / np.sqrt(curvature))
+    shift = _zs_log_integrand(t0, n, q, p, omr2)
+    m = p.size
+    fine, coarse = np.zeros(m), np.zeros(m)
+    weighted = np.zeros(m) if want_shrinkage else None
+    panels = np.zeros((2, m), dtype=np.intp)
+    walking = np.ones((2, m), dtype=bool)
+    rows = np.arange(_ZS_PANEL, dtype=np.float64)[:, None]
+    floor = math.exp(-_ZS_LOG_WINDOW)
+    while walking.any():
+        side, model = np.nonzero(walking)  # left panels first, then right
+        first = np.where(side == 1, panels[1, model], -1 - panels[0, model]) * _ZS_PANEL
+        tt = t0[model] + (first + rows) * h[model]
+        g = np.exp(tt)
+        vals = np.exp(_zs_log_integrand(tt, n, q, p[model], omr2[model], g) - shift[model])
+        fine += np.bincount(model, vals.sum(axis=0), m)
+        coarse += np.bincount(model, vals[::2].sum(axis=0), m)  # the even j
+        if want_shrinkage:
+            weighted += np.bincount(model, (vals * (g / (1.0 + g))).sum(axis=0), m)
+        panels[side, model] += 1
+        walking[side, model] = np.where(side == 1, vals[-1], vals[0]) >= floor
+    estimate = ((fine - 2.0 * coarse) / fine) ** 2
+    shrink = weighted / fine if want_shrinkage else None
+    return shift + np.log(h * fine), estimate, shrink, t0, h, panels
 
 
-def zs_evidence_batch(
-    n: int,
-    p0: int,
-    p_sizes,
-    one_minus_r2,
-    cfg: QuadratureConfig | None = None,
-    want_shrinkage: bool = False,
-):
+def zs_evidence_batch(n: int, p0: int, p_sizes, one_minus_r2, want_shrinkage: bool = False):
     """Zellner-Siow log Bayes factors for a batch of models sharing n and p0.
 
     ``p_sizes`` and ``one_minus_r2`` are 1-d, one entry per model, each
@@ -543,87 +477,68 @@ def zs_evidence_batch(
     posterior expectation of g/(1+g) per model (the posterior-mean
     shrinkage factor), all finite.
 
-    Each model's window on the integer lattice of t = log g gets unit
-    panels up to the first multiple of 4 after its peak and 4-unit panels
-    from there to its end, each with the 21-point Gauss-Kronrod rule,
-    evaluated once.  A model whose Kronrod-Gauss gap exceeds
-    ``cfg.relative_tolerance`` halves all its own panels and is evaluated
-    again, alone, while panels x 21 stays within ``cfg.node_count`` (a
-    per-model budget; the first pass always runs).  A model still missing
-    the tolerance then raises ``QuadratureError`` with the worst such
-    model's last estimate.  Every panel edge follows from the model's own
-    (n, p0, p, 1 - r2), so no model's value depends on the other models of
-    the batch.
+    Each model gets one trapezoidal sum in t = log g (``_zs_trapezoid``),
+    centred on its closed-form mode in t with a step set by its curvature
+    there, and evaluated once.  If any model's estimate
+    ((T(h) - T(2h)) / T(h))^2 exceeds 1e-8 (or is not a number), it raises
+    ``QuadratureError`` with the worst estimate.  Every node follows from
+    the model's own (n, p0, p, 1 - r2), so no model's value depends on the
+    other models of the batch.
     """
-    cfg = cfg or QuadratureConfig()
     p_arr, omr2 = _zs_models(p_sizes, one_minus_r2)
-    q = n - p0
     m = p_arr.shape[0]
-    shift, t_lo, split, t_end = np.empty(m), np.empty(m), np.empty(m), np.empty(m)
-    total, estimate = np.empty(m), np.empty(m)
-    weighted = np.empty(m) if want_shrinkage else None
-
-    def integrate(idx):
-        # Blocks of models bound the working set.
-        for lo in range(0, idx.size, _ZS_BLOCK):
-            b = idx[lo:lo + _ZS_BLOCK]
-            total[b], estimate[b], s = _zs_kronrod(
-                n, q, p_arr[b], omr2[b], shift[b], t_lo[b], split[b], t_end[b], level[b],
-                want_shrinkage)
-            if want_shrinkage:
-                weighted[b] = s
-
-    for lo in range(0, m, _ZS_BLOCK):
+    log_bf, estimate = np.empty(m), np.empty(m)
+    shrink = np.empty(m) if want_shrinkage else None
+    for lo in range(0, m, _ZS_BLOCK):  # blocks bound the working set
         b = slice(lo, lo + _ZS_BLOCK)
-        shift[b], t_lo[b], split[b], t_end[b] = _zs_window(n, q, p_arr[b], omr2[b])
-    panels = (split - t_lo + (t_end - split) / _ZS_TAIL).astype(np.intp)  # at level 0
-    level = np.zeros(m, dtype=np.intp)
-    integrate(np.arange(m))
-    miss = np.flatnonzero(estimate > cfg.relative_tolerance)
-    while miss.size:
-        over = 2 * (panels[miss] << level[miss]) * _KRONROD_X.size > cfg.node_count
-        if over.any():
-            raise QuadratureError("Zellner-Siow quadrature did not converge",
-                                  float(estimate[miss[over]].max()))
-        level[miss] += 1
-        integrate(miss)
-        miss = miss[estimate[miss] > cfg.relative_tolerance]
-
-    log_bf = shift + np.log(total)
-    return (log_bf, weighted / total) if want_shrinkage else log_bf
+        log_bf[b], estimate[b], s, *_ = _zs_trapezoid(n, p0, p_arr[b], omr2[b],
+                                                      want_shrinkage)
+        if want_shrinkage:
+            shrink[b] = s
+    missed = ~(estimate <= _ZS_TOLERANCE)
+    if missed.any():
+        raise QuadratureError("Zellner-Siow quadrature missed its tolerance",
+                              float(estimate[missed].max()))
+    return (log_bf, shrink) if want_shrinkage else log_bf
 
 
-def _zs_mode(n: int, p0: int, k, w):
-    """Mode in g of the Zellner-Siow integrand BF(g) pi(g), per model.
+def _zs_mode(n: int, p0: int, k, w, a):
+    """Mode of the Zellner-Siow integrand BF(g) g^(-a/2) exp(-n/2g), per
+    model: a = 3 gives the mode in g of BF(g) pi(g), a = 1 the mode in
+    t = log g (the Jacobian g turns g^(-3/2) into g^(-1/2)).
 
     With q = n - p0, the derivative of its log times 2g^2(1+g)(1+wg) is the
-    cubic -(k+3)w g^3 + [(q-k-3) + w(n-q-3)] g^2 + [n(1+w) - 3] g + n (Liang,
-    Paulo, Molina, Clyde & Berger, JASA 2008).  Its coefficients change sign
-    once, so by Descartes' rule it has exactly one positive root.  The roots
-    come from the companion matrices of the reversed cubic in h = 1/g, whose
-    leading coefficient n keeps them accurate as w -> 0.  Needs k, w > 0.
+    cubic -(k+a)w g^3 + [(q-k-a) + w(n-q-a)] g^2 + [n(1+w) - a] g + n (Liang,
+    Paulo, Molina, Clyde & Berger, JASA 2008, for a = 3), with exactly one
+    positive root.  Newton's method on the reversed cubic in h = 1/g, whose
+    leading coefficient n keeps it accurate as w -> 0, starts from the
+    Cauchy bound on its roots and descends to that root; each model stops
+    once its h no longer decreases.  Needs k, w > 0.
     """
     q = n - p0
-    companion = np.zeros((k.shape[0], 3, 3))
-    companion[:, 0, 0] = 3.0 / n - (1.0 + w)
-    companion[:, 0, 1] = -((q - k - 3.0) + w * (n - q - 3.0)) / n
-    companion[:, 0, 2] = (k + 3.0) * w / n
-    companion[:, 1, 0] = companion[:, 2, 1] = 1.0
-    roots = np.linalg.eigvals(companion)
-    # The other real roots are negative, so the positive one is the largest.
-    return 1.0 / np.where(roots.imag == 0.0, roots.real, -np.inf).max(axis=1)
+    c2 = n * (1.0 + w) - a
+    c1 = (q - k - a) + w * (n - q - a)
+    c0 = (k + a) * w
+    h = 1.0 + np.maximum(np.maximum(np.abs(c2), np.abs(c1)), c0) / n
+    while True:
+        step = (((n * h + c2) * h + c1) * h - c0) / ((3.0 * n * h + 2.0 * c2) * h + c1)
+        lower = h - step
+        down = lower < h
+        if not down.any():
+            return 1.0 / h
+        h = np.where(down, lower, h)
 
 
 def zs_laplace_batch(n: int, p0: int, p_sizes, one_minus_r2):
     """Zellner-Siow log Bayes factors for a batch of models sharing n and p0
     (1-d, each with p > 0 and 1 - r2 > 0, as ``zs_evidence_batch``), by
-    Laplace approximation at the closed-form mode g0 (``_zs_mode``):
+    Laplace approximation at the closed-form mode g0 (``_zs_mode``, a = 3):
     f(g0) + log(2 pi / -f''(g0)) / 2 for the log integrand f, with the
     analytic -f''(g) = (q-p)/(2(1+g)^2) - q w^2/(2(1+wg)^2) - 3/(2g^2) + n/g^3
     where q = n - p0 and w = 1 - r2."""
     k, w = _zs_models(p_sizes, one_minus_r2)
     q = n - p0
-    g = _zs_mode(n, p0, k, w)
+    g = _zs_mode(n, p0, k, w, 3)
     t = np.log(g)
     curvature = (0.5 * (q - k) / (1.0 + g) ** 2 - 0.5 * q * (w / (1.0 + w * g)) ** 2
                  - 1.5 / g**2 + n / g**3)
@@ -631,14 +546,14 @@ def zs_laplace_batch(n: int, p0: int, p_sizes, one_minus_r2):
             + 0.5 * np.log(2.0 * math.pi / curvature))
 
 
-def log_bf_zs(stats: SuffStats, cfg: QuadratureConfig | None = None) -> float:
+def log_bf_zs(stats: SuffStats) -> float:
     """Null-based log Bayes factor under the Zellner-Siow Cauchy prior: 0 for
-    the null model, +inf for an exact fit, otherwise the quadrature of
-    ``zs_evidence_batch`` with node budget and tolerance ``cfg``."""
+    the null model, +inf for an exact fit, otherwise the trapezoidal sum of
+    ``zs_evidence_batch`` (``QuadratureError`` if it misses its tolerance)."""
     _require_scope(stats)
     if (marker := _marker(stats)) is not None:
         return marker
-    return float(zs_evidence_batch(stats.n, stats.p0, [stats.p], [_one_minus_r2(stats)], cfg)[0])
+    return float(zs_evidence_batch(stats.n, stats.p0, [stats.p], [_one_minus_r2(stats)])[0])
 
 
 def log_bf_zs_laplace(stats: SuffStats) -> float:
@@ -666,10 +581,10 @@ def evidence(method, table: ModelTable, want_shrinkage: bool = False,
     models go to the closed forms (ml2, lb, bic, bicprior, aic, ghat), array
     expressions over each model's size, r2 and 1 - r2 with the branches of
     the scalar ``log_bf_*`` functions, or to the Zellner-Siow kernels, which
-    integrate them as 1-d arrays: one batched quadrature
-    (``zs_rule="exact"``, ``zs_evidence_batch`` with the default
-    ``QuadratureConfig``) or the Laplace approximation at the closed-form
-    mode of every model at once (``"laplace"``, ``zs_laplace_batch``).
+    integrate them as 1-d arrays: one trapezoidal sum in log g per model
+    (``zs_rule="exact"``, ``zs_evidence_batch``) or the Laplace
+    approximation at the closed-form mode of every model at once
+    (``"laplace"``, ``zs_laplace_batch``).
 
     With ``want_shrinkage`` it returns ``(log_evidence, shrinkage)``: the
     posterior-mean factor on each model's least-squares coefficients.  That

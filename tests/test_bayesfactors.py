@@ -8,17 +8,13 @@ import pytest
 from scipy import integrate
 from scipy.optimize import minimize_scalar
 
+from ml2bf import bayesfactors
 from ml2bf.bayesfactors import (
     PriorMethod,
-    QuadratureConfig,
     QuadratureError,
-    _GAUSS_W,
-    _KRONROD_W,
-    _KRONROD_X,
-    _zs_kronrod,
     _zs_log_integrand,
     _zs_mode,
-    _zs_window,
+    _zs_trapezoid,
     log_bf_aic,
     log_bf_bic,
     log_bf_bic_prior,
@@ -388,12 +384,16 @@ class TestZellnerSiow:
     def test_saturation_marker(self):
         assert log_bf_zs(make_stats(10, 1, 2, 1.0)) == math.inf
 
-    def test_budget_exhaustion_raises_with_residual(self):
+    def test_missed_tolerance_raises_with_residual(self, monkeypatch):
+        # A model whose estimate exceeds the tolerance raises, carrying the
+        # estimate; there is no refinement to fall back on.
         s = make_stats(10, 1, 2, 0.5)
-        cfg = QuadratureConfig(node_count=32, relative_tolerance=1e-15)
+        estimate = _zs_trapezoid(10, 1, np.array([2.0]), np.array([0.5]), False)[1][0]
+        assert 0.0 < estimate <= 1e-8
+        monkeypatch.setattr(bayesfactors, "_ZS_TOLERANCE", estimate / 2)
         with pytest.raises(QuadratureError) as info:
-            log_bf_zs(s, cfg)
-        assert info.value.residual > 0
+            log_bf_zs(s)
+        assert math.isfinite(info.value.residual) and info.value.residual == estimate
 
     def test_laplace_variant_accuracy_profile(self):
         # The Gaussian expansion misses the polynomial right tail of the
@@ -415,16 +415,6 @@ class TestZellnerSiow:
 
 
 class TestZellnerSiowKronrod:
-    def test_qk21_constants(self):
-        # The Kronrod rule integrates polynomials of degree 31 exactly and
-        # its odd nodes carry the 10-point Gauss-Legendre rule.
-        z, wz = np.polynomial.legendre.leggauss(10)
-        np.testing.assert_allclose(_KRONROD_X[1::2], z, rtol=0, atol=1e-15)
-        np.testing.assert_allclose(_GAUSS_W, wz, rtol=0, atol=1e-15)
-        for k in range(32):
-            exact = 0.0 if k % 2 else 2.0 / (k + 1)
-            assert _KRONROD_W @ _KRONROD_X**k == pytest.approx(exact, abs=1e-15)
-
     def test_value_does_not_depend_on_batch_mates(self):
         # Each model has its own panels, so scoring it inside a table (in any
         # row order, across model blocks) gives its one-model value.  The
@@ -443,41 +433,6 @@ class TestZellnerSiowKronrod:
             np.testing.assert_array_max_ulp(log_bf, one[:, 0], maxulp=4)
             np.testing.assert_array_max_ulp(shrink, one[:, 1], maxulp=4)
 
-    def test_forced_refinement_matches_quad(self):
-        # A tolerance just below the median first-pass estimate makes about
-        # half the models halve their panels; those must still match an
-        # adaptive scipy quadrature and the others must not move.
-        rng = np.random.default_rng(52)
-        n, p0 = 3000, 1
-        q = n - p0
-        sizes = rng.integers(1, 21, size=40).astype(np.float64)
-        omr2 = np.exp(rng.uniform(math.log(1e-3), 0.0, size=40))
-        shift, t_lo, split, t_end = _zs_window(n, q, sizes, omr2)
-        level = np.zeros(sizes.size, dtype=np.intp)
-        _, first, _ = _zs_kronrod(n, q, sizes, omr2, shift, t_lo, split, t_end, level, False)
-        tol = float(np.median(first)) * (1.0 - 1e-9)
-        refined = first > tol
-        assert 10 <= refined.sum() <= 30
-
-        base = zs_evidence_batch(n, p0, sizes, omr2, want_shrinkage=True)
-        got = zs_evidence_batch(n, p0, sizes, omr2, QuadratureConfig(relative_tolerance=tol),
-                                want_shrinkage=True)
-        for b, r in zip(base, got):
-            np.testing.assert_array_equal(r[~refined], b[~refined])
-        for i in np.flatnonzero(refined):
-            def f(t):
-                return math.exp(_zs_log_integrand(t, n, q, sizes[i], omr2[i]) - shift[i])
-
-            grid = np.linspace(t_lo[i], t_end[i], 2001)
-            mode = float(grid[np.argmax([f(t) for t in grid])])
-            kw = dict(points=[mode], epsabs=0.0, epsrel=1e-13, limit=1000)
-            val, _ = integrate.quad(f, mode - 60.0, mode + 100.0, **kw)
-            wval, _ = integrate.quad(lambda t: f(t) / (1.0 + math.exp(-t)),
-                                     mode - 60.0, mode + 100.0, **kw)
-            ref = shift[i] + math.log(val)
-            assert abs(got[0][i] - ref) <= 1e-12 * max(1.0, abs(ref)), i
-            assert got[1][i] == pytest.approx(wval / val, rel=1e-12), i
-
     @pytest.mark.parametrize("kernel", [zs_evidence_batch, zs_laplace_batch])
     def test_kernels_integrate_only(self, kernel):
         # The null model and exact fits are marked by ``evidence``; the
@@ -489,40 +444,31 @@ class TestZellnerSiowKronrod:
             with pytest.raises(ValueError):
                 kernel(30, 1, sizes, omr2)
 
-    def test_lattice_layout_and_first_pass(self):
-        # Edges sit on the integer lattice of log g, the split is the first
-        # multiple of 4 after the lattice peak, and on figure-size tables the
-        # first pass already meets the default tolerance, so that refining
-        # stays rare.
+    def test_node_layout_and_estimates(self):
+        # On figure-size tables each model's nodes are t0 + j h for j from
+        # -16 L to 16 R - 1; both outer nodes are exp(-45) below the mode
+        # value and the panel before each was not, and every estimate meets
+        # the tolerance.
         rng = np.random.default_rng(53)
-        estimates = []
         for n, beta_scale in [(10, 3.0), (20, 0.3), (50, 1.0), (200, 3.0), (1000, 0.3)]:
             ds = random_dataset(rng, n=n, p=8, beta_scale=beta_scale)
             models = [c for size in range(1, 9) for c in itertools.combinations(range(8), size)]
             table = fit_models(ds, models)
             sizes, omr2 = table.sizes.astype(np.float64), table.one_minus_r2
             q = n - 1
-            shift, t_lo, split, t_end = _zs_window(n, q, sizes, omr2)
-            lattice = np.arange(-32.0, 81.0)
-            psi = _zs_log_integrand(lattice, n, q, sizes[:, None], omr2[:, None])
-            peak = lattice[psi.argmax(axis=1)]
-            np.testing.assert_array_equal(shift, psi.max(axis=1))
-            np.testing.assert_array_equal(t_lo, np.round(t_lo))
-            np.testing.assert_array_equal(split, 4 * np.floor(peak / 4) + 4)
-            assert np.all(t_lo < peak) and np.all(split <= t_end) and np.all(t_end % 4 == 0)
-            level = np.zeros(sizes.size, dtype=np.intp)
-            _, first, _ = _zs_kronrod(n, q, sizes, omr2, shift, t_lo, split, t_end, level, False)
-            estimates.append(first)
-        assert np.mean(np.concatenate(estimates) > QuadratureConfig().relative_tolerance) < 0.01
-
-    def test_budget_exhaustion_reports_last_estimate(self):
-        s = make_stats(10, 1, 2, 0.5)
-        for cfg in [QuadratureConfig(node_count=32, relative_tolerance=1e-15),
-                    QuadratureConfig(relative_tolerance=1e-15)]:
-            with pytest.raises(QuadratureError) as info:
-                log_bf_zs(s, cfg)
-            # Estimates are floored at 50 machine epsilons, as in QUADPACK.
-            assert 50 * np.finfo(float).eps <= info.value.residual < 1e-13
+            log_bf, estimate, _, t0, h, panels = _zs_trapezoid(n, 1, sizes, omr2, False)
+            assert np.all(estimate <= 1e-8)
+            assert np.all((h > 0) & (h <= 0.2)) and np.all(panels >= 1)
+            for i in range(sizes.size):
+                f = lambda j: _zs_log_integrand(t0[i] + j * h[i], n, q, sizes[i], omr2[i])
+                j = np.arange(-16 * panels[0, i], 16 * panels[1, i], dtype=np.float64)
+                top = f(0.0)
+                assert top >= f(-1.0) and top >= f(1.0)
+                assert f(j[0]) <= top - 45 and f(j[-1]) <= top - 45
+                assert panels[0, i] == 1 or f(j[16]) > top - 45
+                assert panels[1, i] == 1 or f(j[-17]) > top - 45
+                total = h[i] * np.exp(f(j) - top).sum()
+                assert log_bf[i] == pytest.approx(top + math.log(total), rel=1e-14, abs=1e-14)
 
 
 def _zs_log_f(g, n, q, p, w):
@@ -554,27 +500,33 @@ class TestZellnerSiowLaplace:
             assert log_bf_zs_laplace(s) == pytest.approx(log_bf_zs(s), rel=1e-3)
 
     def test_mode_is_the_maximum_and_a_stationary_point(self):
+        # One routine for both kernels: a = 3 is the mode in g of BF(g) pi(g),
+        # a = 1 the mode in t = log g of the integrand times its Jacobian g.
+        # n goes down to 2 (p0 = 0, p = 1), where n(1+w) - 3 can be negative.
         rng = np.random.default_rng(42)
         t_grid = np.linspace(-25.0, 45.0, 7001)
         for _ in range(3000):
-            n = int(np.exp(rng.uniform(math.log(3), math.log(3000))))
+            n = int(np.exp(rng.uniform(math.log(2), math.log(3000))))
             p0 = int(rng.integers(0, min(3, n - 2) + 1))
             q = n - p0
             p = int(rng.integers(1, q))
             w = 10.0 ** rng.uniform(-13.5, 0.0)
-            g0 = float(_zs_mode(n, p0, np.array([float(p)]), np.array([w]))[0])
-            top = _zs_log_f(g0, n, q, p, w)
-            grid = _zs_log_f(np.exp(np.concatenate([t_grid, math.log(g0) + t_grid * 1e-4])),
-                             n, q, p, w).max()
-            res = minimize_scalar(lambda t: -_zs_log_f(math.exp(t), n, q, p, w),
-                                  bounds=(t_grid[0], t_grid[-1]), method="bounded",
-                                  options={"xatol": 1e-12})
-            # Rounding in f itself is about 1e-16 of its largest term.
-            tol = 1e-12 * max(1.0, 0.5 * q * math.log1p(g0))
-            assert top >= max(grid, -res.fun) - tol, (n, p0, p, w)
-            terms = np.array([0.5 * (q - p) / (1 + g0), -0.5 * q * w / (1 + w * g0),
-                              -1.5 / g0, n / (2 * g0**2)])
-            assert abs(terms.sum()) <= 1e-10 * np.abs(terms).sum(), (n, p0, p, w)
+            for a in (1, 3):
+                def log_f(g):
+                    return _zs_log_f(g, n, q, p, w) + 0.5 * (3 - a) * np.log(g)
+
+                g0 = float(_zs_mode(n, p0, np.array([float(p)]), np.array([w]), a)[0])
+                top = log_f(g0)
+                grid = log_f(np.exp(np.concatenate([t_grid, math.log(g0) + t_grid * 1e-4]))).max()
+                res = minimize_scalar(lambda t: -log_f(math.exp(t)),
+                                      bounds=(t_grid[0], t_grid[-1]), method="bounded",
+                                      options={"xatol": 1e-12})
+                # Rounding in f itself is about 1e-16 of its largest term.
+                tol = 1e-12 * max(1.0, 0.5 * q * math.log1p(g0))
+                assert top >= max(grid, -res.fun) - tol, (n, p0, p, w, a)
+                terms = np.array([0.5 * (q - p) / (1 + g0), -0.5 * q * w / (1 + w * g0),
+                                  -0.5 * a / g0, n / (2 * g0**2)])
+                assert abs(terms.sum()) <= 1e-10 * np.abs(terms).sum(), (n, p0, p, w, a)
 
 
 class TestPriorMethod:
@@ -588,10 +540,6 @@ class TestPriorMethod:
             PriorMethod(kind="nope")
         with pytest.raises(ValueError):
             PriorMethod(kind="lb", g=-1.0)
-        with pytest.raises(ValueError):
-            QuadratureConfig(node_count=8)
-        with pytest.raises(ValueError):
-            QuadratureConfig(relative_tolerance=0.0)
 
 
 class TestPropositionOrdering:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from ml2bf.bayesfactors import PriorMethod, evidence, shrinkage_factor_ml2
-from ml2bf.regression import Dataset, ModelTable, fit_models, orthogonalize
+from ml2bf.regression import Dataset, ModelTable, SuffStats, fit_models, orthogonalize
 
 from util import make_stats, random_dataset
 
@@ -50,6 +50,15 @@ class TestShrinkageMl2:
     def test_limit_at_perfect_fit(self):
         s = make_stats(20, 1, 2, 1.0)
         assert shrinkage_factor_ml2(s) == pytest.approx(1.0)
+
+    def test_marked_models_get_one(self):
+        # The null model and an exact fit (r2 >= R2_SATURATION) carry the
+        # marker's shrinkage 1, exactly as ``evidence`` gives it.
+        exact_fit = SuffStats(n=30, p0=1, p=2, beta_hat=np.zeros(2), sse=1e-14,
+                              ssr=1.0 - 1e-14, gram_chol=np.eye(2))
+        for s in [make_stats(30, 1, 0, 0.0), exact_fit]:
+            assert shrinkage_factor_ml2(s) == 1.0
+            assert evidence("ml2", _table(s), want_shrinkage=True)[1][0] == 1.0
 
     def test_factor_range_and_monotone(self):
         n, p0 = 25, 1
