@@ -20,7 +20,6 @@ from ml2bf import (
     inclusion_probs,
     make_correlated_design,
     mpm,
-    orthogonalize,
 )
 
 rng = np.random.default_rng(11)
@@ -31,7 +30,7 @@ beta = np.zeros(p)
 beta[list(true_model)] = [1.2, -0.9, 0.8]
 y = 2.0 + x @ beta + rng.standard_normal(n)
 
-ds = orthogonalize(Dataset.with_intercept(y, x))
+ds = Dataset.with_intercept(y, x)  # enumerate_models projects out the intercept
 space = ModelSpace.all_subsets(p)
 
 print(f"true model: {true_model}")

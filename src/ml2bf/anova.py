@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bayesfactors import ml2_known_variance_from_scalars
 from .modelspace import ModelSpace, posterior_from_evidence
 from .pool import derive_stream, mean_se
 
@@ -35,15 +36,12 @@ class AnovaStats:
     p: int
     r: int
     mu_hat_norm2: float
-    sigma2: float = 1.0
 
     def __post_init__(self):
         if self.p < 1 or self.r < 1:
             raise ValueError("need p >= 1 groups and r >= 1 replicates")
         if self.mu_hat_norm2 < 0:
             raise ValueError("mu_hat_norm2 must be nonnegative")
-        if self.sigma2 != 1.0:
-            raise ValueError("only unit error variance is supported")
 
 
 @dataclass(frozen=True)
@@ -68,15 +66,8 @@ def _log_bf_fixed_normal(p, r, norm2):
 
 
 def _log_bf_ml2(p, r, norm2):
-    lower = _log_bf_fixed_normal(p, r, norm2)
-    # Floor keeps the unselected branch's log finite at norm2 = 0.
-    safe = np.maximum(norm2, 1e-300)
-    upper = (
-        -0.5 * np.log(r * safe / (r + 1.0))
-        - 0.5 * p * np.log(r + 1.0)
-        + (r * norm2 - 1.0) / 2.0
-    )
-    return np.where(norm2 <= 1.0 + 1.0 / r, lower, upper)
+    # The known-variance rule with ssr = r ||mu_hat||^2 and unit scale r.
+    return ml2_known_variance_from_scalars(p, r * norm2, 1.0, r)[0]
 
 
 def _log_bf_bic(p, r, norm2):
@@ -119,7 +110,7 @@ def consistency_threshold(method: str, r: int) -> float:
         raise ValueError("need r >= 1")
     if method == "fixed_normal":
         return (1.0 + r) * math.log(1.0 + r) / r**2 - 1.0 / r
-    if method in ("bic", "bic_r"):
+    if method == "bic":
         return max(0.0, (math.log(r) - 1.0) / r)
     if method == "ml2":
         return max(0.0, (math.log(r + 1.0) - 1.0) / r)

@@ -27,13 +27,12 @@ from .modelspace import (
 from .nonparametric import LOSS_KINDS, PRESETS, STUDY_METHODS, NonparametricConfig, run_study
 from .pool import derive_stream, mean_se, run_replicates
 from .regression import (
-    RANK_RTOL,
     CorrelationSpec,
     Dataset,
+    DependentColumnsError,
     correlated_design_from_raw,
     fit_models,
     load_dataset_csv,
-    orthogonalize,
 )
 
 # Not called here: perfbench/bench_trace.py wraps these names on this module
@@ -49,7 +48,7 @@ from .bayesfactors import (  # noqa: F401
     shrinkage_factor_ml2,
     zs_evidence_batch,
 )
-from .regression import fit_suffstats  # noqa: F401
+from .regression import fit_suffstats, orthogonalize  # noqa: F401
 
 __all__ = [
     "ExperimentConfig",
@@ -336,7 +335,7 @@ def _table1_chunk(cell, lo, hi):
                 if design_scale == "corrected":
                     x = x * math.sqrt((n - 1.0) / n)
                 y = x @ beta + eps[ni]
-                table = fit_models(orthogonalize(Dataset.with_intercept(y, x)), space)
+                table = fit_models(Dataset.with_intercept(y, x), space)
             except ValueError as exc:
                 raise ValueError(f"n={n}, r={r_values[ri]}, stack of replicates "
                                  f"{lo}..{hi - 1}: {exc}") from None
@@ -425,8 +424,7 @@ def _figure_chunk(cell, lo, hi):
         if k_active:
             beta[list(active)] = rng.normal(0.0, math.sqrt(g_signal), size=k_active)
         y = _FIG_ALPHA + x @ beta + rng.standard_normal(n)
-        ds = orthogonalize(Dataset.with_intercept(y, x))
-        table = fit_models(ds, space)
+        table = fit_models(Dataset.with_intercept(y, x), space)
         gram_full = x.T @ x
         for mi, method in enumerate(methods):
             log_ev, shrink = evidence(method, table, want_shrinkage=True, zs_rule=zs_rule)
@@ -609,27 +607,23 @@ def run_bf(dataset_path, cfg: ExperimentConfig) -> dict:
     """
     methods = _parse_methods(cfg, _BF_METHODS)
     try:
-        dataset, labels = load_dataset_csv(dataset_path)
+        ds, labels = load_dataset_csv(dataset_path)
     except (ValueError, OSError) as exc:
         raise ConfigError(str(exc))
-    try:
-        ds = orthogonalize(dataset)
-    except ValueError as exc:
-        raise ConfigError(f"{exc}: the x0_* columns are linearly dependent")
     space = _all_subsets_space(ds.p, cfg, "uniform_models")
     if ds.n <= ds.p0 + ds.p:
         raise ConfigError(
             f"insufficient sample size: the full model needs n > {ds.p0 + ds.p} rows "
             f"({ds.p0} common and {ds.p} candidate predictors), the dataset has {ds.n}"
         )
-    # What is left of each column after projecting out the common predictors
-    # and the columns before it.
-    left = np.abs(np.diagonal(np.linalg.qr(ds.x, mode="r")))
-    dependent = left <= RANK_RTOL * np.linalg.norm(dataset.x, axis=0)
-    if dependent.any():
-        raise ConfigError(f"linearly dependent columns: {', '.join(np.array(labels)[dependent])} "
-                          "(each a combination of the common and earlier candidate columns)")
-    table = fit_models(ds, space)
+    try:
+        table = fit_models(ds, space)
+    except DependentColumnsError as exc:
+        if not exc.columns:
+            raise ConfigError(f"{exc}: the x0_* columns are linearly dependent")
+        names = ", ".join(labels[j] for j in exc.columns)
+        raise ConfigError(f"linearly dependent columns: {names} (each a combination of the "
+                          "common and earlier candidate columns)")
     posteriors = {method: posterior_from_evidence(space, evidence(method, table))
                   for method in methods}
     if cfg.output_dir:

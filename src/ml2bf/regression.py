@@ -21,6 +21,7 @@ __all__ = [
     "SuffStats",
     "ModelTable",
     "CorrelationSpec",
+    "DependentColumnsError",
     "orthogonalize",
     "fit_suffstats",
     "fit_models",
@@ -172,14 +173,23 @@ def inverse_from_factor(r) -> np.ndarray:
     return rinv @ rinv.T
 
 
-def _raise_first(failed, message):
-    """Raise ``ValueError(message)`` where ``failed`` (one flag, or one per
+class DependentColumnsError(ValueError):
+    """Linearly dependent predictors: ``columns`` holds the candidate columns
+    at fault, none when the common predictors are dependent."""
+
+    def __init__(self, message, columns=()):
+        super().__init__(message)
+        self.columns = tuple(columns)
+
+
+def _raise_first(failed, message, error=ValueError):
+    """Raise ``error(message)`` where ``failed`` (one flag, or one per
     stacked replicate) is set, naming the first failing replicate."""
     failed = np.asarray(failed)
     if failed.any():
         if failed.ndim:
             message = f"replicate {int(np.argmax(failed))}: {message}"
-        raise ValueError(message)
+        raise error(message)
 
 
 def _common_basis(x0):
@@ -191,8 +201,17 @@ def _common_basis(x0):
     col_norms = np.linalg.norm(x0, axis=-2)
     diag = np.abs(np.diagonal(r0, axis1=-2, axis2=-1))
     _raise_first(np.any(diag <= RANK_RTOL * np.maximum(col_norms, 1e-300), axis=-1),
-                 "degenerate common predictors")
+                 "degenerate common predictors", DependentColumnsError)
     return q0
+
+
+def _project_out(q0, x):
+    """x minus its projection on the orthonormal columns q0, in two passes."""
+    q0t = np.swapaxes(q0, -1, -2)
+    x = x - q0 @ (q0t @ x)
+    # One more pass kills the O(eps * kappa) residue of the first projection.
+    x -= q0 @ (q0t @ x)
+    return x
 
 
 def orthogonalize(dataset: Dataset) -> Dataset:
@@ -202,15 +221,20 @@ def orthogonalize(dataset: Dataset) -> Dataset:
     below 1e-10 times the product of the column norms); the response and
     common predictors are untouched.  With a single intercept column this is
     ordinary centering.  A stacked dataset is projected replicate by
-    replicate, in one batched product.
+    replicate, in one batched product.  A candidate column inside span(x0),
+    whose projection keeps at most ``RANK_RTOL`` of its norm, raises
+    ``DependentColumnsError`` naming it.
     """
     if dataset.p0 == 0:
         return dataset
-    q0 = _common_basis(dataset.x0)
-    q0t = np.swapaxes(q0, -1, -2)
-    x_new = dataset.x - q0 @ (q0t @ dataset.x)
-    # One more pass kills the O(eps * kappa) residue of the first projection.
-    x_new -= q0 @ (q0t @ x_new)
+    x_new = _project_out(_common_basis(dataset.x0), dataset.x)
+    inside = (np.linalg.norm(x_new, axis=-2)
+              <= RANK_RTOL * np.maximum(np.linalg.norm(dataset.x, axis=-2), 1e-300))
+    if inside.any():
+        rep, j = divmod(int(np.argmax(inside)), dataset.p)
+        prefix = f"replicate {rep}: " if inside.ndim == 2 else ""
+        raise DependentColumnsError(
+            f"{prefix}candidate column {j} lies in the span of the common predictors", (j,))
     return Dataset(y=dataset.y, x0=dataset.x0, x=x_new)
 
 
@@ -373,18 +397,20 @@ def fit_models(dataset: Dataset, models) -> ModelTable:
     """``fit_suffstats`` for every subset in ``models``, batched by model size.
 
     ``models`` is a list of column subsets, or a ``ModelSpace`` whose cached
-    models and mask are used as they are.  The dataset must already be
-    orthogonalized.  The common predictors are projected out of y once, and
-    [x, y~] = Q R is factored once per replicate, R having min(n, p + 1)
-    rows.  As x[:, S] = Q R[:, S], all models of one size are fitted by one
-    stacked QR of their columns of R against R's last column: the singular
-    values of x[:, S] on p + 1 rows instead of n.  Each replicate's fits
-    are bit for bit those of fitting it alone.  Coefficients, sse and ssr
-    do not depend on the signs QR gives R's rows, so the sign convention
-    applies only in ``gram_chol``.
+    models and mask are used as they are.  The common predictors are
+    projected out of x as ``orthogonalize`` does (the table keeps that
+    dataset) and out of y once, and [x, y~] = Q R is factored once per
+    replicate, R having min(n, p + 1) rows.  As x[:, S] = Q R[:, S], all
+    models of one size are fitted by one stacked QR of their columns of R
+    against R's last column: the singular values of x[:, S] on p + 1 rows
+    instead of n.  Each replicate's fits are bit for bit those of fitting it
+    alone.  Coefficients, sse and ssr do not depend on the signs QR gives
+    R's rows, so the sign convention applies only in ``gram_chol``.
     A model that ``fit_suffstats`` rejects raises the same ValueError here,
     prefixed with the index and columns of the first such model (and, when
-    stacked, of the first replicate that has one).
+    stacked, of the first replicate that has one).  The rank test divides
+    by the column norms before the projection, and its failure is a
+    ``DependentColumnsError`` with every column it flags in that replicate.
     """
     n, p0, p = dataset.n, dataset.p0, dataset.p
     # A ModelSpace (duck-typed: modelspace imports this module) over these
@@ -399,30 +425,19 @@ def fit_models(dataset: Dataset, models) -> ModelTable:
     # The single dataset is the one-replicate stack.
     stacked = dataset.replicates is not None
     y = dataset.y if stacked else dataset.y[None]
-    x = dataset.x if stacked else dataset.x[None]
     reps = y.shape[0]
     with np.errstate(over="ignore"):  # reported just below
         yy = (y[:, None, :] @ y[:, :, None])[:, 0]
     overflow = ~np.isfinite(yy[:, 0])
     _raise_first(overflow if stacked else overflow[0], "the sum of squares of y overflows")
     q0 = _common_basis(dataset.x0)
-    q0t = np.swapaxes(q0, -1, -2)
-    ytilde = y - (q0 @ (q0t @ y[..., None]))[..., 0]
-    col_norms = np.linalg.norm(x, axis=-2)
+    ytilde = y - (q0 @ (q0.swapaxes(-1, -2) @ y[..., None]))[..., 0]
+    col_norms = np.linalg.norm(dataset.x, axis=-2).reshape(reps, p)
+    dataset = Dataset(y=dataset.y, x0=dataset.x0, x=_project_out(q0, dataset.x))
+    x = dataset.x.reshape(reps, n, p)
 
     too_small = n <= p0 + sizes
-    not_orthogonal = np.zeros((reps, m), dtype=bool)
-    if p0 > 0:
-        used = mask.any(axis=0)
-        cross = np.abs(q0t @ x[..., used])
-        q0_scale = np.maximum(np.linalg.norm(q0, axis=-2).max(axis=-1), 1.0)
-        scale = col_norms[:, used] * np.reshape(q0_scale, (-1, 1))
-        bad = np.zeros((reps, p), dtype=bool)
-        bad[:, used] = np.any(
-            cross > _ORTHO_CHECK_RTOL * np.maximum(scale, 1e-300)[:, None, :], axis=1)
-        not_orthogonal = (bad[:, None, :] & mask).any(axis=-1)
-    rank_deficient = np.zeros((reps, m), dtype=bool)
-
+    dependent = np.zeros((reps, m, p), dtype=bool)  # the columns each rank test flags
     tss = (ytilde[:, None, :] @ ytilde[:, :, None])[:, 0]
     sse = np.repeat(tss, m, axis=1)
     ssr = np.zeros((reps, m))
@@ -438,9 +453,9 @@ def fit_models(dataset: Dataset, models) -> ModelTable:
         idx = np.nonzero(mask[sel])[1].reshape(sel.size, k)
         q, r = np.linalg.qr(np.swapaxes(rt[:, idx], -1, -2))
         diag = np.abs(np.diagonal(r, axis1=-2, axis2=-1))
-        rank_deficient[:, sel] = np.any(
-            diag <= RANK_RTOL * np.maximum(col_norms[:, idx], 1e-300), axis=-1)
-        if rank_deficient[:, sel].any() or not_orthogonal[:, sel].any():
+        tol = RANK_RTOL * np.maximum(col_norms[:, idx], 1e-300)
+        dependent[:, sel[:, None], idx] = diag <= tol
+        if dependent[:, sel].any():
             continue
         u = (r_y[:, None, None, :] @ q)[..., 0, :]
         resid = r_y[:, None, :] - (q @ u[..., None])[..., 0]
@@ -448,20 +463,17 @@ def fit_models(dataset: Dataset, models) -> ModelTable:
         sse[:, sel] = np.einsum("...j,...j->...", resid, resid)
         ssr[:, sel] = np.einsum("...j,...j->...", u, u)
 
-    failed = too_small | not_orthogonal | rank_deficient
+    failed = too_small | dependent.any(axis=-1)
     if failed.any():
         j = int(np.argmax(failed.any(axis=1)))
         i = int(np.argmax(failed[j]))
         cols = models[i]
+        where = f"{f'replicate {j}: ' if stacked else ''}model {i} (columns {cols}): "
         if too_small[i]:
-            reason = (f"insufficient sample size: n={n} with p0={p0} and {len(cols)} "
-                      "selected predictors")
-        elif not_orthogonal[j, i]:
-            reason = "dataset not orthogonalized; call orthogonalize() first"
-        else:
-            reason = f"selected columns {cols} are rank deficient"
-        prefix = f"replicate {j}: " if stacked else ""
-        raise ValueError(f"{prefix}model {i} (columns {cols}): {reason}")
+            raise ValueError(f"{where}insufficient sample size: n={n} with p0={p0} and "
+                             f"{len(cols)} selected predictors")
+        raise DependentColumnsError(f"{where}selected columns {cols} are rank deficient",
+                                    np.flatnonzero(dependent[j].any(axis=0)).tolist())
     # Signal at the level of squared rounding noise in y is an exact zero.
     ssr[ssr <= 1e-24 * np.maximum(yy, 1.0)] = 0.0
     if not stacked:

@@ -27,6 +27,15 @@ class TestClosedForms:
         assert anova_log_bf_fixed_normal(s) == pytest.approx(expected)
         assert anova_log_bf_bic(s) == pytest.approx(-3.5 * math.log(4))
 
+    @pytest.mark.parametrize("p,r,norm2", [(1, 1, 2.5), (5, 2, 3.0), (200, 10, 1e6)])
+    def test_upper_branch_closed_form(self, p, r, norm2):
+        # Above the knot the fitted prior gives
+        # -log(r ||mu_hat||^2 / (r + 1))/2 - (p/2) log(r + 1) + (r ||mu_hat||^2 - 1)/2.
+        expected = (-0.5 * math.log(r * norm2 / (r + 1.0)) - 0.5 * p * math.log(r + 1.0)
+                    + (r * norm2 - 1.0) / 2.0)
+        got = anova_log_bf_ml2(AnovaStats(p=p, r=r, mu_hat_norm2=norm2))
+        assert got == pytest.approx(expected, rel=1e-14)
+
     @pytest.mark.parametrize("p,r", [(1, 1), (5, 2), (10, 3), (50, 5), (200, 10)])
     def test_branch_continuity_at_knot(self, p, r):
         knot = 1.0 + 1.0 / r
@@ -185,7 +194,5 @@ class TestSimulation:
             AnovaStats(p=0, r=1, mu_hat_norm2=0.0)
         with pytest.raises(ValueError):
             AnovaStats(p=1, r=1, mu_hat_norm2=-1.0)
-        with pytest.raises(ValueError):
-            AnovaStats(p=1, r=1, mu_hat_norm2=0.0, sigma2=2.0)
         with pytest.raises(ValueError):
             AnovaTruth(-0.1)

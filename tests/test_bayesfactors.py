@@ -414,7 +414,7 @@ class TestZellnerSiow:
             assert 0.0 < shr[0] < 1.0
 
 
-class TestZellnerSiowKronrod:
+class TestZellnerSiowKernel:
     def test_value_does_not_depend_on_batch_mates(self):
         # Each model has its own panels, so scoring it inside a table (in any
         # row order, across model blocks) gives its one-model value.  The

@@ -167,6 +167,18 @@ class TestTable1Driver:
         )
         assert default != shared
 
+    def test_design_scale_setting(self):
+        # The response is built on the scaled design, so the scale moves the
+        # signal and with it every row's average.
+        base = dict(experiment="table1", seed=5, replicates=4)
+        corrected = run_table1(ExperimentConfig(**base, overrides={"n_grid": "5,10"}))
+        uncorrected = run_table1(ExperimentConfig(
+            **base, overrides={"n_grid": "5,10", "design_scale": "uncorrected"}))
+        assert len(corrected) == len(uncorrected) == 16
+        for a, b in zip(corrected, uncorrected):
+            assert (a["n"], a["r"], a["method"]) == (b["n"], b["r"], b["method"])
+            assert a["avg_prob_true"] != b["avg_prob_true"]
+
     def test_output_files_byte_identical(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
         for out in (out1, out2):
@@ -458,7 +470,7 @@ class TestCli:
 
     @pytest.mark.parametrize("experiment,key", [
         ("table1", "model_prior"), ("figure_ar1", "model_prior"), ("bf", "model_prior"),
-        ("table1", "zs_rule"), ("figure_ar1", "zs_rule"),
+        ("table1", "zs_rule"), ("figure_ar1", "zs_rule"), ("table1", "design_scale"),
     ])
     def test_bad_setting_is_config_error(self, tmp_path, capsys, experiment, key):
         cfg_path = tmp_path / "run.cfg"
@@ -566,7 +578,8 @@ class TestCli:
 
 
     @pytest.mark.parametrize("case,named", [
-        ("copy", "x3"), ("combination", "x3"), ("common", "x0_*"),
+        ("copy", "x3"), ("combination", "x3"), ("common", "x0_*"), ("constant", "x3"),
+        ("two", "x3, x4"),
     ])
     def test_dependent_columns_are_config_error(self, tmp_path, capsys, case, named):
         rng = np.random.default_rng(5)
@@ -577,9 +590,13 @@ class TestCli:
             cols["x0_a"], cols["x0_b"] = np.ones(n), np.full(n, 2.0)
         elif case == "copy":
             x[:, 2] = x[:, 0]
+        elif case == "constant":  # inside the intercept's span
+            x[:, 2] = 5.0
+        elif case == "two":
+            x = np.column_stack([x[:, :2], x[:, 0], 2.0 * x[:, 1] - 1.0])
         else:
             x[:, 2] = 2.0 * x[:, 0] - 3.0 * x[:, 1] + 5.0
-        cols.update({f"x{j + 1}": x[:, j] for j in range(3)})
+        cols.update({f"x{j + 1}": x[:, j] for j in range(x.shape[1])})
         lines = [",".join(cols)]
         lines += [",".join(repr(float(c[i])) for c in cols.values()) for i in range(n)]
         path = tmp_path / "data.csv"

@@ -118,8 +118,8 @@ class TestFitModels:
         assert table.sse[1] == pytest.approx(fit_suffstats(ds, ()).sse, rel=1e-15)
         assert table.ssr[1] == 0.0 and table.r2[1] == 0.0 and table.one_minus_r2[1] == 1.0
 
-    @pytest.mark.parametrize("case", ["rank_deficient", "too_small", "not_orthogonalized",
-                                      "repeated", "out_of_range"])
+    @pytest.mark.parametrize("case", ["rank_deficient", "too_small", "repeated",
+                                      "out_of_range"])
     def test_errors_match_fit_suffstats(self, case):
         rng = np.random.default_rng(1)
         n, p = 10, 4
@@ -131,9 +131,6 @@ class TestFitModels:
             ds = orthogonalize(Dataset.with_intercept(y, x))
         elif case == "too_small":
             ds = orthogonalize(Dataset.with_intercept(y[:5], x[:5]))
-        elif case == "not_orthogonalized":
-            ds = Dataset.with_intercept(y, x + 5.0)
-            models = [(), (1,), (0, 2)]
         else:
             ds = orthogonalize(Dataset.with_intercept(y, x))
             models = [(0,), (1, 1)] if case == "repeated" else [(0,), (4,)]
@@ -152,6 +149,29 @@ class TestFitModels:
             assert str(info.value) == message
         else:
             assert str(info.value) == f"model {i} (columns {tuple(model)}): {message}"
+
+    def test_raw_dataset_fits_like_orthogonalized(self):
+        # fit_models projects the common predictors out itself; its table
+        # keeps the projected dataset, so factors on request are right too.
+        rng = np.random.default_rng(1)
+        n, p = 10, 4
+        x0 = np.column_stack([np.ones(n), rng.standard_normal(n)])
+        x = rng.standard_normal((n, p)) + 5.0 + 3.0 * x0[:, 1:]
+        raw = Dataset(y=rng.standard_normal(n) + 2.0, x0=x0, x=x)
+        ds = orthogonalize(raw)
+        models = _all_subsets(p)
+        table = fit_models(raw, models)
+        np.testing.assert_array_equal(table.dataset.x, ds.x)
+        tss = fit_suffstats(ds, ()).sse
+        for i, model in enumerate(models):
+            s = fit_suffstats(ds, model)
+            cols = list(model)
+            assert abs(table.sse[i] - s.sse) <= 1e-12 * tss
+            assert abs(table.ssr[i] - s.ssr) <= 1e-12 * tss
+            gap = ds.x[:, cols] @ (table.beta[i, cols] - s.beta_hat)
+            assert gap @ gap <= 1e-24 * tss
+            np.testing.assert_allclose(table.suffstats(i).gram_chol, s.gram_chol, rtol=0,
+                                       atol=1e-12 * max(1.0, np.abs(s.gram_chol).max(initial=0)))
 
 
 def _paired_dataset(n, p, cond, load, seed=0):

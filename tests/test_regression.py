@@ -6,6 +6,7 @@ import pytest
 from ml2bf.regression import (
     CorrelationSpec,
     Dataset,
+    DependentColumnsError,
     correlated_design_from_raw,
     fit_suffstats,
     load_dataset_csv,
@@ -51,6 +52,23 @@ class TestOrthogonalize:
         ds = Dataset(y=np.zeros(n), x0=x0, x=np.eye(n)[:, :2])
         with pytest.raises(ValueError, match="degenerate common predictors"):
             orthogonalize(ds)
+
+    def test_candidate_inside_common_span_is_rejected(self):
+        # x2 = 2z + 3 lies in span(1, z); projected, it keeps about 1e-15 of
+        # its norm, and a fit would give it a coefficient near 1e15.
+        rng = np.random.default_rng(8)
+        n = 30
+        z = rng.standard_normal(n)
+        x0 = np.column_stack([np.ones(n), z])
+        x = np.column_stack([rng.standard_normal(n), 2.0 * z + 3.0, rng.standard_normal(n)])
+        y = rng.standard_normal(n)
+        with pytest.raises(DependentColumnsError,
+                           match="^candidate column 1 lies in the span") as info:
+            orthogonalize(Dataset(y=y, x0=x0, x=x))
+        assert info.value.columns == (1,)
+        xs = np.stack([rng.standard_normal((n, 3)), x, x])
+        with pytest.raises(DependentColumnsError, match="^replicate 1: candidate column 1 "):
+            orthogonalize(Dataset(y=np.stack([y, y, y]), x0=x0, x=xs))
 
     def test_no_common_predictors_is_noop(self):
         rng = np.random.default_rng(4)
