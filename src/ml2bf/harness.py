@@ -301,6 +301,16 @@ def _zs_rule(cfg: ExperimentConfig, default) -> str:
     return zs_rule
 
 
+def _stack_error(exc, entries, whole):
+    """A stacked design's or fit's ValueError ``exc``, prefixed with the keys
+    of the stack entry it names (``entries[exc.replicate]``) in place of
+    that entry's index, else with ``whole``."""
+    j = getattr(exc, "replicate", None)
+    if j is None:
+        return ValueError(f"{whole}: {exc}")
+    return ValueError(f"{entries[j]}: {str(exc).removeprefix(f'replicate {j}: ')}")
+
+
 def _table1_chunk(cell, lo, hi):
     """Posterior probability of the full model for replicates lo..hi-1: per
     (n, r), one stacked design, fit, evidence and posterior over them all."""
@@ -337,8 +347,9 @@ def _table1_chunk(cell, lo, hi):
                 y = x @ beta + eps[ni]
                 table = fit_models(Dataset.with_intercept(y, x), space)
             except ValueError as exc:
-                raise ValueError(f"n={n}, r={r_values[ri]}, stack of replicates "
-                                 f"{lo}..{hi - 1}: {exc}") from None
+                keys = f"n={n}, r={r_values[ri]}"
+                raise _stack_error(exc, [f"{keys}, replicate {rep}" for rep in range(lo, hi)],
+                                   f"{keys}, stack of replicates {lo}..{hi - 1}")
             for mi, method in enumerate(methods):
                 posterior = posterior_from_evidence(space, evidence(method, table, zs_rule=zs_rule))
                 out[:, ni, ri, mi] = posterior.posterior_prob[:, -1]  # the full model is last
@@ -401,44 +412,75 @@ _FIG_P = 8
 _FIG_RHO = 0.9
 _FIG_ALPHA = 2.0
 _SELECTORS = ("hpm", "mpm", "bma")
+# Datasets per stacked design, fit and evidence call.  In a fresh process
+# (200 replicates of figure_ar1, one core) stacks of 72 and 108 ran 10-20%
+# slower than 144, and 288 no faster.  Each stacked dataset adds about
+# 0.2 MB to the peak: 144 add about 30 MB, where a 1000-replicate chunk of
+# 18 cells stacked at once would add about 3.6 GB.
+_FIG_STACK = 144
 
 
 def _figure_chunk(cell, lo, hi):
     """Losses, posterior entropy, MPM match and MPM size for replicates
-    lo..hi-1 of one (design, signal, sparsity) cell."""
-    design, g_signal, k_active, seed, key, methods, model_prior, zs_rule = cell
+    lo..hi-1 of every (g, k) of one design's grid: arrays of shape
+    (hi - lo, grid cells, ...).
+
+    Replicate rep of a (g, k) draws from its own stream in the order of
+    drawing it alone: raw draws, active set, coefficients, noise.  The
+    (replicate, cell) datasets run in stacks of at most ``_FIG_STACK``, each
+    with one design, fit, evidence call per rule and posterior, and array
+    summaries that give every dataset's values bit for bit as alone.
+    """
+    design, grid, seed, methods, model_prior, zs_rule = cell
     n, p = _FIG_N, _FIG_P
     space = ModelSpace.all_subsets(p, model_prior=model_prior)
     spec = CorrelationSpec.ar1(_FIG_RHO) if design == "ar1" else CorrelationSpec.identity()
     scale = 1.0 / math.sqrt(n) if design == "orthogonal" else math.sqrt((n - 1.0) / n)
-    losses = np.empty((hi - lo, len(methods), len(_SELECTORS)))
-    ent = np.empty((hi - lo, len(methods)))
-    match = np.empty((hi - lo, len(methods)))
-    mpm_size = np.empty((hi - lo, len(methods)))
-    for rep in range(lo, hi):
-        rng = derive_stream(seed, (*key, rep))
-        raw = rng.standard_normal((n, p))
-        x = scale * correlated_design_from_raw(raw, spec)
-        active = tuple(sorted(rng.choice(p, size=k_active, replace=False).tolist()))
-        beta = np.zeros(p)
-        if k_active:
-            beta[list(active)] = rng.normal(0.0, math.sqrt(g_signal), size=k_active)
-        y = _FIG_ALPHA + x @ beta + rng.standard_normal(n)
-        table = fit_models(Dataset.with_intercept(y, x), space)
-        gram_full = x.T @ x
+    datasets = [(rep, c) for rep in range(lo, hi) for c in range(len(grid))]
+    losses = np.empty((len(datasets), len(methods), len(_SELECTORS)))
+    ent = np.empty((len(datasets), len(methods)))
+    match = np.empty((len(datasets), len(methods)))
+    mpm_size = np.empty((len(datasets), len(methods)))
+    for start in range(0, len(datasets), _FIG_STACK):
+        stack = datasets[start : start + _FIG_STACK]
+        out = slice(start, start + len(stack))
+        raw = np.empty((len(stack), n, p))
+        noise = np.empty((len(stack), n))
+        active = np.zeros((len(stack), p), dtype=bool)
+        beta = np.zeros((len(stack), p))
+        for i, (rep, c) in enumerate(stack):
+            g_signal, k_active, key = grid[c]
+            rng = derive_stream(seed, (*key, rep))
+            raw[i] = rng.standard_normal((n, p))
+            cols = np.sort(rng.choice(p, size=k_active, replace=False))
+            active[i, cols] = True
+            if k_active:
+                beta[i, cols] = rng.normal(0.0, math.sqrt(g_signal), size=k_active)
+            noise[i] = rng.standard_normal(n)
+        try:
+            x = scale * correlated_design_from_raw(raw, spec)
+            y = _FIG_ALPHA + (x @ beta[..., None])[..., 0] + noise
+            table = fit_models(Dataset.with_intercept(y, x), space)
+        except ValueError as exc:
+            raise _stack_error(exc, [f"design={design}, g={grid[c][0]}, k={grid[c][1]}, "
+                                     f"replicate {rep}" for rep, c in stack],
+                               f"design={design}, replicates {stack[0][0]}..{stack[-1][0]}")
+        gram = np.swapaxes(x, -1, -2) @ x
+        rows = np.arange(len(stack))
         for mi, method in enumerate(methods):
             log_ev, shrink = evidence(method, table, want_shrinkage=True, zs_rule=zs_rule)
             posterior = posterior_from_evidence(space, log_ev)
-            estimates = shrink[:, None] * table.beta
+            estimates = shrink[..., None] * table.beta
             i_hpm, i_mpm = hpm(posterior), mpm(posterior)
-            bma_coef = posterior.posterior_prob @ estimates
-            for si, delta in enumerate((estimates[i_hpm], estimates[i_mpm], bma_coef)):
-                diff = beta - delta
-                losses[rep - lo, mi, si] = float(diff @ gram_full @ diff)
-            ent[rep - lo, mi] = entropy(posterior)
-            match[rep - lo, mi] = 1.0 if space.models[i_mpm] == active else 0.0
-            mpm_size[rep - lo, mi] = space.sizes[i_mpm]
-    return losses, ent, match, mpm_size
+            bma = (posterior.posterior_prob[:, None, :] @ estimates)[:, 0]
+            diff = beta[:, None, :] - np.stack([estimates[rows, i_hpm], estimates[rows, i_mpm],
+                                                bma], axis=1)
+            losses[out, mi] = ((diff[..., None, :] @ gram[:, None]) @ diff[..., :, None])[..., 0, 0]
+            ent[out, mi] = entropy(posterior)
+            match[out, mi] = (space.mask[i_mpm] == active).all(axis=-1)
+            mpm_size[out, mi] = space.sizes[i_mpm]
+    return tuple(a.reshape(hi - lo, len(grid), *a.shape[1:])
+                 for a in (losses, ent, match, mpm_size))
 
 
 def _g_key(g_signal) -> int:
@@ -446,12 +488,15 @@ def _g_key(g_signal) -> int:
     return int(round(1000 * float(g_signal)))
 
 
-def _figure_cell(design, g_signal, k_active, seed, methods, model_prior, zs_rule):
-    """One cell's settings for ``_figure_chunk``, with its stream key."""
+def _figure_grid(design, grid, seed, methods, model_prior, zs_rule):
+    """The settings of one ``_figure_chunk`` over the (g, k) pairs of
+    ``grid``, each with its stream key."""
     if design not in ("orthogonal", "ar1"):
         raise ConfigError(f"unknown design {design!r}")
-    key = (0 if design == "orthogonal" else 1, _g_key(g_signal), int(k_active))
-    return design, g_signal, k_active, seed, key, tuple(methods), model_prior, zs_rule
+    design_key = 0 if design == "orthogonal" else 1
+    grid = tuple((g_signal, int(k_active), (design_key, _g_key(g_signal), int(k_active)))
+                 for g_signal, k_active in grid)
+    return design, grid, seed, tuple(methods), model_prior, zs_rule
 
 
 def figure_cell(
@@ -465,14 +510,17 @@ def figure_cell(
     model_prior: str = "uniform_models",
     zs_rule: str = "exact",
 ):
-    """Per-replicate metrics for one (design, signal, sparsity) cell.
+    """Per-replicate metrics for one (design, signal, sparsity) cell: the
+    figure grid of the one pair (g, k), with the streams, and so the values,
+    of that pair in any larger grid.
 
     Returns dict with arrays ``losses`` (replicates, methods, selectors in
     hpm/mpm/bma order), ``entropy``, ``mpm_match``, ``mpm_size``.
     """
-    cell = _figure_cell(design, g_signal, k_active, seed, methods, model_prior, zs_rule)
+    cell = _figure_grid(design, [(g_signal, k_active)], seed, methods, model_prior, zs_rule)
     [(losses, ent, match, size)] = run_replicates(_figure_chunk, [cell], replicates, threads)
-    return {"losses": losses, "entropy": ent, "mpm_match": match, "mpm_size": size}
+    return {"losses": losses[:, 0], "entropy": ent[:, 0], "mpm_match": match[:, 0],
+            "mpm_size": size[:, 0]}
 
 
 def run_figure_sims(cfg: ExperimentConfig) -> list[dict]:
@@ -481,7 +529,9 @@ def run_figure_sims(cfg: ExperimentConfig) -> list[dict]:
     ``figure_ortho`` and ``figure_ar1`` emit average losses per method and
     selector; ``figure_diag`` emits posterior entropy, the rate at which the
     median probability model equals the truth, and its average size, on the
-    AR(1) design.  The chunks of every cell run in one process pool.
+    AR(1) design.  The whole (g, k) grid is one cell of the replicate runner:
+    each chunk of replicates carries every (g, k) through ``_figure_chunk``'s
+    stacks, and each row reads its (g, k)'s column of the joined arrays.
     """
     methods = _parse_methods(cfg, _DEFAULT_METHODS)
     design = "orthogonal" if cfg.experiment == "figure_ortho" else "ar1"
@@ -501,17 +551,17 @@ def run_figure_sims(cfg: ExperimentConfig) -> list[dict]:
     model_prior = _all_subsets_space(_FIG_P, cfg, "uniform_models").model_prior
     zs_rule = _zs_rule(cfg, "exact")
     grid = [(g_signal, k_active) for g_signal in g_values for k_active in k_values]
-    cells = [_figure_cell(design, g_signal, k_active, cfg.seed, methods, model_prior, zs_rule)
-             for g_signal, k_active in grid]
-    results = run_replicates(_figure_chunk, cells, cfg.replicates, cfg.threads)
+    cell = _figure_grid(design, grid, cfg.seed, methods, model_prior, zs_rule)
+    [(losses, ent, match, size)] = run_replicates(_figure_chunk, [cell], cfg.replicates,
+                                                  cfg.threads)
     rows = []
-    for (g_signal, k_active), (losses, ent, match, size) in zip(grid, results):
+    for ci, (g_signal, k_active) in enumerate(grid):
         for mi, method in enumerate(methods):
             keys = f"design={design}, g={g_signal}, k={k_active}, method={method}"
             if diag:
-                e_mean, e_se = mean_se(ent[:, mi], f"{keys}, avg_entropy")
-                m_mean, m_se = mean_se(match[:, mi], f"{keys}, mpm_match_rate")
-                s_mean, s_se = mean_se(size[:, mi], f"{keys}, avg_mpm_size")
+                e_mean, e_se = mean_se(ent[:, ci, mi], f"{keys}, avg_entropy")
+                m_mean, m_se = mean_se(match[:, ci, mi], f"{keys}, mpm_match_rate")
+                s_mean, s_se = mean_se(size[:, ci, mi], f"{keys}, avg_mpm_size")
                 rows.append(
                     {
                         "design": design, "g": g_signal, "k": k_active,
@@ -524,7 +574,7 @@ def run_figure_sims(cfg: ExperimentConfig) -> list[dict]:
                 )
             else:
                 for si, selector in enumerate(_SELECTORS):
-                    mean, se = mean_se(losses[:, mi, si], f"{keys}, selector={selector}")
+                    mean, se = mean_se(losses[:, ci, mi, si], f"{keys}, selector={selector}")
                     rows.append(
                         {
                             "design": design, "g": g_signal, "k": k_active,

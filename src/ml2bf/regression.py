@@ -63,7 +63,9 @@ class Dataset:
     A 3-d ``x`` stacks R datasets of the same shape on a leading replicate
     axis: ``x`` is (R, n, p), ``y`` is (R, n) and ``x0`` is (R, n, p0) or
     one (n, p0) matrix shared by every replicate.  ``orthogonalize`` and
-    ``fit_models`` treat each replicate exactly as they treat it alone.
+    ``fit_models`` treat each replicate exactly as they treat it alone.  An
+    error about one replicate of a stack starts "replicate j: " and carries
+    j as its ``replicate`` attribute.
     """
 
     y: np.ndarray
@@ -182,14 +184,23 @@ class DependentColumnsError(ValueError):
         self.columns = tuple(columns)
 
 
+def _replicate_error(error, j, message, *args):
+    """``error(message, *args)``; for stacked replicate j (None when not
+    stacked) the message starts "replicate j: " and the exception carries j
+    as ``replicate``, so a caller can name that replicate its own way."""
+    if j is None:
+        return error(message, *args)
+    exc = error(f"replicate {j}: {message}", *args)
+    exc.replicate = j
+    return exc
+
+
 def _raise_first(failed, message, error=ValueError):
     """Raise ``error(message)`` where ``failed`` (one flag, or one per
     stacked replicate) is set, naming the first failing replicate."""
     failed = np.asarray(failed)
     if failed.any():
-        if failed.ndim:
-            message = f"replicate {int(np.argmax(failed))}: {message}"
-        raise error(message)
+        raise _replicate_error(error, int(np.argmax(failed)) if failed.ndim else None, message)
 
 
 def _common_basis(x0):
@@ -232,9 +243,9 @@ def orthogonalize(dataset: Dataset) -> Dataset:
               <= RANK_RTOL * np.maximum(np.linalg.norm(dataset.x, axis=-2), 1e-300))
     if inside.any():
         rep, j = divmod(int(np.argmax(inside)), dataset.p)
-        prefix = f"replicate {rep}: " if inside.ndim == 2 else ""
-        raise DependentColumnsError(
-            f"{prefix}candidate column {j} lies in the span of the common predictors", (j,))
+        raise _replicate_error(DependentColumnsError, rep if inside.ndim == 2 else None,
+                               f"candidate column {j} lies in the span of the common "
+                               "predictors", (j,))
     return Dataset(y=dataset.y, x0=dataset.x0, x=x_new)
 
 
@@ -468,12 +479,14 @@ def fit_models(dataset: Dataset, models) -> ModelTable:
         j = int(np.argmax(failed.any(axis=1)))
         i = int(np.argmax(failed[j]))
         cols = models[i]
-        where = f"{f'replicate {j}: ' if stacked else ''}model {i} (columns {cols}): "
+        rep = j if stacked else None
+        where = f"model {i} (columns {cols}): "
         if too_small[i]:
-            raise ValueError(f"{where}insufficient sample size: n={n} with p0={p0} and "
-                             f"{len(cols)} selected predictors")
-        raise DependentColumnsError(f"{where}selected columns {cols} are rank deficient",
-                                    np.flatnonzero(dependent[j].any(axis=0)).tolist())
+            raise _replicate_error(ValueError, rep, f"{where}insufficient sample size: n={n} "
+                                   f"with p0={p0} and {len(cols)} selected predictors")
+        raise _replicate_error(DependentColumnsError, rep,
+                               f"{where}selected columns {cols} are rank deficient",
+                               np.flatnonzero(dependent[j].any(axis=0)).tolist())
     # Signal at the level of squared rounding noise in y is an exact zero.
     ssr[ssr <= 1e-24 * np.maximum(yy, 1.0)] = 0.0
     if not stacked:

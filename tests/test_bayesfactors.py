@@ -417,8 +417,9 @@ class TestZellnerSiow:
 class TestZellnerSiowKernel:
     def test_value_does_not_depend_on_batch_mates(self):
         # Each model has its own panels, so scoring it inside a table (in any
-        # row order, across model blocks) gives its one-model value.  The
-        # kernel integrates models with p > 0 only: ``evidence`` marks the rest.
+        # row order, across model blocks) gives its one-model value bit for
+        # bit.  The kernel integrates models with p > 0 only: ``evidence``
+        # marks the rest.
         rng = np.random.default_rng(51)
         for n, p in [(15, 4), (60, 6), (200, 9)]:
             ds = random_dataset(rng, n=n, p=p, beta_scale=2.0)
@@ -430,8 +431,24 @@ class TestZellnerSiowKernel:
             log_bf, shrink = zs_evidence_batch(n, 1, sizes, omr2, want_shrinkage=True)
             one = np.array([zs_evidence_batch(n, 1, [k], [w], want_shrinkage=True)
                             for k, w in zip(sizes, omr2)])[:, :, 0]
-            np.testing.assert_array_max_ulp(log_bf, one[:, 0], maxulp=4)
-            np.testing.assert_array_max_ulp(shrink, one[:, 1], maxulp=4)
+            np.testing.assert_array_equal(log_bf, one[:, 0])
+            np.testing.assert_array_equal(shrink, one[:, 1])
+
+    def test_block_size_affects_speed_only(self, monkeypatch):
+        # Blocks of 7 models split a figure-size table unevenly (255 = 36 * 7 + 3)
+        # and give the same bits as the default block, with and without shrinkage.
+        rng = np.random.default_rng(52)
+        ds = random_dataset(rng, n=50, p=8, beta_scale=1.0)
+        models = [c for size in range(1, 9) for c in itertools.combinations(range(8), size)]
+        table = fit_models(ds, models)
+        sizes, omr2 = table.sizes, table.one_minus_r2
+        default = [zs_evidence_batch(50, 1, sizes, omr2),
+                   *zs_evidence_batch(50, 1, sizes, omr2, want_shrinkage=True)]
+        monkeypatch.setattr(bayesfactors, "_ZS_BLOCK", 7)
+        small = [zs_evidence_batch(50, 1, sizes, omr2),
+                 *zs_evidence_batch(50, 1, sizes, omr2, want_shrinkage=True)]
+        for a, b in zip(default, small):
+            np.testing.assert_array_equal(a, b)
 
     @pytest.mark.parametrize("kernel", [zs_evidence_batch, zs_laplace_batch])
     def test_kernels_integrate_only(self, kernel):

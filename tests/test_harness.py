@@ -8,13 +8,15 @@ import sys
 import numpy as np
 import pytest
 
-from ml2bf import bayesfactors, nonparametric
+from ml2bf import bayesfactors, harness, nonparametric
 from ml2bf.cli import main
 from ml2bf.harness import (
     EXPERIMENTS,
     SETTINGS,
     ConfigError,
     ExperimentConfig,
+    _figure_chunk,
+    _figure_grid,
     _json_floats,
     build_config,
     derive_stream,
@@ -234,6 +236,55 @@ class TestFigureDriver:
         means = [r["avg_loss"] for r in rows[0] if r["k"] == 3]
         assert means == [float(cell["losses"][:, mi, si].mean())
                          for mi in range(4) for si in range(3)]
+
+    @pytest.mark.parametrize("design,stack", [("ar1", None), ("orthogonal", 7)])
+    def test_grid_stacks_match_one_replicate_at_a_time(self, monkeypatch, design, stack):
+        # 9 replicates of 18 cells fill one stack of _FIG_STACK = 144 datasets
+        # and part of another; stacks of 7 over 4 cells split replicates.
+        if stack:
+            monkeypatch.setattr(harness, "_FIG_STACK", stack)
+            grid = [(g, k) for g in (0.5, 25.0) for k in (0, 5)]
+        else:
+            grid = [(g, k) for g in (5.0, 25.0) for k in range(9)]
+        reps = 9 if stack is None else 5
+        assert reps * len(grid) % harness._FIG_STACK
+        methods = ("bic", "ml2", "lb", "zs")
+        cell = _figure_grid(design, grid, 4, methods, "uniform_models", "exact")
+        [stacked] = run_replicates(_figure_chunk, [cell], reps, 1)
+        for ci, pair in enumerate(grid):
+            one = _figure_grid(design, [pair], 4, methods, "uniform_models", "exact")
+            alone = [np.concatenate(parts) for parts in
+                     zip(*(_figure_chunk(one, rep, rep + 1) for rep in range(reps)))]
+            for grid_values, values in zip(stacked, alone):
+                np.testing.assert_array_equal(grid_values[:, ci], values[:, 0])
+
+    @pytest.mark.parametrize("where", ["raw", "design"])
+    def test_stack_failure_names_the_replicate(self, tmp_path, capsys, monkeypatch, where):
+        # Replicate 7 of (g=5, k=3) is entry 15 of the one stack of a 2-cell grid;
+        # degenerate draws or a degenerate design there name the replicate.
+        target = derive_stream(1, (1, 5000, 3, 7)).standard_normal((50, 8))
+        design_from_raw = harness.correlated_design_from_raw
+
+        def degenerate(raw, spec):
+            i = next(i for i in range(len(raw)) if np.array_equal(raw[i], target))
+            if where == "raw":
+                raw = raw.copy()
+                raw[i, :, 2] = raw[i, :, 0]
+                return design_from_raw(raw, spec)
+            x = design_from_raw(raw, spec)
+            x[i, :, 2] = x[i, :, 0]
+            return x
+
+        monkeypatch.setattr(harness, "correlated_design_from_raw", degenerate)
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text("g_grid = 5\nk_grid = 0,3\nreplicates = 9\n", encoding="utf-8")
+        assert main(["figure_ar1", "--config", str(cfg_path), "--seed", "1",
+                     "--out", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        detail = ("raw draws are numerically rank deficient" if where == "raw"
+                  else "model 10 (columns (0, 2)): selected columns (0, 2) are rank deficient")
+        assert f"numerical failure: design=ar1, g=5.0, k=3, replicate 7: {detail}\n" in err
+        assert "replicate 15" not in err
 
     def test_null_cell_losses_small_and_comparable(self):
         cell = figure_cell("orthogonal", 5.0, 0, seed=2, replicates=30,
@@ -512,8 +563,10 @@ class TestCli:
         ("figure_ar1", "g_grid = 1e300\nk_grid = 8"),
     ])
     def test_overflow_is_numerical_failure(self, tmp_path, capsys, experiment, setting):
-        # table1's is caught in the fit, figure_ar1's by pool.mean_se; both name the row.
-        named = ("n=5, r=-0.9",) if experiment == "table1" else ("g=1e+300", "method=bic")
+        # table1's is caught in the fit, figure_ar1's by pool.mean_se; both name the row,
+        # and table1 its replicate.
+        named = (("n=5, r=-0.9, replicate 0: the sum of squares of y overflows",)
+                 if experiment == "table1" else ("g=1e+300", "method=bic"))
         cfg_path = tmp_path / "run.cfg"
         cfg_path.write_text(f"{setting}\nreplicates = 2\n", encoding="utf-8")
         out = tmp_path / "o"

@@ -640,6 +640,7 @@ class TestReplicateAxis:
         with pytest.raises(ValueError) as stacked:
             fit_models(orthogonalize(Dataset.with_intercept(y, x)), models)
         assert str(stacked.value) == f"replicate 2: {alone.value}"
+        assert stacked.value.replicate == 2 and not hasattr(alone.value, "replicate")
 
         raw = rng.standard_normal((3, n, 2))
         raw[1, :, 1] = 2.0 * raw[1, :, 0]
@@ -649,6 +650,7 @@ class TestReplicateAxis:
         with pytest.raises(ValueError) as stacked:
             correlated_design_from_raw(raw, spec)
         assert str(stacked.value) == f"replicate 1: {alone.value}"
+        assert stacked.value.replicate == 1
         designs = correlated_design_from_raw(raw[[0, 2]], spec)
         np.testing.assert_array_equal(designs[1], correlated_design_from_raw(raw[2], spec))
 

@@ -67,8 +67,10 @@ class TestOrthogonalize:
             orthogonalize(Dataset(y=y, x0=x0, x=x))
         assert info.value.columns == (1,)
         xs = np.stack([rng.standard_normal((n, 3)), x, x])
-        with pytest.raises(DependentColumnsError, match="^replicate 1: candidate column 1 "):
+        with pytest.raises(DependentColumnsError,
+                           match="^replicate 1: candidate column 1 ") as info:
             orthogonalize(Dataset(y=np.stack([y, y, y]), x0=x0, x=xs))
+        assert info.value.replicate == 1 and info.value.columns == (1,)
 
     def test_no_common_predictors_is_noop(self):
         rng = np.random.default_rng(4)
