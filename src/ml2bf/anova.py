@@ -14,7 +14,7 @@ import numpy as np
 
 from .bayesfactors import ml2_known_variance_from_scalars
 from .modelspace import ModelSpace, posterior_from_evidence
-from .pool import derive_stream, mean_se
+from .pool import derive_stream, mean_se, run_replicates
 
 __all__ = [
     "AnovaStats",
@@ -121,6 +121,15 @@ _LOG_BF = {"ml2": _log_bf_ml2, "fixed_normal": _log_bf_fixed_normal, "bic": _log
 _TWO_MODELS = ModelSpace.nested(1, include_null=True, model_prior="uniform_models")
 
 
+def _norm2_chunk(cell, lo, hi):
+    """||mu_hat||^2 of replicates lo..hi-1 at one p, each from its own stream."""
+    truth, r, p, seed = cell
+    mu = truth.mu(p)
+    mu_hats = (mu + derive_stream(seed, (p, i)).standard_normal(p) / math.sqrt(r)
+               for i in range(lo, hi))
+    return (np.array([mu_hat @ mu_hat for mu_hat in mu_hats]),)
+
+
 def simulate_consistency(
     truth: AnovaTruth,
     r: int,
@@ -128,25 +137,22 @@ def simulate_consistency(
     replicates: int,
     seed: int,
     methods=ANOVA_METHODS,
+    threads: int = 1,
 ) -> list[dict]:
     """Average posterior probability of the true model along a grid of p.
 
     Group means are sampled directly (mu_hat = mu + noise with variance 1/r
     per group, the sufficient statistic of the full data).  Equal prior odds
-    on the two models.  One row per (p, method).
+    on the two models.  One row per (p, method).  Each p is one cell of
+    ``pool.run_replicates``, so the rows do not depend on ``threads``.
     """
     if replicates < 1:
         raise ValueError("need at least one replicate")
     rows = []
     true_model = 0 if truth.tau2 == 0.0 else 1  # column 0: the null model, log BF 0
-    for p in p_grid:
-        p = int(p)
-        mu = truth.mu(p)
-        norm2 = np.empty(replicates)
-        for i in range(replicates):
-            rng = derive_stream(seed, (p, i))
-            mu_hat = mu + rng.standard_normal(p) / math.sqrt(r)
-            norm2[i] = mu_hat @ mu_hat
+    cells = [(truth, r, int(p), seed) for p in p_grid]
+    for (_, _, p, _), (norm2,) in zip(cells, run_replicates(_norm2_chunk, cells, replicates,
+                                                             threads)):
         for m in methods:
             log_bf = _LOG_BF[m](p, r, norm2)
             log_ev = np.stack([np.zeros_like(log_bf), log_bf], axis=1)

@@ -25,35 +25,23 @@ def _parser() -> argparse.ArgumentParser:
     parser.add_argument("experiment", choices=EXPERIMENTS)
     parser.add_argument("dataset", nargs="?", help="CSV path (bf experiment only)")
     parser.add_argument("--config", help="flat key = value config file")
-    parser.add_argument("--seed", type=int, help="64-bit unsigned seed")
-    parser.add_argument("--replicates", type=int)
-    parser.add_argument("--out", help="output directory (required)")
+    parser.add_argument("--seed", help="64-bit unsigned seed")
+    parser.add_argument("--replicates")
+    parser.add_argument("--out", dest="output_dir", metavar="OUT",
+                        help="output directory (required)")
     parser.add_argument("--methods", help="comma-separated evidence rules, "
                         "e.g. ml,lb,bic,bicprior,zs,ghat")
-    parser.add_argument("--threads", type=int,
+    parser.add_argument("--threads",
                         help="worker processes for the replicates, at most the usable cores")
     return parser
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args = vars(_parser().parse_args(argv))
+    config = args.pop("config")
     try:
-        file_values = load_config_file(args.config) if args.config else {}
-        cfg = build_config(
-            args.experiment,
-            file_values,
-            seed=args.seed,
-            replicates=args.replicates,
-            output_dir=args.out,
-            methods=args.methods,
-            threads=args.threads,
-            dataset=args.dataset,
-        )
-        if cfg.experiment != "bf" and args.seed is None and "seed" not in file_values:
-            raise ConfigError("simulations need an explicit --seed")
-        if not cfg.output_dir:
-            raise ConfigError("no output directory: pass --out DIR "
-                              "(or set out or output_dir in the config file)")
+        file_values = load_config_file(config) if config else {}
+        cfg = build_config(args.pop("experiment"), file_values, **args)
     except ConfigError as exc:
         print(f"ml2bf: config error: {exc}", file=sys.stderr)
         return 2

@@ -10,6 +10,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -17,6 +18,7 @@ from . import __version__
 from .anova import ANOVA_METHODS, AnovaTruth, simulate_consistency
 from .bayesfactors import _METHOD_ALIASES, METHOD_KINDS, ZS_RULES, evidence
 from .modelspace import (
+    _MODEL_PRIORS,
     ModelSpace,
     entropy,
     hpm,
@@ -67,22 +69,7 @@ __all__ = [
     "run_bf",
 ]
 
-_FIGURE_SETTINGS = ("g_grid", "k_grid", "model_prior", "zs_rule")
-# The settings each experiment's driver reads; any other key is a config error.
-SETTINGS = {
-    "table1": ("n_grid", "beta1", "beta2", "share_noise_across_n", "model_prior",
-               "design_scale", "zs_rule"),
-    "figure_ortho": _FIGURE_SETTINGS,
-    "figure_ar1": _FIGURE_SETTINGS,
-    "figure_diag": _FIGURE_SETTINGS,
-    "anova": ("tau2", "r", "p_grid"),
-    "shibata": ("scenario", "n", "k", "sigma2", "loss_kind", "powerlaw_refit_per_model"),
-    "bf": ("model_prior",),
-}
-EXPERIMENTS = tuple(SETTINGS)
-
 _DEFAULT_METHODS = ("bic", "ml2", "lb", "zs")
-_BF_METHODS = ("ml2", "lb", "bic", "bicprior", "zs", "ghat")
 
 
 class ConfigError(Exception):
@@ -91,10 +78,16 @@ class ConfigError(Exception):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Declarative, seeded description of one experiment run."""
+    """Declarative, seeded description of one experiment run.
+
+    Construction is the settings pass, against the experiment's ``SETTINGS``
+    entry.  The fields keep what was given, for the sidecar (a seed left out
+    is 0 where the data is read, not simulated); ``cfg[key]`` is a setting's
+    parsed value or default, and ``cfg["methods"]`` the rules to run.
+    """
 
     experiment: str
-    seed: int
+    seed: int | None = None
     replicates: int = 1000
     methods: tuple = ()
     output_dir: str | None = None
@@ -103,62 +96,91 @@ class ExperimentConfig:
     overrides: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.experiment not in EXPERIMENTS:
+        entry = SETTINGS.get(self.experiment)
+        if entry is None:
             raise ConfigError(f"unknown experiment {self.experiment!r}")
-        if self.replicates < 1:
-            raise ConfigError("replicates must be at least 1")
-        if not 0 <= self.seed < 2**64:
-            raise ConfigError("seed must be an unsigned 64-bit integer")
-        if self.threads < 1:
-            raise ConfigError("threads must be at least 1")
-        known = SETTINGS[self.experiment]
+        if self.seed is None and not entry.reads_dataset:
+            raise ConfigError("simulations need an explicit --seed")
+        if self.dataset is not None and not entry.reads_dataset:
+            raise ConfigError(f"dataset: {self.dataset!r} is not read by {self.experiment}, "
+                              "which simulates its data")
         for key in self.overrides:
-            if key not in known:
+            if key not in entry.settings:
                 raise ConfigError(f"unknown setting {key!r} for {self.experiment}; "
-                                  f"it reads {', '.join(known)}")
+                                  f"it reads {', '.join(entry.settings)}")
+        for key, row in _RUN_ROWS.items():
+            raw = getattr(self, key)
+            object.__setattr__(self, key, row(key, 0 if raw is None else raw))
+        default_methods, row = entry.methods
+        values = {"methods": row("methods", self.methods or default_methods), **entry.fixed}
+        for key, (default, row) in entry.settings.items():
+            values[key] = row(key, self.overrides[key]) if key in self.overrides else default
+        if entry.rule:
+            entry.rule(values, self.overrides)
+        object.__setattr__(self, "_values", values)
 
-    def get_float(self, key, default, need="a number", valid=None):
-        return _parse(key, self.overrides.get(key, default), float, need, valid)
+    def __getitem__(self, key):
+        return self._values[key]
 
-    def get_int(self, key, default, need="an integer", valid=None):
-        return _parse(key, self.overrides.get(key, default), int, need, valid)
 
-    def get_bool(self, key, default):
-        raw = self.overrides.get(key, default)
-        if isinstance(raw, bool):
-            return raw
-        return _parse(key, raw, lambda v: _FLAGS[str(v).strip().lower()],
-                      "a flag: 1/0, true/false, yes/no or on/off")
+def _value(convert, need, valid=None):
+    """A row parser: it takes a setting's key and raw value to ``convert(raw)``
+    checked by ``valid``, or raises a ConfigError "<key>: <raw> is not <need>".
+    The parsers below build on it."""
 
-    def get_list(self, key, default, parse, need, valid=None):
-        """The values of the list setting ``key`` (commas or spaces between
-        them), each parsed and checked, none repeated, before any work starts."""
-        raw = self.overrides.get(key, default)
-        tokens = raw.replace(",", " ").split() if isinstance(raw, str) else list(raw)
-        if not tokens:
-            raise ConfigError(f"{key} lists no values")
-        values = [_parse(key, tok, parse, need, valid) for tok in tokens]
+    def parse(key, raw):
+        try:
+            value = convert(raw)
+            ok = valid is None or valid(value)
+        except (TypeError, ValueError, LookupError):
+            ok = False
+        if not ok:
+            raise ConfigError(f"{key}: {raw!r} is not {need}")
+        return value
+
+    return parse
+
+
+def _one_of(words):
+    """One of ``words`` (case and outer spaces aside), taken to its value:
+    ``words`` maps each word to its value, or lists words that are their own."""
+    values = words if isinstance(words, dict) else dict(zip(words, words))
+    return _value(lambda raw: values[str(raw).strip().lower()], f"one of {', '.join(values)}")
+
+
+def _list_of(convert, need, valid=None):
+    """A list setting's values (commas or spaces between them), none repeated."""
+    item = _value(convert, need, valid)
+
+    def parse(key, raw):
+        tokens = str(raw).replace(",", " ").split() or [str(raw)]
+        values = tuple(item(key, tok) for tok in tokens)
         for i, value in enumerate(values):
             if value in values[:i]:
                 raise ConfigError(f"{key}: {tokens[i]!r} repeats {tokens[values.index(value)]!r}")
         return values
 
-
-_FLAGS = {"1": True, "true": True, "yes": True, "on": True,
-          "0": False, "false": False, "no": False, "off": False}
+    return parse
 
 
-def _parse(key, raw, parse, need, valid=None):
-    """``parse(raw)``, or a ConfigError naming the setting and the value if
-    that fails or ``valid`` rejects the result."""
-    try:
-        value = parse(raw)
-        ok = valid is None or valid(value)
-    except (TypeError, ValueError, LookupError):
-        ok = False
-    if not ok:
-        raise ConfigError(f"{key}: {raw!r} is not {need}")
-    return value
+def _methods_row(default, allowed=METHOD_KINDS):
+    """The methods row: the ``default`` evidence rules, and a parser taking
+    each token to one of ``allowed`` (or its alias), first occurrences kept."""
+    rule = _one_of({**dict(zip(allowed, allowed)),
+                    **{alias: m for alias, m in _METHOD_ALIASES.items() if m in allowed}})
+    return default, lambda key, tokens: tuple(dict.fromkeys(rule(key, tok) for tok in tokens))
+
+
+# The rows every experiment reads; their defaults are ExperimentConfig's.
+_RUN_ROWS = {
+    "seed": _value(int, "an unsigned 64-bit integer", lambda s: 0 <= s < 2**64),
+    "replicates": _value(int, "a replicate count of at least 1", lambda n: n >= 1),
+    "threads": _value(int, "a worker count of at least 1", lambda n: n >= 1),
+}
+_FLAG = _one_of({"1": True, "true": True, "yes": True, "on": True,
+                 "0": False, "false": False, "no": False, "off": False})
+_MODEL_PRIOR = _one_of(_MODEL_PRIORS)
+_ZS_RULE = _one_of(ZS_RULES)
 
 
 # ---------------------------------------------------------------------------
@@ -170,7 +192,7 @@ def load_config_file(path) -> dict:
     values = {}
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}")
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
@@ -183,53 +205,31 @@ def load_config_file(path) -> dict:
     return values
 
 
-_KNOWN_KEYS = ("experiment", "seed", "replicates", "methods", "output_dir", "out",
-               "threads", "dataset")
+# The keys that are ExperimentConfig's fields; every other key is a setting.
+_FIELDS = ("experiment", "seed", "replicates", "methods", "output_dir", "out", "threads", "dataset")
+_NO_OUTPUT = "no output directory: pass --out DIR (or set out or output_dir in the config file)"
 
 
 def build_config(experiment, file_values=None, **cli_values) -> ExperimentConfig:
-    """Merge config-file values with CLI overrides (CLI wins)."""
-    merged = dict(file_values or {})
-    for key, value in cli_values.items():
-        if value is not None:
-            merged[key] = value
-    merged.setdefault("experiment", experiment)
-    if experiment and merged["experiment"] != experiment:
-        raise ConfigError(
-            f"experiment {experiment!r} on the command line conflicts with "
-            f"{merged['experiment']!r} in the config file"
-        )
+    """One CLI run's configuration: config-file values merged with CLI values
+    (CLI wins) and checked in ``ExperimentConfig``'s pass.  A run must write
+    its results, so a missing output directory is named with any bad value."""
+    merged = {**(file_values or {}),
+              **{key: value for key, value in cli_values.items() if value is not None}}
+    if merged.setdefault("experiment", experiment) != experiment and experiment:
+        raise ConfigError(f"experiment {experiment!r} on the command line conflicts with "
+                          f"{merged['experiment']!r} in the config file")
+    given = {key: merged.pop(key) for key in _FIELDS if key in merged}
+    output_dir = given.pop("output_dir", given.pop("out", None))
+    given["methods"] = tuple(t for t in map(str.strip, given.get("methods", "").split(",")) if t)
+    problems = [] if output_dir else [_NO_OUTPUT]
     try:
-        seed = int(merged.get("seed", 0))
-        replicates = int(merged.get("replicates", 1000))
-        threads = int(merged.get("threads", 1))
-    except ValueError as exc:
-        raise ConfigError(f"bad numeric config value: {exc}")
-    methods = merged.get("methods", ())
-    if isinstance(methods, str):
-        methods = tuple(tok.strip() for tok in methods.split(",") if tok.strip())
-    output_dir = merged.get("output_dir", merged.get("out"))
-    overrides = {k: v for k, v in merged.items() if k not in _KNOWN_KEYS}
-    return ExperimentConfig(
-        experiment=merged["experiment"],
-        seed=seed,
-        replicates=replicates,
-        methods=tuple(methods),
-        output_dir=output_dir,
-        threads=threads,
-        dataset=merged.get("dataset"),
-        overrides=overrides,
-    )
-
-
-def _parse_methods(cfg, default, allowed=METHOD_KINDS):
-    parsed = []
-    for tok in cfg.methods or default:
-        kind = _METHOD_ALIASES.get(tok.strip().lower(), tok.strip().lower())
-        if kind not in allowed:
-            raise ConfigError(f"method {tok!r} not available for this experiment")
-        parsed.append(kind)
-    return tuple(dict.fromkeys(parsed))
+        cfg = ExperimentConfig(output_dir=output_dir, overrides=merged, **given)
+    except ConfigError as exc:
+        problems.insert(0, str(exc))
+    if problems:
+        raise ConfigError("; ".join(problems))
+    return cfg
 
 
 # ---------------------------------------------------------------------------
@@ -252,7 +252,10 @@ def write_csv(path, rows):
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _write_sidecar(directory, name, cfg: ExperimentConfig, extra=None):
+def _write_sidecar(cfg: ExperimentConfig) -> Path:
+    """``<experiment>.json``, the config as given, in the output directory, returned."""
+    outdir = Path(cfg.output_dir)
+    outdir.mkdir(parents=True, exist_ok=True)
     obj = {
         "experiment": cfg.experiment,
         "seed": cfg.seed,
@@ -262,43 +265,22 @@ def _write_sidecar(directory, name, cfg: ExperimentConfig, extra=None):
         "overrides": {k: str(v) for k, v in sorted(cfg.overrides.items())},
         "version": __version__,
     }
-    if extra:
-        obj.update(extra)
-    path = Path(directory) / f"{name}.json"
+    path = outdir / f"{cfg.experiment}.json"
     path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    return outdir
 
 
-def _write_outputs(cfg: ExperimentConfig, name, rows):
-    """``<name>.csv`` and its ``<name>.json`` sidecar in the output directory, if any."""
-    if not cfg.output_dir:
-        return
-    outdir = Path(cfg.output_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    write_csv(outdir / f"{name}.csv", rows)
-    _write_sidecar(outdir, name, cfg)
+def _write_outputs(cfg: ExperimentConfig, rows):
+    """``<experiment>.csv`` and its sidecar in the output directory, if any."""
+    if cfg.output_dir:
+        write_csv(_write_sidecar(cfg) / f"{cfg.experiment}.csv", rows)
 
 
 # ---------------------------------------------------------------------------
 # Two-predictor study (average posterior probability of the full model).
 # ---------------------------------------------------------------------------
 
-_TABLE1_NS = (5, 10, 15, 20)
 _TABLE1_RS = (-0.9, 0.9)
-
-
-def _all_subsets_space(p, cfg: ExperimentConfig, default_prior) -> ModelSpace:
-    try:
-        return ModelSpace.all_subsets(p, model_prior=cfg.overrides.get("model_prior",
-                                                                       default_prior))
-    except ValueError as exc:
-        raise ConfigError(str(exc))
-
-
-def _zs_rule(cfg: ExperimentConfig, default) -> str:
-    zs_rule = cfg.overrides.get("zs_rule", default)
-    if zs_rule not in ZS_RULES:
-        raise ConfigError(f"unknown zs_rule {zs_rule!r}")
-    return zs_rule
 
 
 def _stack_error(exc, entries, whole):
@@ -363,26 +345,14 @@ def run_table1(cfg: ExperimentConfig) -> list[dict]:
     the correlation, with the same noise vector, isolating the effect of the
     correlation's sign.  One row per (n, correlation, method).
 
-    Defaults reproduce the published benchmark: a uniform prior over model
-    sizes, predictors standardized to unit corrected (n-1) sample variance,
-    and the Laplace evaluation of the Zellner-Siow integral.  Overrides:
-    ``model_prior = uniform_models``, ``design_scale = uncorrected``,
-    ``zs_rule = exact``.
+    The defaults in ``SETTINGS`` reproduce the published benchmark: a
+    uniform prior over model sizes, predictors standardized to unit
+    corrected (n-1) sample variance, and the Laplace evaluation of the
+    Zellner-Siow integral.
     """
-    methods = _parse_methods(cfg, _DEFAULT_METHODS)
-    n_grid = tuple(cfg.get_list("n_grid", _TABLE1_NS, int,
-                                "an integer above 3 (the full model has an intercept "
-                                "and two predictors)", lambda n: n > 3))
-    beta = tuple(cfg.get_float(key, 5.0, "a finite coefficient", math.isfinite)
-                 for key in ("beta1", "beta2"))
-    share = cfg.get_bool("share_noise_across_n", False)
-    model_prior = _all_subsets_space(2, cfg, "uniform_size").model_prior
-    design_scale = cfg.overrides.get("design_scale", "corrected")
-    if design_scale not in ("corrected", "uncorrected"):
-        raise ConfigError(f"unknown design_scale {design_scale!r}")
-    zs_rule = _zs_rule(cfg, "laplace")
-    cell = (cfg.seed, n_grid, _TABLE1_RS, methods, beta, share, model_prior, design_scale,
-            zs_rule)
+    methods, n_grid = cfg["methods"], cfg["n_grid"]
+    cell = (cfg.seed, n_grid, _TABLE1_RS, methods, (cfg["beta1"], cfg["beta2"]),
+            cfg["share_noise_across_n"], cfg["model_prior"], cfg["design_scale"], cfg["zs_rule"])
     [(probs,)] = run_replicates(_table1_chunk, [cell], cfg.replicates, cfg.threads)
     rows = []
     for ni, n in enumerate(n_grid):
@@ -399,7 +369,7 @@ def run_table1(cfg: ExperimentConfig) -> list[dict]:
                         "replicates": cfg.replicates,
                     }
                 )
-    _write_outputs(cfg, "table1", rows)
+    _write_outputs(cfg, rows)
     return rows
 
 
@@ -533,32 +503,16 @@ def run_figure_sims(cfg: ExperimentConfig) -> list[dict]:
     each chunk of replicates carries every (g, k) through ``_figure_chunk``'s
     stacks, and each row reads its (g, k)'s column of the joined arrays.
     """
-    methods = _parse_methods(cfg, _DEFAULT_METHODS)
-    design = "orthogonal" if cfg.experiment == "figure_ortho" else "ar1"
-    diag = cfg.experiment == "figure_diag"
-    # The stream key holds round(1000 g), so 1000 g must be finite.
-    g_values = cfg.get_list("g_grid", "5,25", float,
-                            "a signal variance of at least 0 with 1000 g finite",
-                            lambda g: g >= 0 and math.isfinite(1000 * g))
-    first = {}
-    for g_signal in g_values:
-        if first.setdefault(_g_key(g_signal), g_signal) != g_signal:
-            raise ConfigError(f"g_grid: {first[_g_key(g_signal)]!r} and {g_signal!r} share a "
-                              "replicate stream (1000 g rounds to the same integer)")
-    k_values = cfg.get_list("k_grid", range(0, _FIG_P + 1), int,
-                            f"an active-predictor count from 0 to {_FIG_P}",
-                            lambda k: 0 <= k <= _FIG_P)
-    model_prior = _all_subsets_space(_FIG_P, cfg, "uniform_models").model_prior
-    zs_rule = _zs_rule(cfg, "exact")
-    grid = [(g_signal, k_active) for g_signal in g_values for k_active in k_values]
-    cell = _figure_grid(design, grid, cfg.seed, methods, model_prior, zs_rule)
+    methods, design = cfg["methods"], cfg["design"]
+    grid = [(g_signal, k_active) for g_signal in cfg["g_grid"] for k_active in cfg["k_grid"]]
+    cell = _figure_grid(design, grid, cfg.seed, methods, cfg["model_prior"], cfg["zs_rule"])
     [(losses, ent, match, size)] = run_replicates(_figure_chunk, [cell], cfg.replicates,
                                                   cfg.threads)
     rows = []
     for ci, (g_signal, k_active) in enumerate(grid):
         for mi, method in enumerate(methods):
             keys = f"design={design}, g={g_signal}, k={k_active}, method={method}"
-            if diag:
+            if cfg["diagnostics"]:
                 e_mean, e_se = mean_se(ent[:, ci, mi], f"{keys}, avg_entropy")
                 m_mean, m_se = mean_se(match[:, ci, mi], f"{keys}, mpm_match_rate")
                 s_mean, s_se = mean_se(size[:, ci, mi], f"{keys}, avg_mpm_size")
@@ -583,7 +537,7 @@ def run_figure_sims(cfg: ExperimentConfig) -> list[dict]:
                             "replicates": cfg.replicates,
                         }
                     )
-    _write_outputs(cfg, cfg.experiment, rows)
+    _write_outputs(cfg, rows)
     return rows
 
 
@@ -594,16 +548,9 @@ def run_figure_sims(cfg: ExperimentConfig) -> list[dict]:
 
 def run_anova_experiment(cfg: ExperimentConfig) -> list[dict]:
     """Average posterior probability of the true model along a grid of p."""
-    methods = _parse_methods(cfg, ANOVA_METHODS, allowed=set(ANOVA_METHODS))
-    tau2 = cfg.get_float("tau2", 0.25, "a finite signal strength of at least 0",
-                         lambda t: math.isfinite(t) and t >= 0)
-    r = cfg.get_int("r", 5, "a replicates-per-group count of at least 1", lambda r: r >= 1)
-    p_grid = cfg.get_list("p_grid", (100, 300, 1000, 3000, 10000), int,
-                          "a group count of at least 1", lambda p: p >= 1)
-    rows = simulate_consistency(
-        AnovaTruth(tau2), r, p_grid, cfg.replicates, cfg.seed, methods
-    )
-    _write_outputs(cfg, "anova", rows)
+    rows = simulate_consistency(AnovaTruth(cfg["tau2"]), cfg["r"], cfg["p_grid"],
+                                cfg.replicates, cfg.seed, cfg["methods"], cfg.threads)
+    _write_outputs(cfg, rows)
     return rows
 
 
@@ -613,33 +560,17 @@ def run_anova_experiment(cfg: ExperimentConfig) -> list[dict]:
 
 
 def run_shibata_experiment(cfg: ExperimentConfig) -> list[dict]:
-    """Average integrated predictive loss for one scenario of the study.
-
-    ``scenario`` (default 1) picks the defaults of ``n``, ``k`` and
-    ``sigma2``; each of the three can be set on its own.
-    """
-    methods = _parse_methods(cfg, STUDY_METHODS, allowed=set(STUDY_METHODS))
-    scenario = cfg.get_int("scenario", 1, f"a scenario, one of {sorted(PRESETS)}",
-                           lambda s: s in PRESETS)
-    n, k, sigma2 = PRESETS[scenario]
-    n = cfg.get_int("n", n, "a sample size of at least 2", lambda n: n >= 2)
-    k = cfg.get_int("k", k, f"a largest truncation from 1 to n - 1 = {n - 1}",
-                    lambda k: 1 <= k < n)
-    sigma2 = cfg.get_float("sigma2", sigma2, "a finite noise variance above 0",
-                           lambda s: math.isfinite(s) and s > 0)
-    loss_kind = cfg.overrides.get("loss_kind", "coefficient")
-    if loss_kind not in LOSS_KINDS:
-        raise ConfigError(f"unknown loss_kind {loss_kind!r}")
-    study_cfg = NonparametricConfig(n=n, k=k, sigma2=sigma2, replicates=cfg.replicates,
-                                    seed=cfg.seed)
+    """Average integrated predictive loss for one scenario of the study."""
+    study_cfg = NonparametricConfig(n=cfg["n"], k=cfg["k"], sigma2=cfg["sigma2"],
+                                    replicates=cfg.replicates, seed=cfg.seed)
     rows = run_study(
         study_cfg,
-        methods=methods,
+        methods=cfg["methods"],
         threads=cfg.threads,
-        refit_per_model=cfg.get_bool("powerlaw_refit_per_model", True),
-        loss_kind=loss_kind,
+        refit_per_model=cfg["powerlaw_refit_per_model"],
+        loss_kind=cfg["loss_kind"],
     )
-    _write_outputs(cfg, "shibata", rows)
+    _write_outputs(cfg, rows)
     return rows
 
 
@@ -655,12 +586,13 @@ def run_bf(dataset_path, cfg: ExperimentConfig) -> dict:
     labels, and per method the HPM, MPM, inclusion probabilities and every
     model's log evidence and probability.
     """
-    methods = _parse_methods(cfg, _BF_METHODS)
-    try:
+    if not dataset_path:
+        raise ConfigError("the bf experiment needs a dataset CSV path")
+    try:  # a malformed CSV, or more candidates than the all-subsets cap
         ds, labels = load_dataset_csv(dataset_path)
+        space = ModelSpace.all_subsets(ds.p, model_prior=cfg["model_prior"])
     except (ValueError, OSError) as exc:
         raise ConfigError(str(exc))
-    space = _all_subsets_space(ds.p, cfg, "uniform_models")
     if ds.n <= ds.p0 + ds.p:
         raise ConfigError(
             f"insufficient sample size: the full model needs n > {ds.p0 + ds.p} rows "
@@ -675,13 +607,10 @@ def run_bf(dataset_path, cfg: ExperimentConfig) -> dict:
         raise ConfigError(f"linearly dependent columns: {names} (each a combination of the "
                           "common and earlier candidate columns)")
     posteriors = {method: posterior_from_evidence(space, evidence(method, table))
-                  for method in methods}
+                  for method in cfg["methods"]}
     if cfg.output_dir:
-        outdir = Path(cfg.output_dir)
-        outdir.mkdir(parents=True, exist_ok=True)
-        _write_bf_results(outdir / "bf_results.json", str(dataset_path), labels, ds.n,
-                          space, posteriors)
-        _write_sidecar(outdir, "bf", cfg)
+        _write_bf_results(_write_sidecar(cfg) / "bf_results.json", str(dataset_path), labels,
+                          ds.n, space, posteriors)
     return posteriors
 
 
@@ -748,17 +677,92 @@ def _write_bf_results(path, dataset, labels, n, space, posteriors):
 
 
 def run_experiment(cfg: ExperimentConfig):
-    """Dispatch a configured experiment to its driver."""
-    if cfg.experiment == "table1":
-        return run_table1(cfg)
-    if cfg.experiment in ("figure_ortho", "figure_ar1", "figure_diag"):
-        return run_figure_sims(cfg)
-    if cfg.experiment == "anova":
-        return run_anova_experiment(cfg)
-    if cfg.experiment == "shibata":
-        return run_shibata_experiment(cfg)
-    if cfg.experiment == "bf":
-        if not cfg.dataset:
-            raise ConfigError("the bf experiment needs a dataset CSV path")
-        return run_bf(cfg.dataset, cfg)
-    raise ConfigError(f"unknown experiment {cfg.experiment!r}")
+    """Run a configured experiment: its ``SETTINGS`` entry's driver."""
+    return SETTINGS[cfg.experiment].run(cfg)
+
+
+# ---------------------------------------------------------------------------
+# The settings table.
+# ---------------------------------------------------------------------------
+
+
+class _Experiment(NamedTuple):
+    run: Callable  # the driver, called with the parsed configuration
+    methods: tuple  # its methods row
+    settings: dict  # each key the experiment reads: (default, parser)
+    rule: Callable | None = None  # checks across keys, on the parsed values and raw overrides
+    fixed: dict = {}  # values the driver reads that no setting changes
+    reads_dataset: bool = False  # reads a CSV, not simulated data: takes the dataset, no seed
+
+
+def _distinct_g_streams(values, raw):
+    first = {}
+    for g_signal in values["g_grid"]:
+        if first.setdefault(_g_key(g_signal), g_signal) != g_signal:
+            raise ConfigError(f"g_grid: {first[_g_key(g_signal)]!r} and {g_signal!r} share a "
+                              "replicate stream (1000 g rounds to the same integer)")
+
+
+def _scenario_defaults(values, raw):
+    """``scenario`` sets the defaults of ``n``, ``k`` and ``sigma2``, each settable; k < n."""
+    for key, preset in zip(("n", "k", "sigma2"), PRESETS[values["scenario"]]):
+        if values[key] is None:
+            values[key] = preset
+    if values["k"] >= values["n"]:
+        raise ConfigError(f"k: {raw.get('k', values['k'])!r} is not a largest truncation "
+                          f"from 1 to n - 1 = {values['n'] - 1}")
+
+
+_FIGURE_SETTINGS = {
+    # The stream key holds round(1000 g), so 1000 g must be finite.
+    "g_grid": ((5.0, 25.0), _list_of(float, "a signal variance of at least 0 with 1000 g finite",
+                                     lambda g: g >= 0 and math.isfinite(1000 * g))),
+    "k_grid": (tuple(range(_FIG_P + 1)), _list_of(int, f"an active-predictor count from 0 to "
+                                                  f"{_FIG_P}", lambda k: 0 <= k <= _FIG_P)),
+    "model_prior": ("uniform_models", _MODEL_PRIOR),
+    "zs_rule": ("exact", _ZS_RULE),
+}
+
+
+def _figure(design, diagnostics=False):
+    return _Experiment(run_figure_sims, _methods_row(_DEFAULT_METHODS), _FIGURE_SETTINGS,
+                       _distinct_g_streams, {"design": design, "diagnostics": diagnostics})
+
+
+# Every experiment and each setting it reads; any other key is a config error.
+SETTINGS = {
+    "table1": _Experiment(run_table1, _methods_row(_DEFAULT_METHODS), {
+        "n_grid": ((5, 10, 15, 20), _list_of(int, "an integer above 3 (the full model has "
+                                             "an intercept and two predictors)", lambda n: n > 3)),
+        "beta1": (5.0, _value(float, "a finite coefficient", math.isfinite)),
+        "beta2": (5.0, _value(float, "a finite coefficient", math.isfinite)),
+        "share_noise_across_n": (False, _FLAG),
+        "model_prior": ("uniform_size", _MODEL_PRIOR),
+        "design_scale": ("corrected", _one_of(("corrected", "uncorrected"))),
+        "zs_rule": ("laplace", _ZS_RULE),
+    }),
+    "figure_ortho": _figure("orthogonal"),
+    "figure_ar1": _figure("ar1"),
+    "figure_diag": _figure("ar1", diagnostics=True),
+    "anova": _Experiment(run_anova_experiment, _methods_row(ANOVA_METHODS, ANOVA_METHODS), {
+        "tau2": (0.25, _value(float, "a finite signal strength of at least 0",
+                              lambda t: math.isfinite(t) and t >= 0)),
+        "r": (5, _value(int, "a replicates-per-group count of at least 1", lambda r: r >= 1)),
+        "p_grid": ((100, 300, 1000, 3000, 10000),
+                   _list_of(int, "a group count of at least 1", lambda p: p >= 1)),
+    }),
+    "shibata": _Experiment(run_shibata_experiment, _methods_row(STUDY_METHODS, STUDY_METHODS), {
+        "scenario": (1, _value(int, f"a scenario, one of {sorted(PRESETS)}",
+                               lambda s: s in PRESETS)),
+        "n": (None, _value(int, "a sample size of at least 2", lambda n: n >= 2)),
+        "k": (None, _value(int, "a largest truncation of at least 1", lambda k: k >= 1)),
+        "sigma2": (None, _value(float, "a finite noise variance above 0",
+                                lambda s: math.isfinite(s) and s > 0)),
+        "loss_kind": ("coefficient", _one_of(LOSS_KINDS)),
+        "powerlaw_refit_per_model": (True, _FLAG),
+    }, _scenario_defaults),
+    "bf": _Experiment(lambda cfg: run_bf(cfg.dataset, cfg),
+                      _methods_row(("ml2", "lb", "bic", "bicprior", "zs", "ghat")),
+                      {"model_prior": ("uniform_models", _MODEL_PRIOR)}, reads_dataset=True),
+}
+EXPERIMENTS = tuple(SETTINGS)

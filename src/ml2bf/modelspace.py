@@ -35,6 +35,7 @@ __all__ = [
 # p = 12, 0.6 s / 49 MB at 13, 1.2 s / 59 MB at 14, 2.0 s / 83 MB at 15
 # and 3.5 s / 136 MB at 16 (the same figures are in the README).
 _MAX_ALL_SUBSETS = 16
+_MODEL_PRIORS = ("uniform_models", "uniform_size")
 
 
 @dataclass(frozen=True)
@@ -54,7 +55,7 @@ class ModelSpace:
     def __post_init__(self):
         if self.kind not in ("all_subsets", "nested"):
             raise ValueError(f"unknown model space kind {self.kind!r}")
-        if self.model_prior not in ("uniform_models", "uniform_size"):
+        if self.model_prior not in _MODEL_PRIORS:
             raise ValueError(f"unknown model_prior {self.model_prior!r}")
         if self.size < 0:
             raise ValueError("size must be nonnegative")

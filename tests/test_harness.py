@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from ml2bf import bayesfactors, harness, nonparametric
+from ml2bf import anova, bayesfactors, harness, nonparametric
 from ml2bf.cli import main
 from ml2bf.harness import (
     EXPERIMENTS,
@@ -58,7 +58,7 @@ class TestConfig:
             encoding="utf-8",
         )
         values = load_config_file(path)
-        cfg = build_config("table1", values)
+        cfg = build_config("table1", values, output_dir="o")
         assert cfg.seed == 11 and cfg.replicates == 5
         assert cfg.methods == ("ml", "lb")
         assert cfg.overrides["n_grid"] == "5,10"
@@ -66,7 +66,7 @@ class TestConfig:
     def test_cli_overrides_file(self, tmp_path):
         path = tmp_path / "exp.cfg"
         path.write_text("experiment = table1\nseed = 11\nreplicates = 5\n", encoding="utf-8")
-        cfg = build_config("table1", load_config_file(path), replicates=9)
+        cfg = build_config("table1", load_config_file(path), replicates=9, output_dir="o")
         assert cfg.replicates == 9
 
     def test_conflicting_experiment(self, tmp_path):
@@ -80,8 +80,11 @@ class TestConfig:
         path.write_text("just a line\n", encoding="utf-8")
         with pytest.raises(ConfigError, match="key = value"):
             load_config_file(path)
-        with pytest.raises(ConfigError):
-            build_config("table1", {"seed": "abc"})
+        path.write_bytes(b"seed = 1\xff\n")
+        with pytest.raises(ConfigError, match="cannot read config file"):
+            load_config_file(path)
+        with pytest.raises(ConfigError, match="^seed: 'abc' is not"):
+            build_config("table1", {"seed": "abc"}, output_dir="o")
         with pytest.raises(ConfigError):
             ExperimentConfig(experiment="nope", seed=0)
         with pytest.raises(ConfigError):
@@ -92,11 +95,10 @@ class TestConfig:
         for raw, value in (("1", True), ("TRUE", True), (" yes ", True), ("On", True),
                            ("0", False), ("false", False), ("No", False), ("off", False)):
             cfg = ExperimentConfig(experiment="table1", seed=0, overrides={flag: raw})
-            assert cfg.get_bool(flag, not value) is value
+            assert cfg[flag] is value
         for raw in ("ture", "", "2", "y"):
-            cfg = ExperimentConfig(experiment="table1", seed=0, overrides={flag: raw})
             with pytest.raises(ConfigError, match=f"{flag}: {raw!r}"):
-                cfg.get_bool(flag, False)
+                ExperimentConfig(experiment="table1", seed=0, overrides={flag: raw})
 
 
 def _pid(cell, lo, hi):
@@ -227,8 +229,9 @@ class TestFigureDriver:
     def test_worker_count_invariance(self):
         # All cells' chunks share one pool; the rows must not see it.
         rows = [
-            run_experiment(build_config("figure_ar1", {"g_grid": "5", "k_grid": "0,3"},
-                                        seed=2, replicates=5, threads=threads))
+            run_experiment(ExperimentConfig(experiment="figure_ar1", seed=2, replicates=5,
+                                            threads=threads,
+                                            overrides={"g_grid": "5", "k_grid": "0,3"}))
             for threads in (1, 3)
         ]
         assert rows[0] == rows[1] and len(rows[0]) == 2 * 4 * 3
@@ -304,6 +307,25 @@ class TestAnovaDriver:
         assert len(rows) == 2 * 3
         assert (tmp_path / "anova.csv").exists()
 
+    def test_csv_does_not_depend_on_threads(self, tmp_path, monkeypatch):
+        # 7 replicates per p: one chunk at one thread, seven at two.
+        seen = []
+
+        def recording(worker, cells, replicates, threads):
+            seen.append(threads)
+            return run_replicates(worker, cells, replicates, threads)
+
+        monkeypatch.setattr(anova, "run_replicates", recording)
+        config = tmp_path / "anova.cfg"
+        config.write_text("p_grid = 50,200\ntau2 = 0.3\n", encoding="utf-8")
+        csv = []
+        for threads in ("1", "2"):
+            out = tmp_path / threads
+            assert main(["anova", "--config", str(config), "--seed", "3", "--replicates", "7",
+                         "--threads", threads, "--out", str(out)]) == 0
+            csv.append((out / "anova.csv").read_bytes())
+        assert seen == [1, 2] and csv[0] == csv[1]
+
 
 class TestShibataDriver:
     @pytest.mark.parametrize("settings,label", [
@@ -312,8 +334,8 @@ class TestShibataDriver:
         ({"scenario": "2", "n": "90"}, "n90_k79_s1"),
     ])
     def test_scenario_sets_defaults_each_setting_overrides(self, settings, label):
-        rows = run_experiment(build_config("shibata", settings, seed=1, replicates=1,
-                                           methods="bic"))
+        rows = run_experiment(ExperimentConfig(experiment="shibata", seed=1, replicates=1,
+                                               methods=("bic",), overrides=settings))
         assert {row["scenario"] for row in rows} == {label}
 
 
@@ -535,7 +557,7 @@ class TestCli:
         assert "config error" in err and "bogus" in err
 
     @pytest.mark.parametrize("experiment,key", [
-        (experiment, key) for experiment, keys in SETTINGS.items() for key in keys
+        (experiment, key) for experiment, entry in SETTINGS.items() for key in entry.settings
     ])
     def test_every_setting_is_read_and_checked(self, tmp_path, capsys, experiment, key):
         # A key listed for an experiment its driver ignored would run and exit 0.
@@ -555,7 +577,8 @@ class TestCli:
         assert main(["table1", "--config", str(cfg_path), "--seed", "1",
                      "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
-        assert "unknown setting 'n_gird' for table1; it reads " + ", ".join(SETTINGS["table1"]) in err
+        assert ("unknown setting 'n_gird' for table1; it reads n_grid, beta1, beta2, "
+                "share_noise_across_n, model_prior, design_scale, zs_rule") in err
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("experiment,setting", [
@@ -599,15 +622,37 @@ class TestCli:
         ("shibata", "sigma2 = 0", "sigma2: '0'"),
         ("anova", "tau2 = -1", "tau2: '-1'"),
         ("anova", "r = 0", "r: '0'"),
+        ("table1", "seed = abc", "seed: 'abc' is not"),
+        ("anova", "replicates = 2.5", "replicates: '2.5' is not"),
+        ("shibata", "threads = 0", "threads: '0' is not"),
     ])
     def test_bad_value_is_config_error(self, tmp_path, capsys, experiment, setting, named):
         # Each is checked before any work starts, not met as a numerical failure.
+        # The setting comes last, so that it wins over the file's own seed and replicates.
         cfg_path = tmp_path / "run.cfg"
-        cfg_path.write_text(f"{setting}\nreplicates = 2\n", encoding="utf-8")
-        assert main([experiment, "--config", str(cfg_path), "--seed", "1",
-                     "--out", str(tmp_path / "o")]) == 2
+        cfg_path.write_text(f"seed = 1\nreplicates = 2\n{setting}\n", encoding="utf-8")
+        assert main([experiment, "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert "config error" in err and named in err
+        assert not (tmp_path / "o").exists()
+
+    def test_bad_setting_and_missing_output_are_both_named(self, tmp_path, monkeypatch, capsys):
+        # The settings pass runs before the output check, so one message names both.
+        (tmp_path / "run.cfg").write_text("n_grid = 5,x\n", encoding="utf-8")
+        monkeypatch.chdir(tmp_path)
+        assert main(["table1", "--config", "run.cfg", "--seed", "1"]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "n_grid: 'x'" in err and "--out" in err
+        assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
+
+    def test_dataset_argument_outside_bf_is_config_error(self, tmp_path, capsys):
+        path = _write_data_csv(tmp_path, n=20, p=2)
+        out = tmp_path / "o"
+        assert main(["table1", str(path), "--seed", "1", "--replicates", "1",
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and f"dataset: {str(path)!r} is not read by table1" in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("p", [_MAX_ALL_SUBSETS + 1, 26])
     def test_too_many_predictors_is_config_error(self, tmp_path, capsys, p):
@@ -670,11 +715,12 @@ class TestNoGeneralPurposeOptimizer:
         monkeypatch.setattr(bayesfactors, "minimize_scalar", refuse)
         monkeypatch.setattr(nonparametric, "minimize", refuse)
         for zs_rule in ("laplace", "exact"):
-            run_experiment(build_config("table1", {"zs_rule": zs_rule, "n_grid": "5,10"},
-                                        seed=1, replicates=2))
-        run_experiment(build_config("figure_ar1", {"g_grid": "5", "k_grid": "0,3"},
-                                    seed=1, replicates=1))
-        run_experiment(build_config("shibata", {"n": "30", "k": "9"}, seed=1, replicates=2))
+            run_experiment(ExperimentConfig(experiment="table1", seed=1, replicates=2,
+                                            overrides={"zs_rule": zs_rule, "n_grid": "5,10"}))
+        run_experiment(ExperimentConfig(experiment="figure_ar1", seed=1, replicates=1,
+                                        overrides={"g_grid": "5", "k_grid": "0,3"}))
+        run_experiment(ExperimentConfig(experiment="shibata", seed=1, replicates=2,
+                                        overrides={"n": "30", "k": "9"}))
 
 
 # Runs each argv list of the JSON in argv[1] through the CLI, in a fresh process.
