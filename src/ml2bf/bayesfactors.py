@@ -382,26 +382,56 @@ def ml2_known_variance_log_bf(
 #
 # The multivariate Cauchy prior with scale n (X'X)^{-1} is a mixture of
 # fixed-g priors with g ~ inverse-gamma(1/2, n/2); the Bayes factor is the
-# corresponding one-dimensional integral of the fixed-g Bayes factor.  It is
-# computed on a log axis, t = log g, where the integrand is analytic and
-# decays on both sides, so the plain trapezoidal rule converges
-# geometrically in 1/h (Trefethen & Weideman, SIAM Review 56, 2014).  Each
-# model's nodes are t0 + j h around its closed-form mode t0 in t, with h set
-# by its closed-form curvature there.  The log integrand is strictly concave
-# in t, so the nodes walk out, 16 at a time on each side, until the outer
-# node is exp(-45) below the mode value: nothing further out rises again.
-# The even nodes form the rule with step 2h, which gives the error estimate
-# from the same nodes.
+# corresponding one-dimensional integral of the fixed-g Bayes factor.  With
+# q = n - p0 and w = 1 - r2 the kernels integrate BF(g) w^(q/2) instead:
+# its log, -p/2 log(1+g) - q/2 log(1 + r2/(w(1+g))), has only terms of
+# order p log n near the mode, where log BF(g) is the difference of two
+# terms of order q log g.  The integral is T = log BF + q/2 log w, and the
+# kernels return T - q/2 log w.  It is computed on a log axis, t = log g,
+# where the integrand is analytic and decays on both sides, so the plain
+# trapezoidal rule converges geometrically in 1/h (Trefethen & Weideman,
+# SIAM Review 56, 2014).  Each model's nodes are t0 + j h around its
+# closed-form mode t0 in t, with h set by its closed-form curvature there.
+# The log integrand is strictly concave in t, so the nodes walk out, 16 at
+# a time on each side, until the outer node is exp(-45) below the mode
+# value: nothing further out rises again.  The even nodes form the rule
+# with step 2h, which gives the error estimate from the same nodes.
+#
+# ``evidence`` integrates no model itself.  For one (n, p0, p), T and the
+# shrinkage are smooth functions of v = log(1 - q log w), in which the
+# near-null bend at r2 ~ p/n sits near v = log(1 + p) whatever n is.  It
+# samples both through the kernel at the Chebyshev points of v from w = 1
+# to w = 1 - R2_SATURATION, the models that it does not mark, and sums each
+# model's two Chebyshev series by Clenshaw's recurrence (Trefethen,
+# Approximation Theory and Approximation Practice, SIAM 2013).  The kernel
+# stays as the oracle of the series.
 # ---------------------------------------------------------------------------
 
 _ZS_STEP = 0.2  # the largest step in t
 _ZS_PANEL = 16  # nodes added per side and round of the walk-out
 _ZS_LOG_WINDOW = 45.0  # integrand below exp(-45) of the mode value is negligible
-# Models per quadrature block.  On stacked figure tables (n = 50, p = 8)
-# 2048 ran fastest of 256 to 16384; each node array of a block is at most
-# 16 x 4096 floats (0.5 MB).
+# Models per quadrature block; each node array of a block is at most
+# 16 x 4096 floats (0.5 MB).  2048 ran fastest of 256 to 16384 on stacked
+# figure tables (n = 50, p = 8) integrated model by model.
 _ZS_BLOCK = 2048
 _ZS_TOLERANCE = 1e-8  # largest error estimate accepted
+# Degree N of the series in v; its points are cos(j pi / N), j = 0..N, on
+# [-1, 1], from the saturation cut (j = 0) to w = 1 (j = N).
+_ZS_DEGREE = 96
+_ZS_POINTS = np.cos(np.pi * np.arange(_ZS_DEGREE + 1) / _ZS_DEGREE)
+
+
+def _chebyshev_transform(degree):
+    """The (N+1, N+1) matrix from values at cos(j pi / N) to the
+    coefficients of the interpolating Chebyshev series (a DCT-I)."""
+    j = np.arange(degree + 1)
+    m = np.cos(np.pi * (np.outer(j, j) % (2 * degree)) / degree) * (2.0 / degree)
+    m[:, [0, -1]] *= 0.5
+    m[[0, -1]] *= 0.5
+    return m
+
+
+_ZS_TRANSFORM = _chebyshev_transform(_ZS_DEGREE)
 
 
 def _zs_models(p_sizes, one_minus_r2):
@@ -416,36 +446,38 @@ def _zs_models(p_sizes, one_minus_r2):
     return p_arr, omr2
 
 
-def _zs_log_integrand(t, n, q, p, omr2, g=None):
-    """Log of BF(g) * pi(g) * g at g = exp(t) (pass g if already known);
-    p and omr2 broadcast over t."""
+def _zs_log_integrand(t, n, q, p, ratio, g=None):
+    """Log of BF(g) (1 - r2)^(q/2) pi(g) g at g = exp(t) (pass g if already
+    known), with ratio = r2 / (1 - r2); p and ratio broadcast over t."""
     if g is None:
         g = np.exp(t)
-    lam = 0.5 * (q - p) * np.log1p(g) - 0.5 * q * np.log1p(omr2 * g)
+    lam = -0.5 * p * np.log1p(g) - 0.5 * q * np.log1p(ratio / (1.0 + g))
     dens = 0.5 * math.log(n / 2.0) - 0.5 * math.log(math.pi) - 0.5 * t - 0.5 * n * np.exp(-t)
     return lam + dens
 
 
-def _zs_trapezoid(n, p0, p, omr2, want_shrinkage):
-    """The trapezoidal rule in t for one block of models.
+def _zs_trapezoid(n, p0, p, ell, want_shrinkage):
+    """The trapezoidal rule in t for one block of models, each given by its
+    size and ell = -log(1 - r2).
 
     Per model: the mode t0 in t (``_zs_mode`` with a = 1), the step
     h = min(0.2, sigma/2) with sigma = (-f''(t0))^(-1/2) for the log
     integrand f, and nodes t0 + j h for j from -16 L to 16 R - 1, where the
     walk-out stopped after L panels on the left and R on the right.  Nodes
     run down the rows and panels along them, so every broadcast is over long
-    rows.  Each model's sums follow from its own inputs alone.  Returns the
-    log Bayes factors, the error estimates ((T(h) - T(2h)) / T(h))^2, the
-    posterior means of g/(1+g) (None unless asked), t0, h and the panel
-    counts, shape (2, m), left then right.
+    rows.  Each model's sums follow from its own inputs alone.  Returns T,
+    the error estimates ((S(h) - S(2h)) / S(h))^2 for the sum S(h) at step
+    h, the posterior means of g/(1+g) (None unless asked), t0, h and the
+    panel counts, shape (2, m), left then right.
     """
     q = n - p0
+    omr2, ratio = np.exp(-ell), np.expm1(ell)
     g0 = _zs_mode(n, p0, p, omr2, 1)
     curvature = 0.5 * (n / g0 - (q - p) * g0 / (1.0 + g0) ** 2
                        + q * omr2 * g0 / (1.0 + omr2 * g0) ** 2)
     t0 = np.log(g0)
     h = np.minimum(_ZS_STEP, 0.5 / np.sqrt(curvature))
-    shift = _zs_log_integrand(t0, n, q, p, omr2)
+    shift = _zs_log_integrand(t0, n, q, p, ratio)
     m = p.size
     fine, coarse = np.zeros(m), np.zeros(m)
     weighted = np.zeros(m) if want_shrinkage else None
@@ -458,7 +490,7 @@ def _zs_trapezoid(n, p0, p, omr2, want_shrinkage):
         first = np.where(side == 1, panels[1, model], -1 - panels[0, model]) * _ZS_PANEL
         tt = t0[model] + (first + rows) * h[model]
         g = np.exp(tt)
-        vals = np.exp(_zs_log_integrand(tt, n, q, p[model], omr2[model], g) - shift[model])
+        vals = np.exp(_zs_log_integrand(tt, n, q, p[model], ratio[model], g) - shift[model])
         fine += np.bincount(model, vals.sum(axis=0), m)
         coarse += np.bincount(model, vals[::2].sum(axis=0), m)  # the even j
         if want_shrinkage:
@@ -468,6 +500,25 @@ def _zs_trapezoid(n, p0, p, omr2, want_shrinkage):
     estimate = ((fine - 2.0 * coarse) / fine) ** 2
     shrink = weighted / fine if want_shrinkage else None
     return shift + np.log(h * fine), estimate, shrink, t0, h, panels
+
+
+def _zs_sums(n, p0, p, ell, want_shrinkage):
+    """T and, when asked, the posterior mean of g/(1+g) of every model
+    (sizes ``p``, ell = -log(1 - r2)), by ``_zs_trapezoid`` in blocks;
+    ``QuadratureError`` if any estimate misses the tolerance."""
+    m = p.shape[0]
+    total, estimate = np.empty(m), np.empty(m)
+    shrink = np.empty(m) if want_shrinkage else None
+    for lo in range(0, m, _ZS_BLOCK):  # blocks bound the working set
+        b = slice(lo, lo + _ZS_BLOCK)
+        total[b], estimate[b], s, *_ = _zs_trapezoid(n, p0, p[b], ell[b], want_shrinkage)
+        if want_shrinkage:
+            shrink[b] = s
+    missed = ~(estimate <= _ZS_TOLERANCE)
+    if missed.any():
+        raise QuadratureError("Zellner-Siow quadrature missed its tolerance",
+                              float(estimate[missed].max()))
+    return total, shrink
 
 
 def zs_evidence_batch(n: int, p0: int, p_sizes, one_minus_r2, want_shrinkage: bool = False):
@@ -480,29 +531,77 @@ def zs_evidence_batch(n: int, p0: int, p_sizes, one_minus_r2, want_shrinkage: bo
     posterior expectation of g/(1+g) per model (the posterior-mean
     shrinkage factor), all finite.
 
-    Each model gets one trapezoidal sum in t = log g (``_zs_trapezoid``),
-    centred on its closed-form mode in t with a step set by its curvature
-    there, and evaluated once.  If any model's estimate
-    ((T(h) - T(2h)) / T(h))^2 exceeds 1e-8 (or is not a number), it raises
-    ``QuadratureError`` with the worst estimate.  Every node follows from
-    the model's own (n, p0, p, 1 - r2), so no model's value depends on the
-    other models of the batch.
+    Each model gets one trapezoidal sum in t = log g (``_zs_trapezoid``) of
+    BF(g) w^(q/2) pi(g) g, w = 1 - r2 and q = n - p0, whose log keeps every
+    term small; the sum is T = log BF + q/2 log w, and the result is
+    T - q/2 log w.  The sum is centred on the closed-form mode in t with a
+    step set by the curvature there, and evaluated once.  If any model's
+    estimate ((S(h) - S(2h)) / S(h))^2, S(h) the sum at step h, exceeds
+    1e-8 (or is not a number), it raises ``QuadratureError`` with the worst
+    estimate.  Every node
+    follows from the model's own (n, p0, p, 1 - r2), so no model's value
+    depends on the other models of the batch.  This is the oracle of the
+    series that ``evidence`` sums.
     """
     p_arr, omr2 = _zs_models(p_sizes, one_minus_r2)
-    m = p_arr.shape[0]
-    log_bf, estimate = np.empty(m), np.empty(m)
-    shrink = np.empty(m) if want_shrinkage else None
-    for lo in range(0, m, _ZS_BLOCK):  # blocks bound the working set
-        b = slice(lo, lo + _ZS_BLOCK)
-        log_bf[b], estimate[b], s, *_ = _zs_trapezoid(n, p0, p_arr[b], omr2[b],
-                                                      want_shrinkage)
-        if want_shrinkage:
-            shrink[b] = s
-    missed = ~(estimate <= _ZS_TOLERANCE)
-    if missed.any():
-        raise QuadratureError("Zellner-Siow quadrature missed its tolerance",
-                              float(estimate[missed].max()))
+    ell = -np.log(omr2)
+    total, shrink = _zs_sums(n, p0, p_arr, ell, want_shrinkage)
+    log_bf = total + 0.5 * (n - p0) * ell
     return (log_bf, shrink) if want_shrinkage else log_bf
+
+
+def _zs_series(n, p0, sizes, ell, want_shrinkage):
+    """Log Bayes factors and, when asked, shrinkage factors of the models
+    given by 1-d ``sizes`` and ell = -log(1 - r2), from the Chebyshev series
+    in v = log(1 + q ell) of each size present.
+
+    Each size p is sampled by ``_zs_sums`` at v = V (1 + x_j) / 2, for the
+    points x_j of ``_ZS_POINTS`` and V the v of the saturation cut.  The
+    series fits U = T + (p+1)/2 ell = log BF - (q-p-1)/2 ell, which tends to
+    a constant as ell grows where T falls like -(p+1)/2 ell, and the
+    shrinkage.  A size's coefficients come from its own samples alone
+    (``_chebyshev_coefficients``), and a model's values are its size's
+    series at its own v, by Clenshaw's recurrence, so no model's value
+    depends on the other models or sizes of the batch.
+    """
+    q = n - p0
+    top = math.log1p(-q * math.log1p(-R2_SATURATION))
+    node_ell = np.expm1(0.5 * top * (1.0 + _ZS_POINTS)) / q
+    kinds = np.unique(sizes)
+    per = _ZS_POINTS.size
+    total, shrink = _zs_sums(n, p0, np.repeat(kinds, per), np.tile(node_ell, kinds.size),
+                             want_shrinkage)
+    x = np.log1p(q * ell) * (2.0 / top) - 1.0
+    log_bf = np.empty(sizes.size)
+    shrink_out = np.empty(sizes.size) if want_shrinkage else None
+    for i, kind in enumerate(kinds):
+        sel = sizes == kind
+        rows = slice(i * per, (i + 1) * per)
+        xs = x[sel]
+        u = _clenshaw(_chebyshev_coefficients(total[rows] + 0.5 * (kind + 1.0) * node_ell), xs)
+        log_bf[sel] = u + 0.5 * (q - kind - 1.0) * ell[sel]
+        if want_shrinkage:
+            shrink_out[sel] = _clenshaw(_chebyshev_coefficients(shrink[rows]), xs)
+    return log_bf, shrink_out
+
+
+def _chebyshev_coefficients(values):
+    """The series through ``values`` at ``_ZS_POINTS``: an element-wise
+    product and row sum of one fixed shape, so no BLAS call whose blocking
+    could depend on the batch."""
+    return (_ZS_TRANSFORM * values).sum(axis=1)
+
+
+def _clenshaw(coef, x):
+    """sum_k coef[k] T_k(x) at every x, by Clenshaw's recurrence."""
+    x2 = 2.0 * x
+    b1, b2, b0 = np.zeros(x.size), np.zeros(x.size), np.empty(x.size)
+    for c in coef[:0:-1].tolist():  # k = N down to 1
+        np.multiply(x2, b1, out=b0)
+        b0 -= b2
+        b0 += c
+        b1, b2, b0 = b0, b1, b2
+    return coef[0] + x * b1 - b2
 
 
 def _zs_mode(n: int, p0: int, k, w, a):
@@ -541,12 +640,13 @@ def zs_laplace_batch(n: int, p0: int, p_sizes, one_minus_r2):
     where q = n - p0 and w = 1 - r2."""
     k, w = _zs_models(p_sizes, one_minus_r2)
     q = n - p0
+    ell = -np.log(w)
     g = _zs_mode(n, p0, k, w, 3)
     t = np.log(g)
     curvature = (0.5 * (q - k) / (1.0 + g) ** 2 - 0.5 * q * (w / (1.0 + w * g)) ** 2
                  - 1.5 / g**2 + n / g**3)
-    return (_zs_log_integrand(t, n, q, k, w) - t
-            + 0.5 * np.log(2.0 * math.pi / curvature))
+    return (_zs_log_integrand(t, n, q, k, np.expm1(ell)) - t
+            + 0.5 * np.log(2.0 * math.pi / curvature) + 0.5 * q * ell)
 
 
 def log_bf_zs(stats: SuffStats) -> float:
@@ -583,11 +683,15 @@ def evidence(method, table: ModelTable, want_shrinkage: bool = False,
     r2 >= ``R2_SATURATION`` scores +inf, both with shrinkage 1.  The other
     models go to the closed forms (ml2, lb, bic, bicprior, aic, ghat), array
     expressions over each model's size, r2 and 1 - r2 with the branches of
-    the scalar ``log_bf_*`` functions, or to the Zellner-Siow kernels, which
-    integrate them as 1-d arrays: one trapezoidal sum in log g per model
-    (``zs_rule="exact"``, ``zs_evidence_batch``) or the Laplace
-    approximation at the closed-form mode of every model at once
-    (``"laplace"``, ``zs_laplace_batch``).
+    the scalar ``log_bf_*`` functions, or to the Zellner-Siow rule.  Its
+    exact mixture (``zs_rule="exact"``) comes from one Chebyshev series per
+    size p present, in v = log(1 - q log(1 - r2)) with q = n - p0, from
+    r2 = 0 to the saturation cut (``_zs_series``): the trapezoidal kernel
+    of ``zs_evidence_batch`` samples T = log BF + q/2 log(1 - r2) and the
+    shrinkage at the series' points once per call, and each model takes
+    its size's series at its own v, within 1e-12 of the kernel, which stays
+    as the oracle.  ``"laplace"`` takes the Laplace approximation at the
+    closed-form mode of every model at once (``zs_laplace_batch``).
 
     With ``want_shrinkage`` it returns ``(log_evidence, shrinkage)``: the
     posterior-mean factor on each model's least-squares coefficients.  That
@@ -598,7 +702,8 @@ def evidence(method, table: ModelTable, want_shrinkage: bool = False,
 
     The table of a stacked dataset gives (R, m) arrays, row j scoring
     replicate j; every value depends only on its own model's n, p0, size
-    and r2, so each row is bit for bit the single-dataset result.
+    and r2 (a series only on its size), so each row is bit for bit the
+    single-dataset result.
     """
     if isinstance(method, str):
         method = PriorMethod.parse(method)
@@ -622,13 +727,12 @@ def evidence(method, table: ModelTable, want_shrinkage: bool = False,
     k, r2w, ow = sizes[work].astype(np.float64), r2[work], omr2[work]
 
     if kind == "zs":
-        if want_shrinkage:
-            values, shrink[work] = zs_evidence_batch(n, p0, k, ow, want_shrinkage=True)
-        elif zs_rule == "exact":
-            values = zs_evidence_batch(n, p0, k, ow)
+        if zs_rule == "exact" or want_shrinkage:
+            log_ev[work], s = _zs_series(n, p0, k, -np.log(ow), want_shrinkage)
+            if want_shrinkage:
+                shrink[work] = s
         if zs_rule == "laplace":
-            values = zs_laplace_batch(n, p0, k, ow)
-        log_ev[work] = values
+            log_ev[work] = zs_laplace_batch(n, p0, k, ow)
     elif kind in ("ml2", "lb"):
         g = float(n) if method.g is None else method.g
         values = 0.5 * (q - k) * math.log1p(g) - 0.5 * q * np.log1p(g * ow)

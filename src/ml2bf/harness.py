@@ -477,16 +477,20 @@ def figure_cell(
     replicates: int,
     methods=_DEFAULT_METHODS,
     threads: int = 1,
-    model_prior: str = "uniform_models",
-    zs_rule: str = "exact",
+    model_prior: str | None = None,
+    zs_rule: str | None = None,
 ):
     """Per-replicate metrics for one (design, signal, sparsity) cell: the
     figure grid of the one pair (g, k), with the streams, and so the values,
-    of that pair in any larger grid.
+    of that pair in any larger grid.  ``model_prior`` and ``zs_rule``
+    default to the design's figure row of ``SETTINGS``.
 
     Returns dict with arrays ``losses`` (replicates, methods, selectors in
     hpm/mpm/bma order), ``entropy``, ``mpm_match``, ``mpm_size``.
     """
+    row = SETTINGS["figure_ortho" if design == "orthogonal" else "figure_ar1"].settings
+    model_prior = row["model_prior"][0] if model_prior is None else model_prior
+    zs_rule = row["zs_rule"][0] if zs_rule is None else zs_rule
     cell = _figure_grid(design, [(g_signal, k_active)], seed, methods, model_prior, zs_rule)
     [(losses, ent, match, size)] = run_replicates(_figure_chunk, [cell], replicates, threads)
     return {"losses": losses[:, 0], "entropy": ent[:, 0], "mpm_match": match[:, 0],

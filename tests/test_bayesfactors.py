@@ -388,7 +388,7 @@ class TestZellnerSiow:
         # A model whose estimate exceeds the tolerance raises, carrying the
         # estimate; there is no refinement to fall back on.
         s = make_stats(10, 1, 2, 0.5)
-        estimate = _zs_trapezoid(10, 1, np.array([2.0]), np.array([0.5]), False)[1][0]
+        estimate = _zs_trapezoid(10, 1, np.array([2.0]), -np.log([0.5]), False)[1][0]
         assert 0.0 < estimate <= 1e-8
         monkeypatch.setattr(bayesfactors, "_ZS_TOLERANCE", estimate / 2)
         with pytest.raises(QuadratureError) as info:
@@ -465,19 +465,23 @@ class TestZellnerSiowKernel:
         # On figure-size tables each model's nodes are t0 + j h for j from
         # -16 L to 16 R - 1; both outer nodes are exp(-45) below the mode
         # value and the panel before each was not, and every estimate meets
-        # the tolerance.
+        # the tolerance.  The sum is T = log BF + q/2 log(1 - r2), of the
+        # integrand written with r2 / (1 - r2), and the batch adds the rest.
         rng = np.random.default_rng(53)
         for n, beta_scale in [(10, 3.0), (20, 0.3), (50, 1.0), (200, 3.0), (1000, 0.3)]:
             ds = random_dataset(rng, n=n, p=8, beta_scale=beta_scale)
             models = [c for size in range(1, 9) for c in itertools.combinations(range(8), size)]
             table = fit_models(ds, models)
             sizes, omr2 = table.sizes.astype(np.float64), table.one_minus_r2
-            q = n - 1
-            log_bf, estimate, _, t0, h, panels = _zs_trapezoid(n, 1, sizes, omr2, False)
+            q, ell = n - 1, -np.log(omr2)
+            sums, estimate, _, t0, h, panels = _zs_trapezoid(n, 1, sizes, ell, False)
+            np.testing.assert_array_equal(sums + 0.5 * q * ell,
+                                          zs_evidence_batch(n, 1, sizes, omr2))
             assert np.all(estimate <= 1e-8)
             assert np.all((h > 0) & (h <= 0.2)) and np.all(panels >= 1)
             for i in range(sizes.size):
-                f = lambda j: _zs_log_integrand(t0[i] + j * h[i], n, q, sizes[i], omr2[i])
+                ratio = table.r2[i] / omr2[i]
+                f = lambda j: _zs_log_integrand(t0[i] + j * h[i], n, q, sizes[i], ratio)
                 j = np.arange(-16 * panels[0, i], 16 * panels[1, i], dtype=np.float64)
                 top = f(0.0)
                 assert top >= f(-1.0) and top >= f(1.0)
@@ -485,7 +489,7 @@ class TestZellnerSiowKernel:
                 assert panels[0, i] == 1 or f(j[16]) > top - 45
                 assert panels[1, i] == 1 or f(j[-17]) > top - 45
                 total = h[i] * np.exp(f(j) - top).sum()
-                assert log_bf[i] == pytest.approx(top + math.log(total), rel=1e-14, abs=1e-14)
+                assert sums[i] == pytest.approx(top + math.log(total), rel=1e-14, abs=1e-14)
 
 
 def _zs_log_f(g, n, q, p, w):

@@ -240,6 +240,23 @@ class TestFigureDriver:
         assert means == [float(cell["losses"][:, mi, si].mean())
                          for mi in range(4) for si in range(3)]
 
+    def test_cell_defaults_are_the_figure_rows_of_settings(self, monkeypatch):
+        # figure_cell reads model_prior and zs_rule from SETTINGS when it is
+        # called, so it follows the figure experiments' row, not a copy of it.
+        args = ("ar1", 5.0, 3)
+        kw = dict(seed=9, replicates=3, methods=("zs",))
+        base = figure_cell(*args, **kw)
+        row = SETTINGS["figure_ar1"].settings
+        explicit = figure_cell(*args, **kw, model_prior=row["model_prior"][0],
+                               zs_rule=row["zs_rule"][0])
+        for key in base:
+            np.testing.assert_array_equal(base[key], explicit[key])
+        monkeypatch.setitem(row, "zs_rule", ("laplace", row["zs_rule"][1]))
+        laplace = figure_cell(*args, **kw)
+        np.testing.assert_array_equal(laplace["losses"],
+                                      figure_cell(*args, **kw, zs_rule="laplace")["losses"])
+        assert not np.array_equal(laplace["losses"], base["losses"])
+
     @pytest.mark.parametrize("design,stack", [("ar1", None), ("orthogonal", 7)])
     def test_grid_stacks_match_one_replicate_at_a_time(self, monkeypatch, design, stack):
         # 9 replicates of 18 cells fill one stack of _FIG_STACK = 144 datasets

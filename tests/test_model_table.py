@@ -3,6 +3,7 @@ scalar oracles ``fit_suffstats`` and ``log_bf_*``, and stacked replicates
 against one dataset at a time."""
 
 import math
+from types import SimpleNamespace
 
 import mpmath
 import numpy as np
@@ -432,6 +433,71 @@ class TestEvidence:
         stats = _stats(_table(5, 1, [4], [0.5], [0.5]), 0)
         with pytest.raises(ValueError, match="insufficient sample size"):
             rule(stats)
+
+
+def _size_table(n, p0, sizes, omr2):
+    """Models of the given sizes and 1 - r2 on a dataset of n rows; the
+    dataset is a stand-in, since ``evidence`` reads only n and p0 from it."""
+    sizes = np.asarray(sizes, dtype=np.intp)
+    omr2 = np.asarray(omr2, dtype=np.float64)
+    p = int(sizes.max())
+    mask = np.arange(p) < sizes[:, None]
+    return ModelTable(dataset=SimpleNamespace(n=n, p0=p0, replicates=None),
+                      models=tuple(tuple(range(k)) for k in sizes), sizes=sizes,
+                      sse=omr2, ssr=1.0 - omr2, beta=np.zeros((sizes.size, p)), mask=mask)
+
+
+class TestZellnerSiowSeries:
+    """``evidence``'s exact Zellner-Siow scores come from one Chebyshev
+    series per size; ``zs_evidence_batch`` integrates each model and is its
+    oracle."""
+
+    @pytest.mark.parametrize("p0", [0, 1, 2])
+    @pytest.mark.parametrize("n", ["p0+p+1", 10, 50, 10**3, 10**6, 10**10])
+    def test_series_matches_kernel_across_the_domain(self, p0, n):
+        # A dense grid of 1 - r2 in v = log(1 - q log(1 - r2)), from the null
+        # fit (1 - r2 = 1) to just above the saturation cut (1.006e-14,
+        # the last finite cell of ``TestEvidence.test_marker_cells``).
+        for p in range(1, 17):
+            size_n = p0 + p + 1 if n == "p0+p+1" else n
+            if size_n <= p0 + p:
+                continue
+            q = size_n - p0
+            top = math.log1p(-q * math.log(1.006e-14))
+            omr2 = np.exp(-np.expm1(np.linspace(0.0, top, 257)) / q)
+            omr2[[0, -1]] = 1.0, 1.006e-14
+            table = _size_table(size_n, p0, np.full(omr2.size, p), omr2)
+            log_ev, shrink = evidence("zs", table, want_shrinkage=True)
+            assert np.array_equal(log_ev, evidence("zs", table))
+            log_bf, kernel_shrink = zs_evidence_batch(size_n, p0, table.sizes,
+                                                      table.one_minus_r2, want_shrinkage=True)
+            err = np.abs(log_ev - log_bf) / np.maximum(1.0, np.abs(log_bf))
+            assert err.max() <= 1e-12, (size_n, p, err.max(), omr2[err.argmax()])
+            assert np.abs(shrink - kernel_shrink).max() <= 1e-12, (size_n, p)
+            # Both ends of the domain, 1 - r2 = 1 and the cut, hold 10 times tighter.
+            for i in (0, -1):
+                assert log_ev[i] == pytest.approx(log_bf[i], rel=1e-13, abs=1e-13), (size_n, p)
+
+    def test_score_does_not_depend_on_the_sizes_present(self):
+        # A model scores bit for bit the same in a table of only its own
+        # size, of only itself, and of every size, in any order.
+        rng = np.random.default_rng(61)
+        for n, p0 in [(30, 1), (200, 0), (10**8, 2)]:
+            sizes = np.repeat(np.arange(1, 17), 5)
+            omr2 = np.exp(-rng.uniform(0.0, 30.0, sizes.size) * rng.uniform(0, 1, sizes.size))
+            order = rng.permutation(sizes.size)
+            sizes, omr2 = sizes[order], omr2[order]
+            whole = evidence("zs", _size_table(n, p0, sizes, omr2), want_shrinkage=True)
+            for k in range(1, 17):
+                own = sizes == k
+                alone = evidence("zs", _size_table(n, p0, sizes[own], omr2[own]),
+                                 want_shrinkage=True)
+                for got, want in zip(whole, alone):
+                    np.testing.assert_array_equal(got[own], want)
+            i = int(np.argmax(sizes == 9))
+            one = evidence("zs", _size_table(n, p0, sizes[i:i + 1], omr2[i:i + 1]),
+                           want_shrinkage=True)
+            assert [float(v[0]) for v in one] == [float(v[i]) for v in whole]
 
 
 def _assert_rows_match(post):

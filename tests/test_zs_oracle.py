@@ -4,16 +4,20 @@ The reference integrates the same mixture, BF(g) pi(g) with g ~
 inverse-gamma(1/2, n/2), on the t = log g axis, cut at the mode and at
 growing steps on either side so that each piece is smooth for the
 Gauss-Legendre rule.  It checks the log Bayes factor and the posterior
-mean of g/(1+g) from ``zs_evidence_batch`` across sample sizes, model
-sizes, fits and common-predictor counts p0, including n = p0 + p + 1, the
-smallest sample the rule accepts.
+mean of g/(1+g), from the kernel ``zs_evidence_batch`` and from the
+per-size series that ``evidence`` sums, across sample sizes, model sizes,
+fits and common-predictor counts p0, including n = p0 + p + 1, the smallest
+sample the rule accepts, and fits near the null at large n.
 """
+
+from types import SimpleNamespace
 
 import mpmath
 import numpy as np
 import pytest
 
-from ml2bf.bayesfactors import _zs_mode, zs_evidence_batch
+from ml2bf.bayesfactors import _zs_mode, evidence, zs_evidence_batch
+from ml2bf.regression import ModelTable
 
 P0 = 1  # the common predictors of every cell but the p0 sweep
 _SIZES = (1, 2, 8, 16)
@@ -64,12 +68,25 @@ def _reference(n, p, omr2, p0=P0):
         return float(top + mpmath.log(total)), float(weighted / total)
 
 
+def _one_model_table(n, p, omr2, p0):
+    """A table of one model with 1 - r2 = omr2; ``evidence`` reads only n,
+    p0, the size and the sums of squares, so no n-row dataset is built."""
+    table = ModelTable(dataset=SimpleNamespace(n=n, p0=p0, replicates=None),
+                       models=(tuple(range(p)),), sizes=np.array([p]),
+                       sse=np.array([omr2]), ssr=np.array([1.0 - omr2]),
+                       beta=np.zeros((1, p)), mask=np.ones((1, p), dtype=bool))
+    assert table.one_minus_r2[0] == omr2
+    return table
+
+
 def _check(n, p, omr2, p0=P0):
-    log_bf, shrink = zs_evidence_batch(n, p0, [p], [omr2], want_shrinkage=True)
     ref_bf, ref_shrink = _reference(n, p, omr2, p0)
-    assert np.isfinite(log_bf[0]) and np.isfinite(shrink[0])
-    assert abs(log_bf[0] - ref_bf) <= 1e-12 * max(1.0, abs(ref_bf)), (log_bf[0], ref_bf)
-    assert shrink[0] == pytest.approx(ref_shrink, rel=1e-10, abs=0.0)
+    for log_bf, shrink in (zs_evidence_batch(n, p0, [p], [omr2], want_shrinkage=True),
+                           evidence("zs", _one_model_table(n, p, omr2, p0),
+                                    want_shrinkage=True)):
+        assert np.isfinite(log_bf[0]) and np.isfinite(shrink[0])
+        assert abs(log_bf[0] - ref_bf) <= 1e-12 * max(1.0, abs(ref_bf)), (log_bf[0], ref_bf)
+        assert shrink[0] == pytest.approx(ref_shrink, rel=1e-10, abs=0.0)
 
 
 # p0 = 1 over every size up to n = 1e6, and p = 64 at n in {p0 + p + 1,
@@ -94,7 +111,15 @@ def test_matches_mpmath(n, p, omr2, p0):
 
 @pytest.mark.parametrize("n,p,omr2", list(_cells(lambda p0, p: (1e8, 1e10))))
 def test_large_n_is_accurate_or_raises(n, p, omr2):
-    # At this size the log integrand is O(n) and its rounding is about
-    # eps n per node, far below the tolerance once the estimate is squared:
-    # every cell must meet the oracle's accuracy, with no QuadratureError.
+    # The kernel's log integrand keeps only terms of order p log n, so its
+    # rounding stays far below the tolerance at this size: every cell must
+    # meet the oracle's accuracy, with no QuadratureError.
     _check(n, p, omr2)
+
+
+@pytest.mark.parametrize("n,p,c", [(n, p, c) for n in (10**6, 10**8, 10**10)
+                                   for p in _SIZES for c in (0.5, 2, 8)])
+def test_near_null_large_n(n, p, c):
+    # r2 = c p / n straddles the bend of the evidence near the null, where
+    # log BF(g) alone is a difference of two terms of order n log n.
+    _check(n, p, 1.0 - c * p / n)
