@@ -162,8 +162,10 @@ def log_bf_gprior(stats: SuffStats, g: float) -> float:
     if (marker := _marker(stats)) is not None:
         return marker
     q = stats.n - stats.p0
-    omr2 = _one_minus_r2(stats)
-    return 0.5 * (q - stats.p) * math.log1p(g) - 0.5 * q * math.log1p(g * omr2)
+    x = g * stats.r2 / (1.0 + g)
+    if x <= 0.5:  # as in _log_bf_fixed_g
+        return -0.5 * stats.p * math.log1p(g) - 0.5 * q * math.log1p(-x)
+    return 0.5 * (q - stats.p) * math.log1p(g) - 0.5 * q * math.log1p(g * _one_minus_r2(stats))
 
 
 def log_bf_ml2(stats: SuffStats) -> float:
@@ -242,14 +244,11 @@ def log_bf_local_eb(stats: SuffStats) -> tuple[float, float]:
     _require_scope(stats)
     if (marker := _marker(stats)) is not None:
         return marker, marker
-    r2 = stats.r2
     q = stats.n - stats.p0
-    omr2 = _one_minus_r2(stats)
-    g_hat = max(0.0, (q * r2 - stats.p) / (stats.p * omr2))
+    g_hat = max(0.0, (q * stats.r2 - stats.p) / (stats.p * _one_minus_r2(stats)))
     if g_hat == 0.0:
         return 0.0, 0.0
-    value = 0.5 * (q - stats.p) * math.log1p(g_hat) - 0.5 * q * math.log1p(g_hat * omr2)
-    return max(0.0, value), g_hat
+    return max(0.0, log_bf_gprior(stats, g_hat)), g_hat
 
 
 # ---------------------------------------------------------------------------
@@ -411,8 +410,9 @@ _ZS_STEP = 0.2  # the largest step in t
 _ZS_PANEL = 16  # nodes added per side and round of the walk-out
 _ZS_LOG_WINDOW = 45.0  # integrand below exp(-45) of the mode value is negligible
 # Models per quadrature block; each node array of a block is at most
-# 16 x 4096 floats (0.5 MB).  2048 ran fastest of 256 to 16384 on stacked
-# figure tables (n = 50, p = 8) integrated model by model.
+# 16 x 4096 floats (0.5 MB).  It bounds the kernel's working set on large
+# ``zs_evidence_batch`` batches; ``_zs_series`` samples at most 97 models
+# per size present, 1552 at the 16-predictor cap, in one block.
 _ZS_BLOCK = 2048
 _ZS_TOLERANCE = 1e-8  # largest error estimate accepted
 # Degree N of the series in v; its points are cos(j pi / N), j = 0..N, on
@@ -674,6 +674,19 @@ def log_bf_zs_laplace(stats: SuffStats) -> float:
     return float(zs_laplace_batch(stats.n, stats.p0, [stats.p], [_one_minus_r2(stats)])[0])
 
 
+def _log_bf_fixed_g(q, k, g, r2, omr2):
+    """The fixed-g log Bayes factor 0.5(q - k) log1p(g) - 0.5q log1p(g omr2),
+    elementwise.  Its two terms are each of order q log g, so where the
+    result is small, near the null, it is summed as -0.5k log1p(g) -
+    0.5q log1p(-x) with x = g r2 / (1 + g); that is where x <= 1/2.
+    Elsewhere the result is of order q and the direct form loses only a
+    relative eps log g.  ``log_bf_gprior`` branches at the same point."""
+    x = g * r2 / (1.0 + g)
+    near = -0.5 * k * np.log1p(g) - 0.5 * q * np.log1p(-x)
+    far = 0.5 * (q - k) * np.log1p(g) - 0.5 * q * np.log1p(g * omr2)
+    return np.where(x <= 0.5, near, far)
+
+
 def evidence(method, table: ModelTable, want_shrinkage: bool = False,
              zs_rule: str = "exact"):
     """Null-based log evidence of every model in ``table`` under one rule.
@@ -735,7 +748,7 @@ def evidence(method, table: ModelTable, want_shrinkage: bool = False,
             log_ev[work] = zs_laplace_batch(n, p0, k, ow)
     elif kind in ("ml2", "lb"):
         g = float(n) if method.g is None else method.g
-        values = 0.5 * (q - k) * math.log1p(g) - 0.5 * q * np.log1p(g * ow)
+        values = _log_bf_fixed_g(q, k, g, r2w, ow)
         if kind == "lb":
             shrink[work] = g / (1.0 + g)
         else:
@@ -759,7 +772,7 @@ def evidence(method, table: ModelTable, want_shrinkage: bool = False,
         log_ev[work] = -0.5 * n * np.log(ow) - k
     elif kind == "ghat":
         g_hat = np.maximum(0.0, (q * r2w - k) / (k * ow))
-        values = 0.5 * (q - k) * np.log1p(g_hat) - 0.5 * q * np.log1p(g_hat * ow)
+        values = _log_bf_fixed_g(q, k, g_hat, r2w, ow)
         log_ev[work] = np.where((values > 0.0) & (g_hat > 0.0), values, 0.0)
         shrink[work] = g_hat / (1.0 + g_hat)
     else:

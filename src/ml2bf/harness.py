@@ -383,10 +383,11 @@ _FIG_RHO = 0.9
 _FIG_ALPHA = 2.0
 _SELECTORS = ("hpm", "mpm", "bma")
 # Datasets per stacked design, fit and evidence call.  In a fresh process
-# (200 replicates of figure_ar1, one core) stacks of 72 and 108 ran 10-20%
-# slower than 144, and 288 no faster.  Each stacked dataset adds about
-# 0.2 MB to the peak: 144 add about 30 MB, where a 1000-replicate chunk of
-# 18 cells stacked at once would add about 3.6 GB.
+# (200 replicates of figure_ar1, one core, medians of 6-10 runs) a stack of
+# 72 took 2.80 s and peaked at 56 MB, 144 took 2.57-2.68 s at 70 MB and 288
+# took 2.48-2.54 s at 96 MB: doubling to 288 buys about 5% for 26 MB more.
+# Each stacked dataset adds about 0.18 MB to the peak, 0.11 MB of it in the
+# fit; a 1000-replicate chunk of 18 cells stacked at once would add 3.2 GB.
 _FIG_STACK = 144
 
 

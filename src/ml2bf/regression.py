@@ -412,11 +412,15 @@ def fit_models(dataset: Dataset, models) -> ModelTable:
     projected out of x as ``orthogonalize`` does (the table keeps that
     dataset) and out of y once, and [x, y~] = Q R is factored once per
     replicate, R having min(n, p + 1) rows.  As x[:, S] = Q R[:, S], all
-    models of one size are fitted by one stacked QR of their columns of R
-    against R's last column: the singular values of x[:, S] on p + 1 rows
-    instead of n.  Each replicate's fits are bit for bit those of fitting it
-    alone.  Coefficients, sse and ssr do not depend on the signs QR gives
-    R's rows, so the sign convention applies only in ``gram_chol``.
+    models of one size k are fitted by one stacked R-only QR of
+    [R[:, S], r_y], their columns of R and R's last column: the singular
+    values of [x[:, S], y~] on p + 1 rows instead of n, and no Q.  Its
+    leading k x k block r and the k entries u above its last diagonal entry
+    e give r beta = u, ssr = |u|^2 and sse = e^2 (Golub & Van Loan, Matrix
+    Computations, section 5.3).  Each replicate's fits are bit for bit
+    those of fitting it alone.  Coefficients, sse and ssr do not depend on
+    the signs QR gives the rows of a factor, so the sign convention applies
+    only in ``gram_chol``.
     A model that ``fit_suffstats`` rejects raises the same ValueError here,
     prefixed with the index and columns of the first such model (and, when
     stacked, of the first replicate that has one).  The rank test divides
@@ -456,22 +460,22 @@ def fit_models(dataset: Dataset, models) -> ModelTable:
     # [x, y~] = Q R, so each model is fitted from R's min(n, p + 1) rows:
     # its columns of R in place of x[:, S], R's last column in place of y~.
     r_full = np.linalg.qr(np.concatenate([x, ytilde[..., None]], axis=-1), mode="r")
-    rt = np.ascontiguousarray(np.swapaxes(r_full[..., :p], -1, -2))
-    r_y = r_full[..., p]
+    rt = np.ascontiguousarray(np.swapaxes(r_full, -1, -2))
     # The sizes present, without np.unique: it imports numpy.ma on first use.
     for k in np.flatnonzero(np.bincount(sizes[(sizes > 0) & ~too_small])):
         sel = np.flatnonzero(sizes == k)
         idx = np.nonzero(mask[sel])[1].reshape(sel.size, k)
-        q, r = np.linalg.qr(np.swapaxes(rt[:, idx], -1, -2))
+        # [R[:, S], r_y] = Q [r, u; 0, e]: r beta = u, sse = e^2, ssr = |u|^2.
+        aug = np.concatenate([idx, np.full((sel.size, 1), p)], axis=1)
+        r_aug = np.linalg.qr(np.swapaxes(rt[:, aug], -1, -2), mode="r")
+        r, u = r_aug[..., :k, :k], r_aug[..., :k, k]
         diag = np.abs(np.diagonal(r, axis1=-2, axis2=-1))
         tol = RANK_RTOL * np.maximum(col_norms[:, idx], 1e-300)
         dependent[:, sel[:, None], idx] = diag <= tol
         if dependent[:, sel].any():
             continue
-        u = (r_y[:, None, None, :] @ q)[..., 0, :]
-        resid = r_y[:, None, :] - (q @ u[..., None])[..., 0]
         beta[:, sel[:, None], idx] = np.linalg.solve(r, u[..., None])[..., 0]
-        sse[:, sel] = np.einsum("...j,...j->...", resid, resid)
+        sse[:, sel] = r_aug[..., k, k] ** 2
         ssr[:, sel] = np.einsum("...j,...j->...", u, u)
 
     failed = too_small | dependent.any(axis=-1)

@@ -10,14 +10,13 @@ fits and common-predictor counts p0, including n = p0 + p + 1, the smallest
 sample the rule accepts, and fits near the null at large n.
 """
 
-from types import SimpleNamespace
-
 import mpmath
 import numpy as np
 import pytest
 
 from ml2bf.bayesfactors import _zs_mode, evidence, zs_evidence_batch
-from ml2bf.regression import ModelTable
+
+from util import one_model_table
 
 P0 = 1  # the common predictors of every cell but the p0 sweep
 _SIZES = (1, 2, 8, 16)
@@ -68,21 +67,10 @@ def _reference(n, p, omr2, p0=P0):
         return float(top + mpmath.log(total)), float(weighted / total)
 
 
-def _one_model_table(n, p, omr2, p0):
-    """A table of one model with 1 - r2 = omr2; ``evidence`` reads only n,
-    p0, the size and the sums of squares, so no n-row dataset is built."""
-    table = ModelTable(dataset=SimpleNamespace(n=n, p0=p0, replicates=None),
-                       models=(tuple(range(p)),), sizes=np.array([p]),
-                       sse=np.array([omr2]), ssr=np.array([1.0 - omr2]),
-                       beta=np.zeros((1, p)), mask=np.ones((1, p), dtype=bool))
-    assert table.one_minus_r2[0] == omr2
-    return table
-
-
 def _check(n, p, omr2, p0=P0):
     ref_bf, ref_shrink = _reference(n, p, omr2, p0)
     for log_bf, shrink in (zs_evidence_batch(n, p0, [p], [omr2], want_shrinkage=True),
-                           evidence("zs", _one_model_table(n, p, omr2, p0),
+                           evidence("zs", one_model_table(n, p, omr2, p0),
                                     want_shrinkage=True)):
         assert np.isfinite(log_bf[0]) and np.isfinite(shrink[0])
         assert abs(log_bf[0] - ref_bf) <= 1e-12 * max(1.0, abs(ref_bf)), (log_bf[0], ref_bf)

@@ -1,10 +1,11 @@
 """Shared helpers for the test suite."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 
-from ml2bf.regression import SuffStats
+from ml2bf.regression import ModelTable, SuffStats
 
 
 def make_stats(n, p0, p, r2, total=1.0):
@@ -21,6 +22,18 @@ def make_stats(n, p0, p, r2, total=1.0):
     return SuffStats(
         n=n, p0=p0, p=p, beta_hat=beta, sse=sse, ssr=ssr, gram_chol=np.eye(p)
     )
+
+
+def one_model_table(n, p, omr2, p0):
+    """A table of one model with 1 - r2 = omr2 (sse = omr2, ssr = 1 - omr2);
+    ``evidence`` reads only n, p0, the size and the sums of squares, so no
+    n-row dataset is built."""
+    table = ModelTable(dataset=SimpleNamespace(n=n, p0=p0, replicates=None),
+                       models=(tuple(range(p)),), sizes=np.array([p]),
+                       sse=np.array([omr2]), ssr=np.array([1.0 - omr2]),
+                       beta=np.zeros((1, p)), mask=np.ones((1, p), dtype=bool))
+    assert table.one_minus_r2[0] == omr2
+    return table
 
 
 def random_dataset(rng, n=None, p=None, rho_max=0.6, beta_scale=1.0, sparse=True):
