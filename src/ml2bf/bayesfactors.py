@@ -567,7 +567,8 @@ def _zs_series(n, p0, sizes, ell, want_shrinkage):
     q = n - p0
     top = math.log1p(-q * math.log1p(-R2_SATURATION))
     node_ell = np.expm1(0.5 * top * (1.0 + _ZS_POINTS)) / q
-    kinds = np.unique(sizes)
+    # The sizes present, without np.unique: it imports numpy.ma on first use.
+    kinds = np.flatnonzero(np.bincount(sizes.astype(np.intp))).astype(sizes.dtype)
     per = _ZS_POINTS.size
     total, shrink = _zs_sums(n, p0, np.repeat(kinds, per), np.tile(node_ell, kinds.size),
                              want_shrinkage)

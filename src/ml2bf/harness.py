@@ -383,11 +383,12 @@ _FIG_RHO = 0.9
 _FIG_ALPHA = 2.0
 _SELECTORS = ("hpm", "mpm", "bma")
 # Datasets per stacked design, fit and evidence call.  In a fresh process
-# (200 replicates of figure_ar1, one core, medians of 6-10 runs) a stack of
-# 72 took 2.80 s and peaked at 56 MB, 144 took 2.57-2.68 s at 70 MB and 288
-# took 2.48-2.54 s at 96 MB: doubling to 288 buys about 5% for 26 MB more.
-# Each stacked dataset adds about 0.18 MB to the peak, 0.11 MB of it in the
-# fit; a 1000-replicate chunk of 18 cells stacked at once would add 3.2 GB.
+# (200 replicates of figure_ar1, one core, medians of three sets of 8 runs
+# on a shared host) a stack of 72 took 1.93-2.59 s and peaked at 51 MB,
+# 144 took 1.65-2.09 s at 58-59 MB and 288 took 1.55-1.92 s at 71-72 MB:
+# doubling to 288 buys 5-11% for 12-13 MB more.  Each stacked dataset adds
+# about 0.08-0.11 MB to the peak, 0.05 MB of it in the fit; a
+# 1000-replicate chunk of 18 cells stacked at once would add 1.5 GB.
 _FIG_STACK = 144
 
 

@@ -10,7 +10,6 @@ not depend on how many processes actually run.
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -55,6 +54,9 @@ def run_replicates(worker, cells, replicates, threads):
     jobs = [(cell, lo, hi) for cell in cells for lo, hi in bounds]
     workers = min(threads, usable_cores(), len(jobs))
     if workers > 1:
+        # Imported here: a one-process run never pays for loading it.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(worker, *zip(*jobs)))
     else:

@@ -40,6 +40,12 @@ RANK_RTOL = 1e-10
 # ran orthogonalize(); accumulated rounding must not trip it.
 _ORTHO_CHECK_RTOL = 1e-8
 
+# Numbers gathered per block of one size's models in fit_models' sweep
+# (1 MB).  On a core with 2 MB of L2 cache, all of a size at once made a
+# p = 16 fit take 1.5 times as long, and blocks of 2**15 numbers made the
+# fit of a 144-dataset figure stack take a quarter longer.
+_SWEEP_BLOCK = 2**17
+
 
 def _as_matrix(a, name):
     a = np.asarray(a, dtype=np.float64)
@@ -203,13 +209,28 @@ def _raise_first(failed, message, error=ValueError):
         raise _replicate_error(error, int(np.argmax(failed)) if failed.ndim else None, message)
 
 
+def _column_scale(a):
+    """Per column of ``a`` (axis -2), the exponent e for which its largest
+    magnitude is m 2^e with m in [1/2, 1) (0 for a zero column)."""
+    return np.frexp(np.max(np.abs(a), axis=-2))[1]
+
+
+def _column_norms(a):
+    """Euclidean norms of the columns of ``a`` (axis -2), each column
+    scaled by a power of two first, so that no square overflows or
+    underflows to zero."""
+    e = _column_scale(a)
+    scaled = np.ldexp(a, -e[..., None, :])
+    return np.ldexp(np.sqrt(np.sum(scaled * scaled, axis=-2)), e)
+
+
 def _common_basis(x0):
     """Orthonormal basis of span(x0), per replicate if x0 is stacked; raises
     on rank deficiency."""
     if x0.shape[-1] == 0:
         return np.zeros(x0.shape)
     q0, r0 = np.linalg.qr(x0)
-    col_norms = np.linalg.norm(x0, axis=-2)
+    col_norms = _column_norms(x0)
     diag = np.abs(np.diagonal(r0, axis1=-2, axis2=-1))
     _raise_first(np.any(diag <= RANK_RTOL * np.maximum(col_norms, 1e-300), axis=-1),
                  "degenerate common predictors", DependentColumnsError)
@@ -239,8 +260,8 @@ def orthogonalize(dataset: Dataset) -> Dataset:
     if dataset.p0 == 0:
         return dataset
     x_new = _project_out(_common_basis(dataset.x0), dataset.x)
-    inside = (np.linalg.norm(x_new, axis=-2)
-              <= RANK_RTOL * np.maximum(np.linalg.norm(dataset.x, axis=-2), 1e-300))
+    inside = (_column_norms(x_new)
+              <= RANK_RTOL * np.maximum(_column_norms(dataset.x), 1e-300))
     if inside.any():
         rep, j = divmod(int(np.argmax(inside)), dataset.p)
         raise _replicate_error(DependentColumnsError, rep if inside.ndim == 2 else None,
@@ -290,11 +311,11 @@ def fit_suffstats(dataset: Dataset, subset) -> SuffStats:
     xs = dataset.x[:, cols]
     if p0 > 0:
         cross = np.abs(q0.T @ xs)
-        scale = np.linalg.norm(xs, axis=0) * max(np.linalg.norm(q0, axis=0).max(), 1.0)
+        scale = _column_norms(xs) * max(_column_norms(q0).max(), 1.0)
         if np.any(cross > _ORTHO_CHECK_RTOL * np.maximum(scale, 1e-300)):
             raise ValueError("dataset not orthogonalized; call orthogonalize() first")
     q, r = np.linalg.qr(xs)
-    col_norms = np.linalg.norm(xs, axis=0)
+    col_norms = _column_norms(xs)
     if np.any(np.abs(np.diag(r)) <= RANK_RTOL * np.maximum(col_norms, 1e-300)):
         raise ValueError(f"selected columns {cols} are rank deficient")
     # Fix the QR sign convention so repeated fits agree bit for bit.
@@ -404,6 +425,50 @@ class ModelTable:
         )
 
 
+def _householder_sweep(a, k, p):
+    """Triangularize the first k columns of every gathered [R[:, S], r_y] in
+    ``a`` (rows x (k + 1) x batch) by Householder reflections, in place.
+
+    Column j of R[:, S] has no entry below row p - k + j, and reflector j
+    keeps that staircase in the columns after it, so it spans rows j ..
+    min(p - k + j, rows - 1) only; a reflector of one row would change
+    signs alone and is skipped, which leaves the full model untouched.
+    Every op is element-wise over the batch.
+    """
+    rows = a.shape[0]
+    for j in range(k):
+        last = min(p - k + j, rows - 1)
+        if last == j:
+            continue
+        x = a[j : last + 1, j]
+        # x'x and x'a for each column a after it, one row added at a time
+        # (row by row, the temporaries stay small enough for the cache).
+        dots = x[0] * a[j, j:]
+        for i in range(1, last + 1 - j):
+            dots += x[i] * a[j + i, j:]
+        t = np.copysign(np.sqrt(dots[0]), x[0])  # minus the new diagonal entry
+        # x becomes v = x + t e_1 in place: v'v / 2 = t v_0 >= 0 and
+        # v'a = x'a + t a_0, so H a = a - v (v'a) / (t v_0); H = I where x is 0.
+        x[0] += t
+        half = t * x[0]
+        f = (dots[1:] + t * a[j, j + 1 :]) / np.where(half > 0, half, np.inf)
+        for i in range(last + 1 - j):
+            a[j + i, j + 1 :] -= x[i] * f
+        a[j, j] = -t
+
+
+def _size_blocks(sizes, fits, reps, rows):
+    """(k, model indices) for each size k > 0 among the models that ``fits``
+    allows, split into blocks whose gathered columns hold about
+    ``_SWEEP_BLOCK`` numbers."""
+    # The sizes present, without np.unique: it imports numpy.ma on first use.
+    for k in np.flatnonzero(np.bincount(sizes[(sizes > 0) & fits])):
+        every = np.flatnonzero(sizes == k)
+        blocks = -(-every.size * reps * rows * (k + 1) // _SWEEP_BLOCK)
+        step = -(-every.size // blocks)
+        yield from ((k, every[i : i + step]) for i in range(0, every.size, step))
+
+
 def fit_models(dataset: Dataset, models) -> ModelTable:
     """``fit_suffstats`` for every subset in ``models``, batched by model size.
 
@@ -412,15 +477,19 @@ def fit_models(dataset: Dataset, models) -> ModelTable:
     projected out of x as ``orthogonalize`` does (the table keeps that
     dataset) and out of y once, and [x, y~] = Q R is factored once per
     replicate, R having min(n, p + 1) rows.  As x[:, S] = Q R[:, S], all
-    models of one size k are fitted by one stacked R-only QR of
-    [R[:, S], r_y], their columns of R and R's last column: the singular
-    values of [x[:, S], y~] on p + 1 rows instead of n, and no Q.  Its
-    leading k x k block r and the k entries u above its last diagonal entry
-    e give r beta = u, ssr = |u|^2 and sse = e^2 (Golub & Van Loan, Matrix
-    Computations, section 5.3).  Each replicate's fits are bit for bit
-    those of fitting it alone.  Coefficients, sse and ssr do not depend on
-    the signs QR gives the rows of a factor, so the sign convention applies
-    only in ``gram_chol``.
+    models of one size k, in every replicate, are fitted together by one
+    Householder sweep over their gathered [R[:, S], r_y], R's columns S and
+    its last column, with no LAPACK call per model (``_householder_sweep``):
+    reflector j spans rows j .. p - k + j only, as R[:, S] is a staircase.
+    After it the leading k x k block r and the first k entries u of the
+    last column give r beta = u by back substitution and ssr = |u|^2, and
+    the sum of squares of that column's rows k.. is sse (Golub & Van Loan,
+    Matrix Computations, section 5.3).  Each column of R is first scaled by
+    a power of two, exactly (R(A D) = R(A) D), so that no square overflows.
+    The sweep and the sums are element-wise over the models and replicates,
+    so each replicate's fits are bit for bit those of fitting it alone.
+    Coefficients, sse and ssr do not depend on the signs of the rows of a
+    factor, so the sign convention applies only in ``gram_chol``.
     A model that ``fit_suffstats`` rejects raises the same ValueError here,
     prefixed with the index and columns of the first such model (and, when
     stacked, of the first replicate that has one).  The rank test divides
@@ -447,7 +516,7 @@ def fit_models(dataset: Dataset, models) -> ModelTable:
     _raise_first(overflow if stacked else overflow[0], "the sum of squares of y overflows")
     q0 = _common_basis(dataset.x0)
     ytilde = y - (q0 @ (q0.swapaxes(-1, -2) @ y[..., None]))[..., 0]
-    col_norms = np.linalg.norm(dataset.x, axis=-2).reshape(reps, p)
+    col_norms = _column_norms(dataset.x).reshape(reps, p)
     dataset = Dataset(y=dataset.y, x0=dataset.x0, x=_project_out(q0, dataset.x))
     x = dataset.x.reshape(reps, n, p)
 
@@ -460,23 +529,36 @@ def fit_models(dataset: Dataset, models) -> ModelTable:
     # [x, y~] = Q R, so each model is fitted from R's min(n, p + 1) rows:
     # its columns of R in place of x[:, S], R's last column in place of y~.
     r_full = np.linalg.qr(np.concatenate([x, ytilde[..., None]], axis=-1), mode="r")
-    rt = np.ascontiguousarray(np.swapaxes(r_full, -1, -2))
-    # The sizes present, without np.unique: it imports numpy.ma on first use.
-    for k in np.flatnonzero(np.bincount(sizes[(sizes > 0) & ~too_small])):
-        sel = np.flatnonzero(sizes == k)
-        idx = np.nonzero(mask[sel])[1].reshape(sel.size, k)
-        # [R[:, S], r_y] = Q [r, u; 0, e]: r beta = u, sse = e^2, ssr = |u|^2.
-        aug = np.concatenate([idx, np.full((sel.size, 1), p)], axis=1)
-        r_aug = np.linalg.qr(np.swapaxes(rt[:, aug], -1, -2), mode="r")
-        r, u = r_aug[..., :k, :k], r_aug[..., :k, k]
-        diag = np.abs(np.diagonal(r, axis1=-2, axis2=-1))
-        tol = RANK_RTOL * np.maximum(col_norms[:, idx], 1e-300)
-        dependent[:, sel[:, None], idx] = diag <= tol
-        if dependent[:, sel].any():
+    rows = r_full.shape[-2]
+    # Column c of R times 2^-e[c] has its largest magnitude in [1/2, 1).
+    e = _column_scale(r_full)
+    rt = np.ascontiguousarray(np.ldexp(r_full, -e[:, None, :]).transpose(1, 2, 0))
+    e, norms = e.T, col_norms.T  # columns first, as in rt
+    for k, sel in _size_blocks(sizes, ~too_small, reps, rows):
+        idx = np.nonzero(mask[sel])[1].reshape(sel.size, k).T
+        aug = np.concatenate([idx, np.full((1, sel.size), p)])
+        # rows x (k + 1) x (models x replicates), the replicate varying fastest.
+        a = rt[:, aug].reshape(rows, k + 1, -1)
+        _householder_sweep(a, k, p)
+        diag = np.abs(a[np.arange(k), np.arange(k)]).reshape(k, sel.size, reps)
+        flag = np.ldexp(diag, e[idx]) <= RANK_RTOL * np.maximum(norms[idx], 1e-300)
+        dependent[:, sel[:, None], idx.T] = flag.transpose(2, 1, 0)
+        if flag.any():
             continue
-        beta[:, sel[:, None], idx] = np.linalg.solve(r, u[..., None])[..., 0]
-        sse[:, sel] = r_aug[..., k, k] ** 2
-        ssr[:, sel] = np.einsum("...j,...j->...", u, u)
+        # [R[:, S], r_y] is now [r, u; 0, z] with r beta = u, ssr = |u|^2 and
+        # sse = |z|^2, in units of the scaled columns, each sum taken row by
+        # row so that its rounding cannot depend on the batch.
+        u = a[:k, k]
+        ssr_s = sum(row * row for row in u)
+        sse_s = sum(row * row for row in a[k:, k])
+        for j in range(k - 1, -1, -1):
+            u[j] /= a[j, j]
+            u[:j] -= a[:j, j] * u[j]
+        ey = e[p]
+        beta[:, sel[:, None], idx.T] = np.ldexp(u.reshape(k, sel.size, reps),
+                                                ey - e[idx]).transpose(2, 1, 0)
+        sse[:, sel] = np.ldexp(sse_s.reshape(sel.size, reps), 2 * ey).T
+        ssr[:, sel] = np.ldexp(ssr_s.reshape(sel.size, reps), 2 * ey).T
 
     failed = too_small | dependent.any(axis=-1)
     if failed.any():

@@ -748,8 +748,13 @@ for argv in json.loads(sys.argv[1]):
     if main(argv) != 0:
         sys.exit(f"ml2bf {argv} failed")
 """
-_NO_SCIPY_RUN = _RUN_ALL + """
-print(json.dumps(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))))
+# scipy is not a runtime dependency, and numpy.ma and the process pool
+# would each cost 10-25 ms of a fresh one-process run that never uses them.
+_HEAVY_MODULES = ("scipy", "numpy.ma", "concurrent.futures.process")
+_NO_SCIPY_RUN = _RUN_ALL + f"""
+heavy = {_HEAVY_MODULES!r}
+print(json.dumps(sorted(m for m in sys.modules
+                        if m in heavy or m.startswith(tuple(h + "." for h in heavy)))))
 """
 
 

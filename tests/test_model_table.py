@@ -3,6 +3,7 @@ scalar oracles ``fit_suffstats`` and ``log_bf_*``, and stacked replicates
 against one dataset at a time."""
 
 import math
+import warnings
 from types import SimpleNamespace
 
 import mpmath
@@ -257,6 +258,31 @@ class TestFitModelsEdgeCases:
         with pytest.raises(ValueError) as info:
             fit_models(ds, models)
         assert str(info.value) == f"model {i} (columns (0, 1)): {alone.value}"
+
+    @pytest.mark.parametrize("power", [600, -600])
+    def test_columns_scaled_by_a_power_of_two_fit_alike(self, power):
+        # A column of size 2**600 has a square that overflows, one of size
+        # 2**-600 a square that underflows.  The rank tests' column norms
+        # and the fit's own power-of-two column scaling must not see either.
+        rng = np.random.default_rng(5)
+        n, p = 20, 4
+        x0 = np.column_stack([np.ones(n), rng.standard_normal(n)])
+        x = rng.standard_normal((n, p))
+        y = 1.0 + x[:, 0] - x[:, 3] + rng.standard_normal(n)
+        models = _all_subsets(p)
+        base = fit_models(Dataset(y=y, x0=x0, x=x), models)
+        scale = np.ldexp(1.0, power)
+        cols = np.array([1.0, scale, 1.0, scale])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            scaled = Dataset(y=y, x0=x0 * [1.0, scale], x=x * cols)
+            np.testing.assert_allclose(orthogonalize(scaled).x / cols, orthogonalize(
+                Dataset(y=y, x0=x0, x=x)).x, rtol=0, atol=1e-12)
+            table = fit_models(scaled, models)
+        np.testing.assert_allclose(table.sse, base.sse, rtol=1e-12)
+        np.testing.assert_allclose(table.ssr, base.ssr, rtol=1e-12)
+        np.testing.assert_allclose(table.beta * cols, base.beta, rtol=0,
+                                   atol=1e-12 * np.abs(base.beta).max())
 
     @pytest.mark.parametrize("space", [ModelSpace.all_subsets(5), ModelSpace.nested(5),
                                        ModelSpace.nested(3, include_null=True)],
