@@ -21,7 +21,6 @@ from ml2bf import (
     make_correlated_design,
     ml2_covariance,
     fit_suffstats,
-    orthogonalize,
 )
 
 rng = np.random.default_rng(7)
@@ -32,7 +31,7 @@ for r in (-0.9, 0.9):
     corr = CorrelationSpec.explicit(np.array([[1.0, r], [r, 1.0]]))
     x = make_correlated_design(n, 2, corr, np.random.default_rng(3))
     y = x @ beta + rng.standard_normal(n)
-    ds = orthogonalize(Dataset.with_intercept(y, x))
+    ds = Dataset.with_intercept(y, x)
 
     print(f"\n=== sample correlation r = {r:+.1f} ===")
     stats = fit_suffstats(ds, (0, 1))

@@ -11,6 +11,7 @@ CSV.
 
 import csv
 import itertools
+import re
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -36,9 +37,11 @@ __all__ = [
 # original norm.
 RANK_RTOL = 1e-10
 
-# Looser than RANK_RTOL: fit_suffstats only sanity-checks that the caller
-# ran orthogonalize(); accumulated rounding must not trip it.
-_ORTHO_CHECK_RTOL = 1e-8
+
+def _rank_lost(residual, norm):
+    """The rank rule above: residual norm <= RANK_RTOL * original norm."""
+    return residual <= RANK_RTOL * np.maximum(norm, 1e-300)
+
 
 # Numbers gathered per block of one size's models in fit_models' sweep
 # (1 MB).  On a core with 2 MB of L2 cache, all of a size at once made a
@@ -230,9 +233,8 @@ def _common_basis(x0):
     if x0.shape[-1] == 0:
         return np.zeros(x0.shape)
     q0, r0 = np.linalg.qr(x0)
-    col_norms = _column_norms(x0)
     diag = np.abs(np.diagonal(r0, axis1=-2, axis2=-1))
-    _raise_first(np.any(diag <= RANK_RTOL * np.maximum(col_norms, 1e-300), axis=-1),
+    _raise_first(np.any(_rank_lost(diag, _column_norms(x0)), axis=-1),
                  "degenerate common predictors", DependentColumnsError)
     return q0
 
@@ -260,8 +262,7 @@ def orthogonalize(dataset: Dataset) -> Dataset:
     if dataset.p0 == 0:
         return dataset
     x_new = _project_out(_common_basis(dataset.x0), dataset.x)
-    inside = (_column_norms(x_new)
-              <= RANK_RTOL * np.maximum(_column_norms(dataset.x), 1e-300))
+    inside = _rank_lost(_column_norms(x_new), _column_norms(dataset.x))
     if inside.any():
         rep, j = divmod(int(np.argmax(inside)), dataset.p)
         raise _replicate_error(DependentColumnsError, rep if inside.ndim == 2 else None,
@@ -282,9 +283,13 @@ def _canonical_subset(subset, p):
 def fit_suffstats(dataset: Dataset, subset) -> SuffStats:
     """Least-squares sufficient statistics for one subset of predictors.
 
-    The dataset must already be orthogonalized.  The empty subset yields the
-    null model: p = 0, ssr = 0, r2 = 0 and sse equal to the total sum of
-    squares about the common-predictor fit.
+    The common predictors are projected out of the selected columns and
+    of y first, so any dataset will do; the rank test divides by the column
+    norms before the projection, and its failure is a
+    ``DependentColumnsError`` naming the columns it flags, as in
+    ``fit_models``.  The empty subset
+    yields the null model: p = 0, ssr = 0, r2 = 0 and sse equal to the total
+    sum of squares about the common-predictor fit.
     """
     if dataset.replicates is not None:
         raise ValueError("fit_suffstats needs a single dataset; fit_models takes stacked ones")
@@ -309,15 +314,11 @@ def fit_suffstats(dataset: Dataset, subset) -> SuffStats:
             gram_chol=np.zeros((0, 0)),
         )
     xs = dataset.x[:, cols]
-    if p0 > 0:
-        cross = np.abs(q0.T @ xs)
-        scale = _column_norms(xs) * max(_column_norms(q0).max(), 1.0)
-        if np.any(cross > _ORTHO_CHECK_RTOL * np.maximum(scale, 1e-300)):
-            raise ValueError("dataset not orthogonalized; call orthogonalize() first")
-    q, r = np.linalg.qr(xs)
-    col_norms = _column_norms(xs)
-    if np.any(np.abs(np.diag(r)) <= RANK_RTOL * np.maximum(col_norms, 1e-300)):
-        raise ValueError(f"selected columns {cols} are rank deficient")
+    q, r = np.linalg.qr(_project_out(q0, xs))
+    lost = _rank_lost(np.abs(np.diag(r)), _column_norms(xs))
+    if lost.any():
+        raise DependentColumnsError(f"selected columns {cols} are rank deficient",
+                                    np.asarray(cols)[lost].tolist())
     # Fix the QR sign convention so repeated fits agree bit for bit.
     signs = np.where(np.diag(r) < 0, -1.0, 1.0)
     q = q * signs
@@ -362,8 +363,9 @@ class ModelTable:
 
     Row i belongs to ``models[i]``: its size, ``sse`` and ``ssr`` as in
     ``SuffStats``, its coefficients zero-padded to all p candidate columns
-    (``beta``), and its columns as a boolean row of ``mask``.  The Gram
-    factor and a full ``SuffStats`` are built only on request.
+    (``beta``), and its columns as a boolean row of ``mask``.  ``dataset``
+    is the one the caller fitted, as given; a model's full ``SuffStats``,
+    with its Gram factor, is ``fit_suffstats(table.dataset, table.models[i])``.
 
     The table of a stacked dataset (``replicates`` = R) has ``sse`` and
     ``ssr`` of shape (R, m) and ``beta`` of shape (R, m, p), row j holding
@@ -404,25 +406,6 @@ class ModelTable:
         """sse / (sse + ssr), and 1 where that total is 0."""
         total = self.sse + self.ssr
         return np.divide(self.sse, total, out=np.ones_like(total), where=total > 0)
-
-    def gram_chol(self, i: int) -> np.ndarray:
-        """R'R = X'X of model i's columns, R upper triangular with diag(R) >= 0
-        (single-dataset tables)."""
-        if self.replicates is not None:
-            raise ValueError("gram_chol needs a single-dataset table")
-        cols = list(self.models[i])
-        if not cols:
-            return np.zeros((0, 0))
-        r = np.linalg.qr(self.dataset.x[:, cols], mode="r")
-        return r * np.where(np.diag(r) < 0, -1.0, 1.0)[:, None]
-
-    def suffstats(self, i: int) -> SuffStats:
-        cols = list(self.models[i])
-        gram_chol = self.gram_chol(i)
-        return SuffStats(
-            n=self.n, p0=self.p0, p=len(cols), beta_hat=self.beta[i, cols],
-            sse=float(self.sse[i]), ssr=float(self.ssr[i]), gram_chol=gram_chol,
-        )
 
 
 def _householder_sweep(a, k, p):
@@ -474,8 +457,8 @@ def fit_models(dataset: Dataset, models) -> ModelTable:
 
     ``models`` is a list of column subsets, or a ``ModelSpace`` whose cached
     models and mask are used as they are.  The common predictors are
-    projected out of x as ``orthogonalize`` does (the table keeps that
-    dataset) and out of y once, and [x, y~] = Q R is factored once per
+    projected out of x as ``orthogonalize`` does and out of y once (the
+    table keeps the dataset as given), and [x, y~] = Q R is factored once per
     replicate, R having min(n, p + 1) rows.  As x[:, S] = Q R[:, S], all
     models of one size k, in every replicate, are fitted together by one
     Householder sweep over their gathered [R[:, S], r_y], R's columns S and
@@ -488,8 +471,6 @@ def fit_models(dataset: Dataset, models) -> ModelTable:
     a power of two, exactly (R(A D) = R(A) D), so that no square overflows.
     The sweep and the sums are element-wise over the models and replicates,
     so each replicate's fits are bit for bit those of fitting it alone.
-    Coefficients, sse and ssr do not depend on the signs of the rows of a
-    factor, so the sign convention applies only in ``gram_chol``.
     A model that ``fit_suffstats`` rejects raises the same ValueError here,
     prefixed with the index and columns of the first such model (and, when
     stacked, of the first replicate that has one).  The rank test divides
@@ -517,8 +498,7 @@ def fit_models(dataset: Dataset, models) -> ModelTable:
     q0 = _common_basis(dataset.x0)
     ytilde = y - (q0 @ (q0.swapaxes(-1, -2) @ y[..., None]))[..., 0]
     col_norms = _column_norms(dataset.x).reshape(reps, p)
-    dataset = Dataset(y=dataset.y, x0=dataset.x0, x=_project_out(q0, dataset.x))
-    x = dataset.x.reshape(reps, n, p)
+    x = _project_out(q0, dataset.x).reshape(reps, n, p)
 
     too_small = n <= p0 + sizes
     dependent = np.zeros((reps, m, p), dtype=bool)  # the columns each rank test flags
@@ -541,7 +521,7 @@ def fit_models(dataset: Dataset, models) -> ModelTable:
         a = rt[:, aug].reshape(rows, k + 1, -1)
         _householder_sweep(a, k, p)
         diag = np.abs(a[np.arange(k), np.arange(k)]).reshape(k, sel.size, reps)
-        flag = np.ldexp(diag, e[idx]) <= RANK_RTOL * np.maximum(norms[idx], 1e-300)
+        flag = _rank_lost(np.ldexp(diag, e[idx]), norms[idx])
         dependent[:, sel[:, None], idx.T] = flag.transpose(2, 1, 0)
         if flag.any():
             continue
@@ -702,8 +682,9 @@ def load_dataset_csv(path) -> tuple[Dataset, list[str]]:
     x0_names = [h for h in header if h.startswith("x0_")]
     x_names = [h for h in header if h != "y" and h not in x0_names]
     for name in x_names:
-        if not (name.startswith("x") and name[1:].isdigit()):
-            raise ValueError(f"malformed CSV: unexpected column {name!r}")
+        if not re.fullmatch(r"x[1-9][0-9]*", name):
+            raise ValueError(f"malformed CSV: unexpected column {name!r}; candidate "
+                             "columns are x1..xp")
     order = sorted(x_names, key=lambda s: int(s[1:]))
     expected = [f"x{i}" for i in range(1, len(order) + 1)]
     if order != expected:

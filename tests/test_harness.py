@@ -532,6 +532,21 @@ class TestCli:
         assert code == 2
         assert "x1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("header,message", [
+        ("y,x0,x1,x2", "unexpected column 'x0'"),
+        ("y,x01,x2", "unexpected column 'x01'"),
+        ("y,x1,x3", "missing 'x2'"),
+    ])
+    def test_malformed_csv_names_the_wrong_candidate(self, tmp_path, capsys, header, message):
+        # The column that is not one of x1..xp is named, not a present one.
+        fields = header.count(",") + 1
+        path = tmp_path / "bad.csv"
+        path.write_text(header + "\n" + "\n".join([",".join(["1"] * fields)] * 6) + "\n",
+                        encoding="utf-8")
+        assert main(["bf", str(path), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "malformed CSV: " in err and message in err
+
     def test_unknown_experiment_rejected(self):
         with pytest.raises(SystemExit) as info:
             main(["frobnicate"])

@@ -104,10 +104,6 @@ class TestFitModels:
             assert table.r2[i] == (table.ssr[i] / (table.sse[i] + table.ssr[i])
                                    if table.ssr[i] > 0 else 0.0)
             assert (table.ssr[i] == 0.0) == (s.ssr == 0.0)
-            on_request = table.suffstats(i)
-            np.testing.assert_allclose(on_request.gram_chol, s.gram_chol,
-                                       rtol=0, atol=1e-12 * max(1.0, np.abs(s.gram_chol).max(initial=0)))
-            assert on_request.p == s.p and on_request.n == s.n and on_request.p0 == s.p0
 
     def test_empty_and_unordered_model_lists(self):
         rng = np.random.default_rng(0)
@@ -141,20 +137,21 @@ class TestFitModels:
             try:
                 fit_suffstats(ds, model)
             except ValueError as exc:
-                first = (i, model, str(exc))
+                first = (i, model, str(exc), type(exc))
                 break
         assert first is not None
-        i, model, message = first
+        i, model, message, error = first
         with pytest.raises(ValueError) as info:
             fit_models(ds, models)
+        assert type(info.value) is error
         if case in ("repeated", "out_of_range"):
             assert str(info.value) == message
         else:
             assert str(info.value) == f"model {i} (columns {tuple(model)}): {message}"
 
     def test_raw_dataset_fits_like_orthogonalized(self):
-        # fit_models projects the common predictors out itself; its table
-        # keeps the projected dataset, so factors on request are right too.
+        # Both fit routines project the common predictors out themselves,
+        # and the table keeps the raw dataset.
         rng = np.random.default_rng(1)
         n, p = 10, 4
         x0 = np.column_stack([np.ones(n), rng.standard_normal(n)])
@@ -163,7 +160,7 @@ class TestFitModels:
         ds = orthogonalize(raw)
         models = _all_subsets(p)
         table = fit_models(raw, models)
-        np.testing.assert_array_equal(table.dataset.x, ds.x)
+        assert table.dataset is raw
         tss = fit_suffstats(ds, ()).sse
         for i, model in enumerate(models):
             s = fit_suffstats(ds, model)
@@ -172,7 +169,12 @@ class TestFitModels:
             assert abs(table.ssr[i] - s.ssr) <= 1e-12 * tss
             gap = ds.x[:, cols] @ (table.beta[i, cols] - s.beta_hat)
             assert gap @ gap <= 1e-24 * tss
-            np.testing.assert_allclose(table.suffstats(i).gram_chol, s.gram_chol, rtol=0,
+            s_raw = fit_suffstats(table.dataset, model)
+            assert abs(s_raw.sse - s.sse) <= 1e-12 * tss
+            assert abs(s_raw.ssr - s.ssr) <= 1e-12 * tss
+            gap = ds.x[:, cols] @ (s_raw.beta_hat - s.beta_hat)
+            assert gap @ gap <= 1e-24 * tss
+            np.testing.assert_allclose(s_raw.gram_chol, s.gram_chol, rtol=0,
                                        atol=1e-12 * max(1.0, np.abs(s.gram_chol).max(initial=0)))
 
 
@@ -632,6 +634,12 @@ def _assert_stack_matches(singles, stacked):
     np.testing.assert_array_equal(ortho.x, np.stack([d.x for d in alone]))
     space = ModelSpace.all_subsets(stacked.p)
     models = space.models
+    # fit_models' own projection of the raw stack, against each raw dataset.
+    raw = fit_models(stacked, models)
+    raw_alone = [fit_models(d, models) for d in singles]
+    for name in ("sse", "ssr", "beta"):
+        np.testing.assert_array_equal(getattr(raw, name),
+                                      np.stack([getattr(t, name) for t in raw_alone]))
     table = fit_models(ortho, models)
     tables = [fit_models(d, models) for d in alone]
     assert table.replicates == len(singles) and table.models == tables[0].models

@@ -8,6 +8,7 @@ from ml2bf.regression import (
     Dataset,
     DependentColumnsError,
     correlated_design_from_raw,
+    fit_models,
     fit_suffstats,
     load_dataset_csv,
     make_correlated_design,
@@ -47,11 +48,25 @@ class TestOrthogonalize:
         np.testing.assert_array_equal(ds.y, y)
 
     def test_degenerate_common_predictors(self):
+        # Every routine that projects the common predictors out rejects them.
         n = 10
         x0 = np.column_stack([np.ones(n), 2 * np.ones(n)])
-        ds = Dataset(y=np.zeros(n), x0=x0, x=np.eye(n)[:, :2])
-        with pytest.raises(ValueError, match="degenerate common predictors"):
-            orthogonalize(ds)
+        x = np.eye(n)[:, :2]
+        ds = Dataset(y=np.zeros(n), x0=x0, x=x)
+        fits = [orthogonalize, lambda d: fit_models(d, [(), (0,), (0, 1)])]
+        for fit in fits + [lambda d: fit_suffstats(d, (0,))]:
+            with pytest.raises(DependentColumnsError,
+                               match="^degenerate common predictors") as info:
+                fit(ds)
+            assert info.value.columns == () and not hasattr(info.value, "replicate")
+        good = np.column_stack([np.ones(n), np.arange(n)])
+        stacked = Dataset(y=np.zeros((3, n)), x0=np.stack([good, x0, good]),
+                          x=np.stack([x, x, x]))
+        for fit in fits:
+            with pytest.raises(DependentColumnsError,
+                               match="^replicate 1: degenerate common predictors") as info:
+                fit(stacked)
+            assert info.value.replicate == 1 and info.value.columns == ()
 
     def test_candidate_inside_common_span_is_rejected(self):
         # x2 = 2z + 3 lies in span(1, z); projected, it keeps about 1e-15 of
@@ -182,16 +197,14 @@ class TestFitSuffstats:
         x = rng.standard_normal((6, 3))
         x[:, 2] = x[:, 0]
         ds = orthogonalize(Dataset.with_intercept(rng.standard_normal(6), x))
-        with pytest.raises(ValueError, match="rank deficient"):
+        with pytest.raises(DependentColumnsError, match="rank deficient") as info:
             fit_suffstats(ds, (0, 2))
+        assert info.value.columns == (2,)
         small = orthogonalize(
             Dataset.with_intercept(rng.standard_normal(4), rng.standard_normal((4, 3)))
         )
         with pytest.raises(ValueError, match="insufficient sample size"):
             fit_suffstats(small, (0, 1, 2))
-        ds_raw = Dataset.with_intercept(np.arange(8.0), np.arange(8.0).reshape(-1, 1) + 5)
-        with pytest.raises(ValueError, match="not orthogonalized"):
-            fit_suffstats(ds_raw, (0,))
 
 
 class TestCorrelatedDesign:
