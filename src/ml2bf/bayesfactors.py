@@ -10,6 +10,7 @@ scores every model of a ``ModelTable`` at once with the same branches and
 alone decides its markers: the Zellner-Siow kernels only integrate.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -398,12 +399,13 @@ def ml2_known_variance_log_bf(
 #
 # ``evidence`` integrates no model itself.  For one (n, p0, p), T and the
 # shrinkage are smooth functions of v = log(1 - q log w), in which the
-# near-null bend at r2 ~ p/n sits near v = log(1 + p) whatever n is.  It
-# samples both through the kernel at the Chebyshev points of v from w = 1
-# to w = 1 - R2_SATURATION, the models that it does not mark, and sums each
-# model's two Chebyshev series by Clenshaw's recurrence (Trefethen,
-# Approximation Theory and Approximation Practice, SIAM 2013).  The kernel
-# stays as the oracle of the series.
+# near-null bend at r2 ~ p/n sits near v = log(1 + p) whatever n is.  Both
+# are sampled through the kernel at the Chebyshev points of v from w = 1 to
+# w = 1 - R2_SATURATION, once per (n, p0, largest size) in a process, and
+# each model that ``evidence`` does not mark sums its size's two Chebyshev
+# series by Clenshaw's recurrence (Trefethen, Approximation Theory and
+# Approximation Practice, SIAM 2013).  The kernel stays as the oracle of
+# the series.
 # ---------------------------------------------------------------------------
 
 _ZS_STEP = 0.2  # the largest step in t
@@ -411,14 +413,15 @@ _ZS_PANEL = 16  # nodes added per side and round of the walk-out
 _ZS_LOG_WINDOW = 45.0  # integrand below exp(-45) of the mode value is negligible
 # Models per quadrature block; each node array of a block is at most
 # 16 x 4096 floats (0.5 MB).  It bounds the kernel's working set on large
-# ``zs_evidence_batch`` batches; ``_zs_series`` samples at most 97 models
-# per size present, 1552 at the 16-predictor cap, in one block.
+# ``zs_evidence_batch`` batches; ``_zs_coefficients`` samples 97 models per
+# size up to the largest, 1552 at the 16-predictor cap, in one block.
 _ZS_BLOCK = 2048
 _ZS_TOLERANCE = 1e-8  # largest error estimate accepted
 # Degree N of the series in v; its points are cos(j pi / N), j = 0..N, on
 # [-1, 1], from the saturation cut (j = 0) to w = 1 (j = N).
 _ZS_DEGREE = 96
 _ZS_POINTS = np.cos(np.pi * np.arange(_ZS_DEGREE + 1) / _ZS_DEGREE)
+_ZS_CACHE = 64  # series kept, keyed by (n, p0, largest size); 1.5 KB per size
 
 
 def _chebyshev_transform(degree):
@@ -456,7 +459,7 @@ def _zs_log_integrand(t, n, q, p, ratio, g=None):
     return lam + dens
 
 
-def _zs_trapezoid(n, p0, p, ell, want_shrinkage):
+def _zs_trapezoid(n, p0, p, ell):
     """The trapezoidal rule in t for one block of models, each given by its
     size and ell = -log(1 - r2).
 
@@ -467,8 +470,8 @@ def _zs_trapezoid(n, p0, p, ell, want_shrinkage):
     run down the rows and panels along them, so every broadcast is over long
     rows.  Each model's sums follow from its own inputs alone.  Returns T,
     the error estimates ((S(h) - S(2h)) / S(h))^2 for the sum S(h) at step
-    h, the posterior means of g/(1+g) (None unless asked), t0, h and the
-    panel counts, shape (2, m), left then right.
+    h, the posterior means of g/(1+g), t0, h and the panel counts, shape
+    (2, m), left then right.
     """
     q = n - p0
     omr2, ratio = np.exp(-ell), np.expm1(ell)
@@ -479,8 +482,7 @@ def _zs_trapezoid(n, p0, p, ell, want_shrinkage):
     h = np.minimum(_ZS_STEP, 0.5 / np.sqrt(curvature))
     shift = _zs_log_integrand(t0, n, q, p, ratio)
     m = p.size
-    fine, coarse = np.zeros(m), np.zeros(m)
-    weighted = np.zeros(m) if want_shrinkage else None
+    fine, coarse, weighted = np.zeros(m), np.zeros(m), np.zeros(m)
     panels = np.zeros((2, m), dtype=np.intp)
     walking = np.ones((2, m), dtype=bool)
     rows = np.arange(_ZS_PANEL, dtype=np.float64)[:, None]
@@ -493,27 +495,22 @@ def _zs_trapezoid(n, p0, p, ell, want_shrinkage):
         vals = np.exp(_zs_log_integrand(tt, n, q, p[model], ratio[model], g) - shift[model])
         fine += np.bincount(model, vals.sum(axis=0), m)
         coarse += np.bincount(model, vals[::2].sum(axis=0), m)  # the even j
-        if want_shrinkage:
-            weighted += np.bincount(model, (vals * (g / (1.0 + g))).sum(axis=0), m)
+        weighted += np.bincount(model, (vals * (g / (1.0 + g))).sum(axis=0), m)
         panels[side, model] += 1
         walking[side, model] = np.where(side == 1, vals[-1], vals[0]) >= floor
     estimate = ((fine - 2.0 * coarse) / fine) ** 2
-    shrink = weighted / fine if want_shrinkage else None
-    return shift + np.log(h * fine), estimate, shrink, t0, h, panels
+    return shift + np.log(h * fine), estimate, weighted / fine, t0, h, panels
 
 
-def _zs_sums(n, p0, p, ell, want_shrinkage):
-    """T and, when asked, the posterior mean of g/(1+g) of every model
-    (sizes ``p``, ell = -log(1 - r2)), by ``_zs_trapezoid`` in blocks;
+def _zs_sums(n, p0, p, ell):
+    """T and the posterior mean of g/(1+g) of every model (sizes ``p``,
+    ell = -log(1 - r2)), by ``_zs_trapezoid`` in blocks;
     ``QuadratureError`` if any estimate misses the tolerance."""
     m = p.shape[0]
-    total, estimate = np.empty(m), np.empty(m)
-    shrink = np.empty(m) if want_shrinkage else None
+    total, estimate, shrink = np.empty(m), np.empty(m), np.empty(m)
     for lo in range(0, m, _ZS_BLOCK):  # blocks bound the working set
         b = slice(lo, lo + _ZS_BLOCK)
-        total[b], estimate[b], s, *_ = _zs_trapezoid(n, p0, p[b], ell[b], want_shrinkage)
-        if want_shrinkage:
-            shrink[b] = s
+        total[b], estimate[b], shrink[b], *_ = _zs_trapezoid(n, p0, p[b], ell[b])
     missed = ~(estimate <= _ZS_TOLERANCE)
     if missed.any():
         raise QuadratureError("Zellner-Siow quadrature missed its tolerance",
@@ -545,64 +542,73 @@ def zs_evidence_batch(n: int, p0: int, p_sizes, one_minus_r2, want_shrinkage: bo
     """
     p_arr, omr2 = _zs_models(p_sizes, one_minus_r2)
     ell = -np.log(omr2)
-    total, shrink = _zs_sums(n, p0, p_arr, ell, want_shrinkage)
+    total, shrink = _zs_sums(n, p0, p_arr, ell)
     log_bf = total + 0.5 * (n - p0) * ell
     return (log_bf, shrink) if want_shrinkage else log_bf
 
 
-def _zs_series(n, p0, sizes, ell, want_shrinkage):
-    """Log Bayes factors and, when asked, shrinkage factors of the models
-    given by 1-d ``sizes`` and ell = -log(1 - r2), from the Chebyshev series
-    in v = log(1 + q ell) of each size present.
+def _zs_cut(q):
+    """v = log(1 - q log(1 - r2)) at the saturation cut r2 = ``R2_SATURATION``."""
+    return math.log1p(-q * math.log1p(-R2_SATURATION))
 
-    Each size p is sampled by ``_zs_sums`` at v = V (1 + x_j) / 2, for the
-    points x_j of ``_ZS_POINTS`` and V the v of the saturation cut.  The
-    series fits U = T + (p+1)/2 ell = log BF - (q-p-1)/2 ell, which tends to
-    a constant as ell grows where T falls like -(p+1)/2 ell, and the
-    shrinkage.  A size's coefficients come from its own samples alone
-    (``_chebyshev_coefficients``), and a model's values are its size's
-    series at its own v, by Clenshaw's recurrence, so no model's value
-    depends on the other models or sizes of the batch.
+
+@functools.lru_cache(maxsize=_ZS_CACHE)
+def _zs_coefficients(n, p0, largest):
+    """The Chebyshev series in v = log(1 + q ell), ell = -log(1 - r2), of
+    every size p = 1..``largest``: a read-only (largest, N+1, 2) array of
+    the coefficients of U = T + (p+1)/2 ell = log BF - (q-p-1)/2 ell, which
+    tends to a constant as ell grows where T falls like -(p+1)/2 ell, and of
+    the shrinkage, in that order.
+
+    One ``_zs_sums`` call samples every size at v = V (1 + x_j) / 2, for the
+    points x_j of ``_ZS_POINTS`` and V the v of the saturation cut.  A
+    size's coefficients come from its own samples alone, by one fixed-shape
+    element-wise product and row sum (no BLAS call, whose blocking could
+    depend on ``largest``), so they do not depend on the other sizes built.
     """
     q = n - p0
-    top = math.log1p(-q * math.log1p(-R2_SATURATION))
-    node_ell = np.expm1(0.5 * top * (1.0 + _ZS_POINTS)) / q
+    p, ell = np.meshgrid(np.arange(1.0, largest + 1.0),
+                         np.expm1(0.5 * _zs_cut(q) * (1.0 + _ZS_POINTS)) / q, indexing="ij")
+    total, shrink = _zs_sums(n, p0, p.ravel(), ell.ravel())
+    values = np.stack([total.reshape(p.shape) + 0.5 * (p + 1.0) * ell,
+                       shrink.reshape(p.shape)], axis=1)
+    coef = (_ZS_TRANSFORM * values[:, :, None, :]).sum(axis=-1).transpose(0, 2, 1)
+    coef.flags.writeable = False
+    return coef
+
+
+def _zs_series(n, p0, sizes, ell):
+    """Log Bayes factors and shrinkage factors of the models given by 1-d
+    ``sizes`` and ell = -log(1 - r2), from the series of their sizes
+    (``_zs_coefficients``, built once per n, p0 and largest size).  Each
+    model takes its size's two series at its own v by one Clenshaw pass, so
+    no model's value depends on the other models or sizes of the batch.
+    """
+    if not sizes.size:  # nothing to integrate
+        return np.empty(0), np.empty(0)
+    q = n - p0
+    coef = _zs_coefficients(int(n), int(p0), int(sizes.max()))
+    x = np.log1p(q * ell) * (2.0 / _zs_cut(q)) - 1.0
+    log_bf, shrink = np.empty(sizes.size), np.empty(sizes.size)
     # The sizes present, without np.unique: it imports numpy.ma on first use.
-    kinds = np.flatnonzero(np.bincount(sizes.astype(np.intp))).astype(sizes.dtype)
-    per = _ZS_POINTS.size
-    total, shrink = _zs_sums(n, p0, np.repeat(kinds, per), np.tile(node_ell, kinds.size),
-                             want_shrinkage)
-    x = np.log1p(q * ell) * (2.0 / top) - 1.0
-    log_bf = np.empty(sizes.size)
-    shrink_out = np.empty(sizes.size) if want_shrinkage else None
-    for i, kind in enumerate(kinds):
+    for kind in np.flatnonzero(np.bincount(sizes.astype(np.intp))):
         sel = sizes == kind
-        rows = slice(i * per, (i + 1) * per)
-        xs = x[sel]
-        u = _clenshaw(_chebyshev_coefficients(total[rows] + 0.5 * (kind + 1.0) * node_ell), xs)
+        u, shrink[sel] = _clenshaw(coef[kind - 1], x[sel])
         log_bf[sel] = u + 0.5 * (q - kind - 1.0) * ell[sel]
-        if want_shrinkage:
-            shrink_out[sel] = _clenshaw(_chebyshev_coefficients(shrink[rows]), xs)
-    return log_bf, shrink_out
-
-
-def _chebyshev_coefficients(values):
-    """The series through ``values`` at ``_ZS_POINTS``: an element-wise
-    product and row sum of one fixed shape, so no BLAS call whose blocking
-    could depend on the batch."""
-    return (_ZS_TRANSFORM * values).sum(axis=1)
+    return log_bf, shrink
 
 
 def _clenshaw(coef, x):
-    """sum_k coef[k] T_k(x) at every x, by Clenshaw's recurrence."""
+    """sum_k coef[k, i] T_k(x) at every x, for each column i of the (N+1, s)
+    ``coef``, by one pass of Clenshaw's recurrence: an (s, x.size) array."""
     x2 = 2.0 * x
-    b1, b2, b0 = np.zeros(x.size), np.zeros(x.size), np.empty(x.size)
-    for c in coef[:0:-1].tolist():  # k = N down to 1
+    b1, b2, b0 = (np.zeros((coef.shape[1], x.size)) for _ in range(3))
+    for c in coef[:0:-1, :, None]:  # k = N down to 1
         np.multiply(x2, b1, out=b0)
         b0 -= b2
         b0 += c
         b1, b2, b0 = b0, b1, b2
-    return coef[0] + x * b1 - b2
+    return coef[0, :, None] + x * b1 - b2
 
 
 def _zs_mode(n: int, p0: int, k, w, a):
@@ -638,14 +644,18 @@ def zs_laplace_batch(n: int, p0: int, p_sizes, one_minus_r2):
     Laplace approximation at the closed-form mode g0 (``_zs_mode``, a = 3):
     f(g0) + log(2 pi / -f''(g0)) / 2 for the log integrand f, with the
     analytic -f''(g) = (q-p)/(2(1+g)^2) - q w^2/(2(1+wg)^2) - 3/(2g^2) + n/g^3
-    where q = n - p0 and w = 1 - r2."""
+    where q = n - p0 and w = 1 - r2.  Its first two terms are each about
+    q/(2g^2) near the null, so their difference is summed as
+    [q r2 (1+w+2wg) - p (1+wg)^2] / (2 (1+g)^2 (1+wg)^2), r2 = -expm1(log w),
+    which has no cancellation of order q."""
     k, w = _zs_models(p_sizes, one_minus_r2)
     q = n - p0
     ell = -np.log(w)
     g = _zs_mode(n, p0, k, w, 3)
     t = np.log(g)
-    curvature = (0.5 * (q - k) / (1.0 + g) ** 2 - 0.5 * q * (w / (1.0 + w * g)) ** 2
-                 - 1.5 / g**2 + n / g**3)
+    wg = 1.0 + w * g
+    curvature = ((q * -np.expm1(-ell) * (1.0 + w + 2.0 * w * g) - k * wg**2)
+                 / (2.0 * ((1.0 + g) * wg) ** 2) - 1.5 / g**2 + n / g**3)
     return (_zs_log_integrand(t, n, q, k, np.expm1(ell)) - t
             + 0.5 * np.log(2.0 * math.pi / curvature) + 0.5 * q * ell)
 
@@ -702,10 +712,11 @@ def evidence(method, table: ModelTable, want_shrinkage: bool = False,
     size p present, in v = log(1 - q log(1 - r2)) with q = n - p0, from
     r2 = 0 to the saturation cut (``_zs_series``): the trapezoidal kernel
     of ``zs_evidence_batch`` samples T = log BF + q/2 log(1 - r2) and the
-    shrinkage at the series' points once per call, and each model takes
-    its size's series at its own v, within 1e-12 of the kernel, which stays
-    as the oracle.  ``"laplace"`` takes the Laplace approximation at the
-    closed-form mode of every model at once (``zs_laplace_batch``).
+    shrinkage at the series' points once per (n, p0, largest size) in a
+    process (``_zs_coefficients``), and each model takes its size's series
+    at its own v, within 1e-12 of the kernel, which stays as the oracle.
+    ``"laplace"`` takes the Laplace approximation at the closed-form mode
+    of every model at once (``zs_laplace_batch``).
 
     With ``want_shrinkage`` it returns ``(log_evidence, shrinkage)``: the
     posterior-mean factor on each model's least-squares coefficients.  That
@@ -742,9 +753,7 @@ def evidence(method, table: ModelTable, want_shrinkage: bool = False,
 
     if kind == "zs":
         if zs_rule == "exact" or want_shrinkage:
-            log_ev[work], s = _zs_series(n, p0, k, -np.log(ow), want_shrinkage)
-            if want_shrinkage:
-                shrink[work] = s
+            log_ev[work], shrink[work] = _zs_series(n, p0, k, -np.log(ow))
         if zs_rule == "laplace":
             log_ev[work] = zs_laplace_batch(n, p0, k, ow)
     elif kind in ("ml2", "lb"):

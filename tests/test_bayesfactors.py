@@ -388,7 +388,7 @@ class TestZellnerSiow:
         # A model whose estimate exceeds the tolerance raises, carrying the
         # estimate; there is no refinement to fall back on.
         s = make_stats(10, 1, 2, 0.5)
-        estimate = _zs_trapezoid(10, 1, np.array([2.0]), -np.log([0.5]), False)[1][0]
+        estimate = _zs_trapezoid(10, 1, np.array([2.0]), -np.log([0.5]))[1][0]
         assert 0.0 < estimate <= 1e-8
         monkeypatch.setattr(bayesfactors, "_ZS_TOLERANCE", estimate / 2)
         with pytest.raises(QuadratureError) as info:
@@ -474,7 +474,7 @@ class TestZellnerSiowKernel:
             table = fit_models(ds, models)
             sizes, omr2 = table.sizes.astype(np.float64), table.one_minus_r2
             q, ell = n - 1, -np.log(omr2)
-            sums, estimate, _, t0, h, panels = _zs_trapezoid(n, 1, sizes, ell, False)
+            sums, estimate, _, t0, h, panels = _zs_trapezoid(n, 1, sizes, ell)
             np.testing.assert_array_equal(sums + 0.5 * q * ell,
                                           zs_evidence_batch(n, 1, sizes, omr2))
             assert np.all(estimate <= 1e-8)

@@ -12,8 +12,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ml2bf import bayesfactors
 from ml2bf.bayesfactors import (
     R2_SATURATION,
+    ZS_RULES,
     PriorMethod,
     _one_minus_r2,
     evidence,
@@ -505,6 +507,33 @@ class TestZellnerSiowSeries:
             # Both ends of the domain, 1 - r2 = 1 and the cut, hold 10 times tighter.
             for i in (0, -1):
                 assert log_ev[i] == pytest.approx(log_bf[i], rel=1e-13, abs=1e-13), (size_n, p)
+
+    def test_series_are_built_once_per_n_p0_and_largest_size(self, monkeypatch):
+        # The series depend on n, p0 and the size alone: a second call at the
+        # same n, p0 and largest size samples the kernel no more, whichever
+        # sizes it holds, and the coefficients it reuses cannot be written.
+        calls = []
+        sums = bayesfactors._zs_sums
+        monkeypatch.setattr(bayesfactors, "_zs_sums", lambda *args: calls.append(args) or sums(*args))
+        bayesfactors._zs_coefficients.cache_clear()
+        first = _size_table(97, 2, [1, 3, 3], [0.5, 0.2, 0.9])
+        log_ev, shrink = evidence("zs", first, want_shrinkage=True)
+        again = evidence("zs", _size_table(97, 2, [3, 1], [0.9, 0.5]), want_shrinkage=True)
+        assert len(calls) == 1
+        assert [v.tolist() for v in again] == [[v[2], v[0]] for v in (log_ev, shrink)]
+        coef = bayesfactors._zs_coefficients(97, 2, 3)
+        assert coef.shape == (3, 97, 2) and not coef.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            coef[0, 0, 0] = 0.0
+
+    @pytest.mark.parametrize("zs_rule", ZS_RULES)
+    def test_a_table_with_nothing_to_integrate_scores(self, zs_rule):
+        # The null model and exact fits are marked, and no series is asked for.
+        for sizes, omr2 in [([0], [1.0]), ([0, 2], [1.0, 1e-15])]:
+            log_ev, shrink = evidence("zs", _size_table(30, 1, sizes, omr2),
+                                      want_shrinkage=True, zs_rule=zs_rule)
+            assert log_ev.tolist() == [0.0, math.inf][:len(sizes)]
+            assert shrink.tolist() == [1.0] * len(sizes)
 
     def test_score_does_not_depend_on_the_sizes_present(self):
         # A model scores bit for bit the same in a table of only its own
