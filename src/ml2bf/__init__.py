@@ -25,6 +25,7 @@ from .bayesfactors import (
     PriorMethod,
     QuadratureError,
     evidence,
+    known_variance_evidence,
     log_bf_aic,
     log_bf_bic,
     log_bf_bic_prior,

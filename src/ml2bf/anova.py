@@ -4,7 +4,9 @@ The setting is p groups with r replicates each, unit error variance, and
 only two models: all group means zero versus unrestricted means.  Evidence
 rules are calibrated to the effective per-group sample size r, and each has
 an explicit large-p consistency threshold on the mean signal strength
-tau^2 = lim ||mu||^2 / p.
+tau^2 = lim ||mu||^2 / p.  The rules are the known-variance rules of
+``bayesfactors.known_variance_evidence`` with ssr = r ||mu_hat||^2, unit
+variance and unit scale r; ``fixed_normal`` is its ``lb`` rule.
 """
 
 import math
@@ -12,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bayesfactors import ml2_known_variance_from_scalars
+from .bayesfactors import known_variance_evidence
 from .modelspace import ModelSpace, posterior_from_evidence
 from .pool import derive_stream, mean_se, run_replicates
 
@@ -26,7 +28,9 @@ __all__ = [
     "simulate_consistency",
 ]
 
-ANOVA_METHODS = ("ml2", "fixed_normal", "bic")
+# Each method's rule in ``known_variance_evidence``.
+_RULES = {"ml2": "ml2", "fixed_normal": "lb", "bic": "bic"}
+ANOVA_METHODS = tuple(_RULES)
 
 
 @dataclass(frozen=True)
@@ -61,17 +65,9 @@ class AnovaTruth:
         return tau * signs
 
 
-def _log_bf_fixed_normal(p, r, norm2):
-    return -0.5 * p * np.log(r + 1.0) + (r * r) * norm2 / (2.0 * (r + 1.0))
-
-
-def _log_bf_ml2(p, r, norm2):
-    # The known-variance rule with ssr = r ||mu_hat||^2 and unit scale r.
-    return ml2_known_variance_from_scalars(p, r * norm2, 1.0, r)[0]
-
-
-def _log_bf_bic(p, r, norm2):
-    return 0.5 * r * norm2 - 0.5 * p * np.log(r)
+def _known_variance_log_bf(method, p, r, norm2):
+    """The method's log Bayes factor at ssr = r ||mu_hat||^2, unit variance, scale r."""
+    return known_variance_evidence(_RULES[method], p, r * norm2, 1.0, r)[0]
 
 
 def anova_log_bf_ml2(stats: AnovaStats) -> float:
@@ -81,12 +77,12 @@ def anova_log_bf_ml2(stats: AnovaStats) -> float:
     the identity (the unit-information bound at effective sample size r);
     the two branches meet at ||mu_hat||^2 = 1 + 1/r.
     """
-    return float(_log_bf_ml2(stats.p, stats.r, stats.mu_hat_norm2))
+    return float(_known_variance_log_bf("ml2", stats.p, stats.r, stats.mu_hat_norm2))
 
 
 def anova_log_bf_fixed_normal(stats: AnovaStats) -> float:
     """Full-versus-null log Bayes factor of the fixed N(0, I) prior."""
-    return float(_log_bf_fixed_normal(stats.p, stats.r, stats.mu_hat_norm2))
+    return float(_known_variance_log_bf("fixed_normal", stats.p, stats.r, stats.mu_hat_norm2))
 
 
 def anova_log_bf_bic(stats: AnovaStats) -> float:
@@ -96,7 +92,7 @@ def anova_log_bf_bic(stats: AnovaStats) -> float:
     between the fitted means and zero is r * ||mu_hat||^2, so the criterion
     difference gives log BF = r ||mu_hat||^2 / 2 - (p/2) log r.
     """
-    return float(_log_bf_bic(stats.p, stats.r, stats.mu_hat_norm2))
+    return float(_known_variance_log_bf("bic", stats.p, stats.r, stats.mu_hat_norm2))
 
 
 def consistency_threshold(method: str, r: int) -> float:
@@ -117,7 +113,6 @@ def consistency_threshold(method: str, r: int) -> float:
     raise ValueError(f"unknown method {method!r}")
 
 
-_LOG_BF = {"ml2": _log_bf_ml2, "fixed_normal": _log_bf_fixed_normal, "bic": _log_bf_bic}
 _TWO_MODELS = ModelSpace.nested(1, include_null=True, model_prior="uniform_models")
 
 
@@ -148,13 +143,16 @@ def simulate_consistency(
     """
     if replicates < 1:
         raise ValueError("need at least one replicate")
+    for m in methods:
+        if m not in _RULES:
+            raise ValueError(f"unknown method {m!r}; the methods are {ANOVA_METHODS}")
     rows = []
     true_model = 0 if truth.tau2 == 0.0 else 1  # column 0: the null model, log BF 0
     cells = [(truth, r, int(p), seed) for p in p_grid]
     for (_, _, p, _), (norm2,) in zip(cells, run_replicates(_norm2_chunk, cells, replicates,
                                                              threads)):
         for m in methods:
-            log_bf = _LOG_BF[m](p, r, norm2)
+            log_bf = _known_variance_log_bf(m, p, r, norm2)
             log_ev = np.stack([np.zeros_like(log_bf), log_bf], axis=1)
             post = posterior_from_evidence(_TWO_MODELS, log_ev)
             avg, se = mean_se(post.posterior_prob[:, true_model], f"p={p}, method={m}")

@@ -39,6 +39,7 @@ __all__ = [
     "log_marginal_null_known_variance",
     "log_bf_known_variance",
     "ml2_known_variance_log_bf",
+    "known_variance_evidence",
     "zs_evidence_batch",
     "zs_laplace_batch",
     "evidence",
@@ -375,6 +376,41 @@ def ml2_known_variance_log_bf(
     """
     scale = float(stats.n if unit_scale is None else unit_scale)
     return ml2_known_variance_from_scalars(stats.p, stats.ssr, sigma2, scale)
+
+
+def known_variance_evidence(rule, sizes, ssr, sigma2: float, unit_scale: float):
+    """Null-based log Bayes factor and shrinkage of the known-variance rules.
+
+    A model is its size k and its ssr = ||u||^2 in whitened coordinates;
+    m = ``unit_scale`` is the sample size of the unit-information prior.
+
+    - ``ml2``: ``ml2_known_variance_from_scalars``, shrinkage
+      1 - 1/(m + 1 + a* ssr);
+    - ``lb``: the fixed prior N(0, sigma2 m (X'X)^{-1}),
+      -k/2 log(m + 1) + m ssr / (2 sigma2 (m + 1)), shrinkage m/(m + 1);
+    - ``bic`` and ``aic``: ssr/(2 sigma2) - k/2 penalty, with penalty log m
+      and 2, shrinkage 1.
+
+    ``sizes`` and ``ssr`` broadcast.  Returns (log_bf, shrinkage).  These
+    rules read ssr/sigma2, where ``evidence`` reads r2 of a ``ModelTable``.
+    """
+    if rule not in ("ml2", "lb", "bic", "aic"):
+        raise ValueError(f"unknown known-variance rule {rule!r}")
+    m = float(unit_scale)
+    if not m > 0:
+        raise ValueError("unit_scale must be positive")
+    if not sigma2 > 0:
+        raise ValueError("sigma2 must be positive")
+    k, s = np.broadcast_arrays(sizes, np.asarray(ssr, dtype=np.float64))
+    if rule == "ml2":
+        log_bf, a_best = ml2_known_variance_from_scalars(k, s, sigma2, m)
+        return log_bf, 1.0 - 1.0 / (m + 1.0 + a_best * s)
+    if rule == "lb":
+        log_bf = -0.5 * k * math.log(m + 1.0) + m * s / (2.0 * sigma2 * (m + 1.0))
+        return log_bf, np.full(log_bf.shape, m / (m + 1.0))
+    penalty = math.log(m) if rule == "bic" else 2.0
+    log_bf = s / (2.0 * sigma2) - 0.5 * penalty * k
+    return log_bf, np.ones(log_bf.shape)
 
 
 # ---------------------------------------------------------------------------

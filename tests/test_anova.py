@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from ml2bf import anova
 from ml2bf.anova import (
     AnovaStats,
     AnovaTruth,
@@ -182,6 +183,14 @@ class TestSimulation:
                 rows = simulate_consistency(AnovaTruth(tau2), r, [p], 5, seed=3)
                 for row in rows:
                     assert row["avg_prob_true"] == want and row["se"] == 0.0
+
+    def test_unknown_method_fails_before_any_replicate(self, monkeypatch):
+        def no_replicates(*args):
+            raise AssertionError("replicates ran")
+
+        monkeypatch.setattr(anova, "run_replicates", no_replicates)
+        with pytest.raises(ValueError, match="unknown method 'lb'"):
+            simulate_consistency(AnovaTruth(0.2), 4, [50], 20, seed=5, methods=("ml2", "lb"))
 
     def test_truth_generator_exact_norm(self):
         truth = AnovaTruth(0.37)

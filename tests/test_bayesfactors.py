@@ -345,6 +345,78 @@ class TestKnownVariance:
         assert best == pytest.approx(objective(2, 10.0, 1.0, 20.0, 0.0), abs=1e-14)
 
 
+class TestKnownVarianceEvidence:
+    # Within 1e-12 of the larger |log BF| (and of 1); the worst cell of the
+    # identity grid reads about 1e-14.
+    @staticmethod
+    def close(got, want, scale):
+        assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, scale))
+
+    def test_ml2_minus_bic_identity(self):
+        # With chi2 = ssr / sigma2 and x = chi2 / m, ML2 - BIC is
+        # -k/2 log(1 + 1/m) - x/2 + x/(2(m + 1)) while a* = 0 (chi2 <= m + 1)
+        # and -(k - 1)/2 log(1 + 1/m) - (1 + log x)/2 above: a function of
+        # the fit that grows with neither m nor k.
+        for m, sigma2 in itertools.product((5.0, 100.0, 1e4, 1e6), (1.0, 3.0)):
+            knot = (m + 1.0) / m
+            x = np.concatenate([np.linspace(0.01, 3.0, 300), knot * (1 + np.array([-1e-9, 1e-9]))])
+            ssr = x * m * sigma2
+            chi2 = ssr / sigma2
+            log1p_m = math.log1p(1.0 / m)
+            gaps, scales = {}, {}
+            for k in (1, 4, 20, 79):
+                ml2, _ = bayesfactors.known_variance_evidence("ml2", k, ssr, sigma2, m)
+                bic, _ = bayesfactors.known_variance_evidence("bic", k, ssr, sigma2, m)
+                want = np.where(
+                    chi2 <= m + 1.0,
+                    -0.5 * k * log1p_m - x / 2 + x / (2 * (m + 1.0)),
+                    -0.5 * (k - 1) * log1p_m - 0.5 * (1.0 + np.log(x)),
+                )
+                gaps[k], scales[k] = ml2 - bic, np.maximum(np.abs(ml2), np.abs(bic))
+                self.close(gaps[k], want, scales[k])
+            # The k-dependence alone: the same -log(1 + 1/m)/2 per parameter
+            # on both branches.
+            for k in (4, 20, 79):
+                self.close(gaps[k] - gaps[1], np.full(x.shape, -0.5 * (k - 1) * log1p_m),
+                           np.maximum(scales[k], scales[1]))
+
+    @pytest.mark.parametrize("sigma2", [0.5, 1.7])
+    @pytest.mark.parametrize("unit_scale", [1.0, 5.0, None])  # None: the sample size
+    def test_rules_match_the_general_marginal(self, sigma2, unit_scale):
+        # lb is the known-variance marginal at W = m (X'X)^{-1}, and ml2 the
+        # scalar ML2 rule, on a random design with an intercept.
+        rng = np.random.default_rng(37)
+        for _ in range(10):
+            ds = random_dataset(rng, beta_scale=1.5)
+            m = float(ds.n if unit_scale is None else unit_scale)
+            for size in range(1, ds.p + 1):
+                s = fit_suffstats(ds, range(size))
+                lb, lb_shrink = bayesfactors.known_variance_evidence("lb", size, s.ssr, sigma2, m)
+                want = log_bf_known_variance(s, m * s.gram_inverse(), sigma2)
+                self.close(lb, want, abs(want))
+                assert lb_shrink == m / (m + 1.0)
+                ml2, ml2_shrink = bayesfactors.known_variance_evidence(
+                    "ml2", size, s.ssr, sigma2, m)
+                want, a_best = ml2_known_variance_log_bf(s, sigma2, m)
+                assert ml2 == want
+                assert ml2_shrink == 1.0 - 1.0 / (m + 1.0 + a_best * s.ssr)
+
+    def test_penalties_and_validation(self):
+        sizes, ssr = np.arange(1, 6), np.linspace(0.0, 40.0, 5)
+        bic, bic_shrink = bayesfactors.known_variance_evidence("bic", sizes, ssr, 2.0, 30.0)
+        aic, aic_shrink = bayesfactors.known_variance_evidence("aic", sizes, ssr, 2.0, 30.0)
+        np.testing.assert_allclose(bic, ssr / 4.0 - 0.5 * sizes * math.log(30.0), rtol=1e-15)
+        np.testing.assert_allclose(aic - bic, 0.5 * sizes * (math.log(30.0) - 2.0), rtol=1e-14)
+        assert np.all(bic_shrink == 1.0) and np.all(aic_shrink == 1.0)
+        for args, match in (
+            (("zs", 1, 1.0, 1.0, 5.0), "unknown known-variance rule 'zs'"),
+            (("ml2", 1, 1.0, 0.0, 5.0), "sigma2"),
+            (("lb", 1, 1.0, 1.0, -1.0), "unit_scale"),
+        ):
+            with pytest.raises(ValueError, match=match):
+                bayesfactors.known_variance_evidence(*args)
+
+
 class TestZellnerSiow:
     def test_null_model(self):
         assert log_bf_zs(make_stats(10, 1, 0, 0.0)) == 0.0

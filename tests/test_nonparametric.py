@@ -8,6 +8,7 @@ from numpy.polynomial import chebyshev
 from scipy import integrate
 from scipy.special import expit
 
+from ml2bf import nonparametric
 from ml2bf.bayesfactors import (
     log_marginal_known_variance,
     ml2_known_variance_from_scalars,
@@ -180,6 +181,25 @@ class TestPowerLawPrior:
                         - oracle(j, point - e_r + e_c) + oracle(j, point - e_r - e_c)
                     ) / (4 * step**2)
                     assert hess[j - 1, r, c] == pytest.approx(fd2, rel=1e-4, abs=1e-5)
+
+    def test_rows_do_not_depend_on_the_other_rows(self):
+        # The Newton ascent evaluates only its still-active models, so each
+        # row's value, shrinkage, gradient and Hessian must be the same bits
+        # whichever other rows share the call.
+        rng = np.random.default_rng(13)
+        n, k, sigma2 = PRESETS[3]
+        _, x, knots = chebyshev_design(n, k)
+        y = true_signal(knots) + math.sqrt(sigma2) * rng.standard_normal(n)
+        w = _summaries(y, x)[2] ** 2 / (2 * sigma2)
+        sizes = np.arange(1, k + 1)
+        params = np.stack([rng.uniform(-4, 4, k), rng.uniform(0, 6, k)], axis=1)
+        whole = _nested_power_law(w, n / 2, sizes, params, derivatives=True)
+        for block in (1, 2, 3, 7, 16):
+            for lo in range(0, k, block):
+                rows = slice(lo, lo + block)
+                part = _nested_power_law(w, n / 2, sizes[rows], params[rows], derivatives=True)
+                for got, want in zip(part, whole):
+                    np.testing.assert_array_equal(got, want[rows])
 
     def test_isotropic_special_case_matches_general_marginal(self):
         # a = 0 collapses to W = c I; cross-check against the generic
@@ -369,6 +389,19 @@ class TestRunStudy:
             assert by[(method, "mpm")]["avg_loss"] <= by[(method, "hpm")]["avg_loss"] + 0.05
             assert by[(method, "bma")]["avg_size"] == ""
         assert rows == run_study(cfg)  # deterministic
+
+    @pytest.mark.parametrize("kwargs,match", [
+        ({"methods": ("ml2", "lb")}, "unknown study method 'lb'"),
+        ({"loss_kind": "squared"}, "unknown loss kind 'squared'"),
+    ])
+    def test_bad_settings_fail_before_any_replicate(self, monkeypatch, kwargs, match):
+        def no_replicates(*args):
+            raise AssertionError("replicates ran")
+
+        monkeypatch.setattr(nonparametric, "run_replicates", no_replicates)
+        cfg = NonparametricConfig(n=30, k=29, sigma2=1.0, replicates=5, seed=4)
+        with pytest.raises(ValueError, match=match):
+            run_study(cfg, **kwargs)
 
     def test_worker_count_invariance(self):
         cfg = NonparametricConfig(n=30, k=29, sigma2=1.0, replicates=10, seed=5)
