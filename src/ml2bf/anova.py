@@ -139,10 +139,17 @@ def simulate_consistency(
     Group means are sampled directly (mu_hat = mu + noise with variance 1/r
     per group, the sufficient statistic of the full data).  Equal prior odds
     on the two models.  One row per (p, method).  Each p is one cell of
-    ``pool.run_replicates``, so the rows do not depend on ``threads``.
+    ``pool.run_replicates``, so the rows do not depend on ``threads``.  A
+    replicate count, ``r`` or ``p_grid`` value below 1, a non-integer ``r``
+    or an unknown method raises ``ValueError`` before any replicate runs.
     """
     if replicates < 1:
         raise ValueError("need at least one replicate")
+    if not (isinstance(r, (int, np.integer)) and r >= 1):
+        raise ValueError(f"r must be an integer of at least 1, got {r!r}")
+    for p in p_grid:
+        if not p >= 1:
+            raise ValueError(f"every p_grid value must be at least 1, got {p!r}")
     for m in methods:
         if m not in _RULES:
             raise ValueError(f"unknown method {m!r}; the methods are {ANOVA_METHODS}")

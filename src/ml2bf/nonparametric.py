@@ -6,11 +6,15 @@ design is exactly orthogonal.  Evidence rules: the unit-information
 constrained type II ML prior, an informative diagonal prior with power-law
 decay fitted by marginal likelihood, and AIC/BIC used as approximate
 marginal likelihoods; all but the power-law prior come from
-``bayesfactors.known_variance_evidence``.  The power-law prior of every
-nested model is fitted in one batch: a shared (log10 c, a) grid gives each
-model its start, and a projected Newton ascent with analytic derivatives
-refines all of them together.  Performance is measured by the squared
-predictive loss integrated over [-1, 1].
+``bayesfactors.known_variance_evidence``.  The study draws and summarises
+its replicates in blocks of ``_BLOCK``, and the power-law prior of every
+(replicate, nested model) row of a block is fitted in one batch: each
+replicate's argmax over a shared (log10 c, a) grid gives its models their
+starts, and one projected Newton ascent with analytic derivatives refines
+all the rows together.  A row's arithmetic does not depend on the other
+rows, so the fit of a replicate is the same bits in any stack.
+Performance is measured by the squared predictive loss integrated over
+[-1, 1].
 """
 
 import math
@@ -181,8 +185,9 @@ def _nested_power_law(w, kappa, sizes, params, derivatives=False):
     """Log Bayes factors of nested power-law models at per-model parameters.
 
     Row r is the model with coordinates 1..sizes[r] under the prior scale
-    10^log10c * i^(-a), (log10c, a) = params[r].  ``w`` holds the
-    per-coordinate signal u_i^2 / (2 sigma2).  With d = kappa * scale and
+    10^log10c * i^(-a), (log10c, a) = params[r], and with the per-coordinate
+    signal u_i^2 / (2 sigma2) in ``w``: a (rows, k) array gives each row its
+    own, a (k,) array is shared by all rows.  With d = kappa * scale and
     s = d / (1 + d), coordinate i adds -log(1 + d)/2 + w_i s to the log
     Bayes factor, h = s(-1/2 + w_i (1 - s)) to its derivative in log d and
     s(1 - s)(-1/2 + w_i (1 - 2s)) to the second derivative; the chain rule
@@ -193,7 +198,7 @@ def _nested_power_law(w, kappa, sizes, params, derivatives=False):
     beyond each model's size, and with ``derivatives`` also the gradient
     (r, 2) and Hessian (r, 2, 2).
     """
-    k = w.shape[0]
+    k = w.shape[-1]
     z = _log_kappa_d(kappa, params, k)
     inside = np.arange(1, k + 1) <= np.asarray(sizes)[:, None]
     s = np.where(inside, _logistic(z), 0.0)
@@ -250,29 +255,51 @@ def _ascent_direction(params, grad, hess):
     return np.where(newton[:, None], newton_step, length[:, None] * g)
 
 
-def _fit_nested_power_law(u, sigma2, n):
-    """Maximize the power-law evidence of every nested model at once.
+def _grid_terms(kappa, k):
+    """The data-free parts of the grid start: -log(1 + kappa d_i)/2 and
+    s_i = kappa d_i / (1 + kappa d_i) at every grid point (rows, in
+    ``_GRID`` order) and coordinate i = 1..k (columns)."""
+    z = _log_kappa_d(kappa, _GRID, k)
+    return -0.5 * np.logaddexp(0.0, z), _logistic(z)
 
-    Each model j (coordinates 1..j) starts from the argmax of its evidence
-    over the 33 x 25 grid of (log10c, a) in the box [-4, 4] x [0, 6]; the
-    grid columns of all models come from one cumulative sum of the
-    per-coordinate terms.  The starts are then refined together by a
+
+def _fit_nested_power_law(u, sigma2, n, refit_per_model=True, grid=None):
+    """Maximize the power-law evidence of every nested model of a stack of
+    replicates at once.
+
+    ``u`` is (R, k): row r holds the whitened coordinates of replicate r,
+    and a single replicate is a stack of one.  Each (replicate, model j)
+    row starts from the argmax of its evidence over the 33 x 25 grid of
+    (log10c, a) in the box [-4, 4] x [0, 6].  A replicate's grid columns
+    come from one cumulative sum of its per-coordinate terms, whose
+    data-free parts are ``grid`` (``_grid_terms(n / 2, k)``, computed here
+    when not given).  All R k starts are then refined together by a
     projected, damped Newton ascent (see ``_ascent_direction``) whose
     backtracking accepts only steps that raise the evidence, so no fit ends
-    below its grid start.
+    below its grid start.  Each row's arithmetic reads only that row, so a
+    replicate's results are the same bits whatever else is in the stack.
 
-    Returns (params (k, 2), log_bf (k,), shrink (k, k), boundary_hit (k,)).
+    With ``refit_per_model`` False every model of a replicate is scored at
+    that replicate's full-model (size k) fit instead of its own.
+
+    Returns, per replicate, the parameters each model is scored at
+    (R, k, 2), its log Bayes factor (R, k), its shrinkage (R, k, k; row j-1
+    scales coordinates 1..j) and whether those parameters sit on a box edge
+    (R, k).
     """
-    k = u.shape[0]
+    reps, k = u.shape
     kappa = n / 2.0
     w = u**2 / (2.0 * sigma2)
-    z = _log_kappa_d(kappa, _GRID, k)
-    grid_vals = np.cumsum(-0.5 * np.logaddexp(0.0, z) + w * _logistic(z), axis=1)
-    params = _GRID[np.argmax(grid_vals, axis=0)]
-    sizes = np.arange(1, k + 1)
+    base, s_grid = _grid_terms(kappa, k) if grid is None else grid
+    # One (grid points, k) sum per replicate keeps the memory flat in R.
+    params = np.concatenate(
+        [_GRID[np.argmax(np.cumsum(base + w_r * s_grid, axis=1), axis=0)] for w_r in w]
+    )
+    w = np.repeat(w, k, axis=0)  # one row per (replicate, model)
+    sizes = np.tile(np.arange(1, k + 1), reps)
     value, shrink, grad, hess = _nested_power_law(w, kappa, sizes, params, True)
 
-    active = np.arange(k)
+    active = np.arange(reps * k)
     for _ in range(_NEWTON_ITERATIONS):
         if active.size == 0:
             break
@@ -289,8 +316,9 @@ def _fit_nested_power_law(u, sigma2, n):
         for _ in range(_BACKTRACKS):
             if todo.size == 0:
                 break
+            rows = active[todo]
             trial = np.clip(x[todo] + step * direction[todo], _BOX_LO, _BOX_HI)
-            trial_val, _ = _nested_power_law(w, kappa, sizes[active[todo]], trial)
+            trial_val, _ = _nested_power_law(w[rows], kappa, sizes[rows], trial)
             gain = trial_val - f[todo]
             ok = (gain > 0) & (gain >= _ARMIJO * ((trial - x[todo]) * g[todo]).sum(axis=1))
             new_x[todo[ok]] = trial[ok]
@@ -303,40 +331,36 @@ def _fit_nested_power_law(u, sigma2, n):
         small = np.abs(new_x[accepted] - x[accepted]).max(axis=1) <= _STEP_TOL
         params[moved] = new_x[accepted]
         value[moved], shrink[moved], grad[moved], hess[moved] = _nested_power_law(
-            w, kappa, sizes[moved], params[moved], True
+            w[moved], kappa, sizes[moved], params[moved], True
         )
         active = moved[~small]
 
+    if not refit_per_model:
+        params = np.repeat(params[k - 1 :: k], k, axis=0)
+        value, shrink = _nested_power_law(w, kappa, sizes, params)
     log10c, a = params[:, 0], params[:, 1]
     boundary = (log10c <= _LOG10C_LO + _EDGE) | (log10c >= _LOG10C_HI - _EDGE) | (
         a >= _A_HI - _EDGE
     )
-    return params, value, shrink, boundary
+    return (params.reshape(reps, k, 2), value.reshape(reps, k),
+            shrink.reshape(reps, k, k), boundary.reshape(reps, k))
 
 
-def _evidence_and_shrinkage(u, n, method, sigma2, refit_per_model=True):
-    """Log evidence per nested model and per-coordinate shrinkage factors.
+def _evidence_and_shrinkage(u, n, method, sigma2):
+    """Log evidence per nested model and per-coordinate shrinkage factors
+    of the known-variance rules (ml2, aic, bic).
 
     ``u`` are the whitened coordinates of ``_summaries`` for a sample of
-    size ``n``.  Returns (log_ev (k,), shrink (k, k)): row j-1 of ``shrink``
-    scales beta_hat coordinates 1..j for the size-j model (zero beyond j).
-    ``powerlaw`` is fitted here; the other rules (ml2, aic, bic) are
+    size ``n``, (k,) or a stack (R, k).  Returns (log_ev (..., k),
+    shrink (..., k, k)): row j-1 of ``shrink`` scales beta_hat coordinates
+    1..j for the size-j model (zero beyond j).  These are
     ``known_variance_evidence`` at the size-j ssr = u_1^2 + ... + u_j^2
     with unit scale n, whose one shrinkage factor per model fills its row.
     """
-    k = u.shape[0]
-    u_sq = u**2
-    if method == "powerlaw":
-        params, log_ev, shrink, _ = _fit_nested_power_law(u, sigma2, n)
-        if not refit_per_model:
-            log_ev, shrink = _nested_power_law(
-                u_sq / (2.0 * sigma2), n / 2.0, np.arange(1, k + 1),
-                np.broadcast_to(params[-1], (k, 2)),
-            )
-        return log_ev, shrink
-    log_ev, shrink = known_variance_evidence(method, np.arange(1, k + 1), np.cumsum(u_sq),
-                                             sigma2, n)
-    return log_ev, np.tri(k) * shrink[:, None]
+    k = u.shape[-1]
+    log_ev, shrink = known_variance_evidence(method, np.arange(1, k + 1),
+                                             np.cumsum(u**2, axis=-1), sigma2, n)
+    return log_ev, np.tri(k) * shrink[..., None]
 
 
 # Nodes asked of ``_loss_rule``; it rounds down to whole panels.
@@ -410,29 +434,43 @@ def _make_loss_fn(loss_kind, k):
     raise ValueError(f"unknown loss kind {loss_kind!r}")
 
 
+# Replicates drawn, summarised and fitted together in ``_study_chunk``.
+_BLOCK = 8
+
+
 def _study_chunk(cell, lo, hi):
     """Losses (hpm, mpm, bma) and the HPM and MPM sizes for replicates
-    lo..hi-1 of one scenario: one fit per replicate, scored by every rule."""
+    lo..hi-1 of one scenario, in blocks of ``_BLOCK`` replicates: one
+    summary per replicate, and one stacked fit per rule and block."""
     n, k, sigma2, seed, methods, refit_per_model, loss_kind = cell
     _, x, knots = chebyshev_design(n, k)
     signal = true_signal(knots)
     loss_fn = _make_loss_fn(loss_kind, k)
     space = ModelSpace.nested(k)
+    grid = _grid_terms(n / 2.0, k) if "powerlaw" in methods else None
     losses = np.empty((hi - lo, len(methods), len(_SELECTORS)))
     sizes = np.empty((hi - lo, len(methods), 2))
-    for r, rep in enumerate(range(lo, hi)):
-        rng = derive_stream(seed, rep)
-        y = signal + math.sqrt(sigma2) * rng.standard_normal(n)
-        alpha_hat, beta_hat, u = _summaries(y, x)
+    for start in range(lo, hi, _BLOCK):
+        block = range(start, min(start + _BLOCK, hi))
+        alpha_hat, beta_hat, u = zip(*(
+            _summaries(signal + math.sqrt(sigma2) * derive_stream(seed, rep).standard_normal(n), x)
+            for rep in block
+        ))
+        u = np.stack(u)
         for mi, method in enumerate(methods):
-            log_ev, shrink = _evidence_and_shrinkage(u, n, method, sigma2, refit_per_model)
-            posterior = posterior_from_evidence(space, log_ev)
-            i_hpm, i_mpm = hpm(posterior), mpm(posterior)
-            coefs = shrink * beta_hat  # row i: the model of size i + 1
-            bma_coef = posterior.posterior_prob @ coefs
-            for si, coef in enumerate((coefs[i_hpm], coefs[i_mpm], bma_coef)):
-                losses[r, mi, si] = loss_fn(alpha_hat, coef)
-            sizes[r, mi] = space.sizes[i_hpm], space.sizes[i_mpm]
+            if method == "powerlaw":
+                _, log_ev, shrink, _ = _fit_nested_power_law(u, sigma2, n, refit_per_model, grid)
+            else:
+                log_ev, shrink = _evidence_and_shrinkage(u, n, method, sigma2)
+            for b, rep in enumerate(block):
+                r = rep - lo
+                posterior = posterior_from_evidence(space, log_ev[b])
+                i_hpm, i_mpm = hpm(posterior), mpm(posterior)
+                coefs = shrink[b] * beta_hat[b]  # row i: the model of size i + 1
+                bma_coef = posterior.posterior_prob @ coefs
+                for si, coef in enumerate((coefs[i_hpm], coefs[i_mpm], bma_coef)):
+                    losses[r, mi, si] = loss_fn(alpha_hat[b], coef)
+                sizes[r, mi] = space.sizes[i_hpm], space.sizes[i_mpm]
     return losses, sizes
 
 

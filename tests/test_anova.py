@@ -192,6 +192,20 @@ class TestSimulation:
         with pytest.raises(ValueError, match="unknown method 'lb'"):
             simulate_consistency(AnovaTruth(0.2), 4, [50], 20, seed=5, methods=("ml2", "lb"))
 
+    @pytest.mark.parametrize("r,p_grid,match", [
+        (0, [50], "r must be an integer of at least 1, got 0"),
+        (2.5, [50], "r must be an integer of at least 1, got 2.5"),
+        (4, [50, 0], "every p_grid value must be at least 1, got 0"),
+        (4, [-3], "every p_grid value must be at least 1, got -3"),
+    ], ids=["r=0", "r=2.5", "p=0", "p=-3"])
+    def test_bad_r_or_p_fails_before_any_replicate(self, monkeypatch, r, p_grid, match):
+        def no_replicates(*args):
+            raise AssertionError("replicates ran")
+
+        monkeypatch.setattr(anova, "run_replicates", no_replicates)
+        with pytest.raises(ValueError, match=match):
+            simulate_consistency(AnovaTruth(0.2), r, p_grid, 20, seed=5)
+
     def test_truth_generator_exact_norm(self):
         truth = AnovaTruth(0.37)
         for p in (1, 2, 7, 100):

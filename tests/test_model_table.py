@@ -508,6 +508,29 @@ class TestZellnerSiowSeries:
             for i in (0, -1):
                 assert log_ev[i] == pytest.approx(log_bf[i], rel=1e-13, abs=1e-13), (size_n, p)
 
+    @pytest.mark.parametrize("i,n", enumerate([
+        4, 5, 7, 10, 15, 25, 40, 60, 100, 200, 500, 1000,
+        5000, 10**4, 10**5, 10**6, 10**7, 10**8, 10**9, 10**10,
+    ]))
+    def test_series_matches_kernel_between_its_nodes(self, i, n):
+        # Midway between the interpolation points, where a series is
+        # furthest from its samples, every size 1..min(16, n - p0 - 1) is
+        # held to the trapezoidal kernel given the same ell = -log(1 - r2).
+        p0 = i % 3
+        q = n - p0
+        x = np.cos(np.pi * (np.arange(bayesfactors._ZS_DEGREE) + 0.5) / bayesfactors._ZS_DEGREE)
+        sizes, ell = np.meshgrid(np.arange(1.0, min(16, q - 1) + 1.0),
+                                 np.expm1(0.5 * bayesfactors._zs_cut(q) * (1.0 + x)) / q,
+                                 indexing="ij")
+        sizes, ell = sizes.ravel(), ell.ravel()
+        log_bf, shrink = bayesfactors._zs_series(n, p0, sizes, ell)
+        total, kernel_shrink = bayesfactors._zs_sums(n, p0, sizes, ell)
+        kernel_log_bf = total + 0.5 * q * ell
+        err = np.abs(log_bf - kernel_log_bf) / np.maximum(1.0, np.abs(kernel_log_bf))
+        assert err.max() <= 1e-12, (n, p0, err.max(), sizes[err.argmax()], ell[err.argmax()])
+        err = np.abs(shrink - kernel_shrink) / kernel_shrink
+        assert err.max() <= 1e-12, (n, p0, err.max(), sizes[err.argmax()], ell[err.argmax()])
+
     def test_series_are_built_once_per_n_p0_and_largest_size(self, monkeypatch):
         # The series depend on n, p0 and the size alone: a second call at the
         # same n, p0 and largest size samples the kernel no more, whichever

@@ -24,6 +24,7 @@ from ml2bf.nonparametric import (
     NonparametricConfig,
     _evidence_and_shrinkage,
     _fit_nested_power_law,
+    _grid_terms,
     _logistic,
     _make_loss_fn,
     _nested_power_law,
@@ -77,6 +78,11 @@ class TestTrueSignal:
         np.testing.assert_allclose(partial, true_signal(knots), atol=2e-4)
 
 
+def _fit_alone(u, sigma2, n, refit_per_model=True):
+    """The power-law fit of one replicate: a stack of one, unstacked."""
+    return tuple(a[0] for a in _fit_nested_power_law(u[None], sigma2, n, refit_per_model))
+
+
 class TestPowerLawPrior:
     def test_no_signal_drives_scale_down(self):
         # With beta identically zero the evidence is decreasing in c up to
@@ -89,7 +95,7 @@ class TestPowerLawPrior:
         for seed in range(8):
             y = np.random.default_rng(seed).standard_normal(n)
             _, _, u = _summaries(y, x)
-            params, value, _, boundary = _fit_nested_power_law(u, 1.0, n)
+            params, value, _, boundary = _fit_alone(u, 1.0, n)
             fits.append((10.0 ** params[-1, 0], value[-1], boundary[-1]))
         assert np.median([c for c, _, _ in fits]) <= 1e-2
         assert sum(hit for _, _, hit in fits) >= len(fits) // 2
@@ -104,7 +110,7 @@ class TestPowerLawPrior:
         _, x, knots = chebyshev_design(n, k)
         y = true_signal(knots) + rng.standard_normal(n)
         _, _, u = _summaries(y, x)
-        params, fitted, _, _ = _fit_nested_power_law(u, 1.0, n)
+        params, fitted, _, _ = _fit_alone(u, 1.0, n)
 
         log10c = np.linspace(-4, 4, 400)
         a_grid = np.linspace(0, 6, 400)
@@ -136,7 +142,7 @@ class TestPowerLawPrior:
         _, x, knots = chebyshev_design(n, k)
         y = true_signal(knots) + rng.standard_normal(n)
         _, _, u = _summaries(y, x)
-        _, fitted, _, _ = _fit_nested_power_law(u, 1.0, n)
+        _, fitted, _, _ = _fit_alone(u, 1.0, n)
         kappa = n / 2
         idx = np.arange(1.0, k + 1.0)
         u_sq = u**2
@@ -201,6 +207,28 @@ class TestPowerLawPrior:
                 for got, want in zip(part, whole):
                     np.testing.assert_array_equal(got, want[rows])
 
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    def test_stack_matches_one_replicate_at_a_time(self, preset):
+        # The study fits its replicates in stacks (blocks of
+        # nonparametric._BLOCK); a replicate's params, log BF, shrinkage and
+        # boundary flags must be the same bits alone, with the grid terms
+        # computed for it, and in any stack sharing one set of grid terms.
+        # A stack of 9 is more than one block.
+        n, k, sigma2 = PRESETS[preset]
+        _, x, knots = chebyshev_design(n, k)
+        rng = np.random.default_rng(20 + preset)
+        u = np.stack([_summaries(true_signal(knots) + math.sqrt(sigma2) * rng.standard_normal(n),
+                                 x)[2] for _ in range(9)])
+        grid = _grid_terms(n / 2.0, k)
+        for refit in (True, False):
+            alone = [_fit_alone(u_r, sigma2, n, refit) for u_r in u]
+            for size in (1, 3, 8, 9):
+                for lo in range(0, len(u), size):
+                    stack = _fit_nested_power_law(u[lo : lo + size], sigma2, n, refit, grid)
+                    for b, want in enumerate(alone[lo : lo + size]):
+                        for got, one in zip(stack, want):
+                            np.testing.assert_array_equal(got[b], one)
+
     def test_isotropic_special_case_matches_general_marginal(self):
         # a = 0 collapses to W = c I; cross-check against the generic
         # known-variance marginal through the regression machinery.
@@ -222,7 +250,11 @@ class TestPowerLawPrior:
 def _nested_posterior(y, x, method, refit_per_model=True):
     """Posterior over the nested truncations, as the study computes it."""
     n, k = x.shape
-    log_ev, _ = _evidence_and_shrinkage(_summaries(y, x)[2], n, method, 1.0, refit_per_model)
+    u = _summaries(y, x)[2]
+    if method == "powerlaw":
+        log_ev = _fit_alone(u, 1.0, n, refit_per_model)[1]
+    else:
+        log_ev, _ = _evidence_and_shrinkage(u, n, method, 1.0)
     return posterior_from_evidence(ModelSpace.nested(k), log_ev)
 
 
