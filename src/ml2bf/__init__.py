@@ -53,11 +53,8 @@ from .modelspace import (
     posterior_from_evidence,
 )
 from .anova import (
-    AnovaStats,
     AnovaTruth,
-    anova_log_bf_bic,
-    anova_log_bf_fixed_normal,
-    anova_log_bf_ml2,
+    anova_log_bf,
     consistency_threshold,
     simulate_consistency,
 )

@@ -19,11 +19,8 @@ from .modelspace import ModelSpace, posterior_from_evidence
 from .pool import derive_stream, mean_se, run_replicates
 
 __all__ = [
-    "AnovaStats",
     "AnovaTruth",
-    "anova_log_bf_ml2",
-    "anova_log_bf_fixed_normal",
-    "anova_log_bf_bic",
+    "anova_log_bf",
     "consistency_threshold",
     "simulate_consistency",
 ]
@@ -31,21 +28,6 @@ __all__ = [
 # Each method's rule in ``known_variance_evidence``.
 _RULES = {"ml2": "ml2", "fixed_normal": "lb", "bic": "bic"}
 ANOVA_METHODS = tuple(_RULES)
-
-
-@dataclass(frozen=True)
-class AnovaStats:
-    """Group count, replicates per group, and the squared norm of group means."""
-
-    p: int
-    r: int
-    mu_hat_norm2: float
-
-    def __post_init__(self):
-        if self.p < 1 or self.r < 1:
-            raise ValueError("need p >= 1 groups and r >= 1 replicates")
-        if self.mu_hat_norm2 < 0:
-            raise ValueError("mu_hat_norm2 must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -65,34 +47,32 @@ class AnovaTruth:
         return tau * signs
 
 
-def _known_variance_log_bf(method, p, r, norm2):
-    """The method's log Bayes factor at ssr = r ||mu_hat||^2, unit variance, scale r."""
+def anova_log_bf(method: str, p: int, r: int, mu_hat_norm2):
+    """Full-versus-null log Bayes factor of p groups of r replicates each.
+
+    The method's rule of ``known_variance_evidence`` at ssr = r ||mu_hat||^2,
+    unit variance and unit scale r, broadcast over an array of squared norms
+    ``mu_hat_norm2``:
+
+    - ``ml2``: the prior covariance maximizes the marginal over matrices
+      dominating the identity (the unit-information bound at effective
+      sample size r); the two branches meet at ||mu_hat||^2 = 1 + 1/r.
+    - ``fixed_normal``: the fixed N(0, I) prior.
+    - ``bic``: BIC with a log r penalty.  Twice the unit-variance
+      log-likelihood gap between the fitted means and zero is
+      r ||mu_hat||^2, so log BF = r ||mu_hat||^2 / 2 - (p/2) log r.
+
+    Raises ``ValueError`` for p or r below 1, a negative (or NaN) squared
+    norm, or an unknown method.
+    """
+    if method not in _RULES:
+        raise ValueError(f"unknown method {method!r}; the methods are {ANOVA_METHODS}")
+    if p < 1 or r < 1:
+        raise ValueError("need p >= 1 groups and r >= 1 replicates")
+    norm2 = np.asarray(mu_hat_norm2, dtype=np.float64)
+    if not np.all(norm2 >= 0):
+        raise ValueError("mu_hat_norm2 must be nonnegative")
     return known_variance_evidence(_RULES[method], p, r * norm2, 1.0, r)[0]
-
-
-def anova_log_bf_ml2(stats: AnovaStats) -> float:
-    """Full-versus-null log Bayes factor of the constrained type II ML prior.
-
-    The prior covariance maximizes the marginal over matrices dominating
-    the identity (the unit-information bound at effective sample size r);
-    the two branches meet at ||mu_hat||^2 = 1 + 1/r.
-    """
-    return float(_known_variance_log_bf("ml2", stats.p, stats.r, stats.mu_hat_norm2))
-
-
-def anova_log_bf_fixed_normal(stats: AnovaStats) -> float:
-    """Full-versus-null log Bayes factor of the fixed N(0, I) prior."""
-    return float(_known_variance_log_bf("fixed_normal", stats.p, stats.r, stats.mu_hat_norm2))
-
-
-def anova_log_bf_bic(stats: AnovaStats) -> float:
-    """Full-versus-null log Bayes factor of BIC with a log r penalty.
-
-    Derived from the unit-variance likelihood: twice the log-likelihood gap
-    between the fitted means and zero is r * ||mu_hat||^2, so the criterion
-    difference gives log BF = r ||mu_hat||^2 / 2 - (p/2) log r.
-    """
-    return float(_known_variance_log_bf("bic", stats.p, stats.r, stats.mu_hat_norm2))
 
 
 def consistency_threshold(method: str, r: int) -> float:
@@ -159,7 +139,7 @@ def simulate_consistency(
     for (_, _, p, _), (norm2,) in zip(cells, run_replicates(_norm2_chunk, cells, replicates,
                                                              threads)):
         for m in methods:
-            log_bf = _known_variance_log_bf(m, p, r, norm2)
+            log_bf = anova_log_bf(m, p, r, norm2)
             log_ev = np.stack([np.zeros_like(log_bf), log_bf], axis=1)
             post = posterior_from_evidence(_TWO_MODELS, log_ev)
             avg, se = mean_se(post.posterior_prob[:, true_model], f"p={p}, method={m}")

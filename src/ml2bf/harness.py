@@ -19,6 +19,7 @@ from .anova import ANOVA_METHODS, AnovaTruth, simulate_consistency
 from .bayesfactors import _METHOD_ALIASES, METHOD_KINDS, ZS_RULES, evidence
 from .modelspace import (
     _MODEL_PRIORS,
+    _SELECTORS,
     ModelSpace,
     entropy,
     hpm,
@@ -381,7 +382,6 @@ _FIG_N = 50
 _FIG_P = 8
 _FIG_RHO = 0.9
 _FIG_ALPHA = 2.0
-_SELECTORS = ("hpm", "mpm", "bma")
 # Datasets per stacked design, fit and evidence call.  In a fresh process
 # (200 replicates of figure_ar1, one core, medians of three sets of 8 runs
 # on a shared host) a stack of 72 took 1.93-2.59 s and peaked at 51 MB,

@@ -62,6 +62,9 @@ class ModelSpace:
         if self.kind == "nested" and self.size == 0 and not self.include_null:
             raise ValueError("empty model space: a nested space without the null model "
                              "needs size >= 1")
+        if self.kind == "all_subsets" and not self.include_null:
+            raise ValueError("an all-subsets space always holds the null model; "
+                             "include_null=False applies to nested spaces only")
         if self.kind == "all_subsets" and self.size > _MAX_ALL_SUBSETS:
             raise ValueError(
                 f"all-subsets enumeration capped at {_MAX_ALL_SUBSETS} predictors, "
@@ -164,6 +167,10 @@ def enumerate_models(dataset: Dataset, space: ModelSpace,
     columns attached.
     """
     return posterior_from_evidence(space, evidence(method, fit_models(dataset, space)))
+
+
+# The order of the selectors the studies report: hpm, mpm, then the BMA.
+_SELECTORS = ("hpm", "mpm", "bma")
 
 
 def hpm(posterior: ModelPosterior):

@@ -6,15 +6,17 @@ design is exactly orthogonal.  Evidence rules: the unit-information
 constrained type II ML prior, an informative diagonal prior with power-law
 decay fitted by marginal likelihood, and AIC/BIC used as approximate
 marginal likelihoods; all but the power-law prior come from
-``bayesfactors.known_variance_evidence``.  The study draws and summarises
-its replicates in blocks of ``_BLOCK``, and the power-law prior of every
+``bayesfactors.known_variance_evidence``.  The study draws its replicates
+in blocks of ``_BLOCK``, each from its own stream, and scores a block as
+arrays: one summary, then per rule one fit, posterior, HPM/MPM pair, BMA
+and loss call over the whole block.  The power-law prior of every
 (replicate, nested model) row of a block is fitted in one batch: each
 replicate's argmax over a shared (log10 c, a) grid gives its models their
 starts, and one projected Newton ascent with analytic derivatives refines
 all the rows together.  A row's arithmetic does not depend on the other
-rows, so the fit of a replicate is the same bits in any stack.
-Performance is measured by the squared predictive loss integrated over
-[-1, 1].
+rows, so a replicate's results are the same bits in any block.
+Performance is measured by the squared error of the fitted coefficients
+or by the squared predictive loss integrated over [-1, 1].
 """
 
 import math
@@ -27,7 +29,7 @@ from numpy.polynomial import chebyshev
 from .bayesfactors import known_variance_evidence
 # Not called here: the benchmark's tracer wraps this name on this module.
 from .bayesfactors import ml2_known_variance_from_scalars  # noqa: F401
-from .modelspace import ModelSpace, hpm, mpm, posterior_from_evidence
+from .modelspace import _SELECTORS, ModelSpace, hpm, mpm, posterior_from_evidence
 from .pool import derive_stream, mean_se, run_replicates
 
 __all__ = [
@@ -121,13 +123,16 @@ def series_coefficients(j_max: int) -> tuple[float, np.ndarray]:
 def _summaries(y, x):
     """Per-coordinate whitened fit of the nested family.
 
-    Returns (alpha_hat, beta_hat, u) where u are the whitened coordinates,
-    so the size-j model has ssr = sum(u[:j]**2).
+    ``y`` is one response (n,) or a stack of them (R, n).  Returns
+    (alpha_hat, beta_hat, u) with a leading replicate axis when stacked,
+    where u are the whitened coordinates, so the size-j model has
+    ssr = sum(u[:j]**2).  Each row's x'y is its own (k, n) @ (n, 1)
+    product, the same bits as alone.
     """
-    y = np.asarray(y, dtype=np.float64).reshape(-1)
+    y = np.asarray(y, dtype=np.float64)
     n = x.shape[0]
-    coeff = x.T @ y
-    return float(y.mean()), coeff / (n / 2.0), coeff / math.sqrt(n / 2.0)
+    coeff = (x.T @ y[..., None])[..., 0]
+    return y.mean(axis=-1), coeff / (n / 2.0), coeff / math.sqrt(n / 2.0)
 
 
 def _power_law_log_bf(u_sq, kappa, sigma2, log10c, a):
@@ -350,7 +355,7 @@ def _evidence_and_shrinkage(u, n, method, sigma2):
     """Log evidence per nested model and per-coordinate shrinkage factors
     of the known-variance rules (ml2, aic, bic).
 
-    ``u`` are the whitened coordinates of ``_summaries`` for a sample of
+    ``u`` are the whitened coordinates of ``_summaries`` for samples of
     size ``n``, (k,) or a stack (R, k).  Returns (log_ev (..., k),
     shrink (..., k, k)): row j-1 of ``shrink`` scales beta_hat coordinates
     1..j for the size-j model (zero beyond j).  These are
@@ -400,12 +405,16 @@ def predictive_loss_integral(alpha_hat: float, beta_hat) -> float:
     return float(weights @ resid**2)
 
 
-_SELECTORS = ("hpm", "mpm", "bma")
 LOSS_KINDS = ("coefficient", "integrated")
 
 
 def _make_loss_fn(loss_kind, k):
     """Loss functional for fitted (intercept, k coefficients) pairs.
+
+    The returned ``loss_fn(alpha_hat, coef)`` takes coefficients of shape
+    (..., k) and intercepts that broadcast against ``coef[..., 0]``, and
+    returns one loss per coefficient vector.  Each dot product is its own
+    (1, m) @ (m, 1) product, so a stacked loss is the same bits as alone.
 
     ``coefficient``: squared error of the fitted coefficient vector against
     the true expansion coefficients, intercept included.  ``integrated``:
@@ -417,8 +426,8 @@ def _make_loss_fn(loss_kind, k):
         alpha_true, beta_true = series_coefficients(k)
 
         def loss_fn(alpha_hat, coef):
-            diff = coef - beta_true
-            return float((alpha_hat - alpha_true) ** 2 + diff @ diff)
+            diff = (coef - beta_true)[..., None]
+            return (alpha_hat - alpha_true) ** 2 + (diff.swapaxes(-1, -2) @ diff)[..., 0, 0]
 
         return loss_fn
     if loss_kind == "integrated":
@@ -427,21 +436,27 @@ def _make_loss_fn(loss_kind, k):
         cheb_at_nodes = chebyshev.chebvander(nodes, k)[:, 1:]
 
         def loss_fn(alpha_hat, coef):
-            resid = truth_at_nodes - alpha_hat - cheb_at_nodes @ coef
-            return float(weights @ resid**2)
+            fitted = (cheb_at_nodes @ coef[..., None])[..., 0]
+            resid = truth_at_nodes - alpha_hat[..., None] - fitted
+            return (weights @ (resid**2)[..., None])[..., 0]
 
         return loss_fn
     raise ValueError(f"unknown loss kind {loss_kind!r}")
 
 
-# Replicates drawn, summarised and fitted together in ``_study_chunk``.
+# Replicates drawn, summarised, fitted and scored together in ``_study_chunk``.
 _BLOCK = 8
 
 
 def _study_chunk(cell, lo, hi):
     """Losses (hpm, mpm, bma) and the HPM and MPM sizes for replicates
-    lo..hi-1 of one scenario, in blocks of ``_BLOCK`` replicates: one
-    summary per replicate, and one stacked fit per rule and block."""
+    lo..hi-1 of one scenario, in blocks of ``_BLOCK`` replicates.
+
+    Each replicate draws its noise from its own stream; the rest of a block
+    runs as arrays: one summary of the (R, n) responses, then per rule one
+    stacked fit, posterior, HPM/MPM pair, BMA product and loss call on the
+    (R, 3, k) picked coefficients.  Every step keeps a row's bits as alone.
+    """
     n, k, sigma2, seed, methods, refit_per_model, loss_kind = cell
     _, x, knots = chebyshev_design(n, k)
     signal = true_signal(knots)
@@ -452,25 +467,22 @@ def _study_chunk(cell, lo, hi):
     sizes = np.empty((hi - lo, len(methods), 2))
     for start in range(lo, hi, _BLOCK):
         block = range(start, min(start + _BLOCK, hi))
-        alpha_hat, beta_hat, u = zip(*(
-            _summaries(signal + math.sqrt(sigma2) * derive_stream(seed, rep).standard_normal(n), x)
-            for rep in block
-        ))
-        u = np.stack(u)
+        out = slice(start - lo, block.stop - lo)
+        noise = np.stack([derive_stream(seed, rep).standard_normal(n) for rep in block])
+        alpha_hat, beta_hat, u = _summaries(signal + math.sqrt(sigma2) * noise, x)
+        rows = np.arange(len(block))
         for mi, method in enumerate(methods):
             if method == "powerlaw":
                 _, log_ev, shrink, _ = _fit_nested_power_law(u, sigma2, n, refit_per_model, grid)
             else:
                 log_ev, shrink = _evidence_and_shrinkage(u, n, method, sigma2)
-            for b, rep in enumerate(block):
-                r = rep - lo
-                posterior = posterior_from_evidence(space, log_ev[b])
-                i_hpm, i_mpm = hpm(posterior), mpm(posterior)
-                coefs = shrink[b] * beta_hat[b]  # row i: the model of size i + 1
-                bma_coef = posterior.posterior_prob @ coefs
-                for si, coef in enumerate((coefs[i_hpm], coefs[i_mpm], bma_coef)):
-                    losses[r, mi, si] = loss_fn(alpha_hat[b], coef)
-                sizes[r, mi] = space.sizes[i_hpm], space.sizes[i_mpm]
+            posterior = posterior_from_evidence(space, log_ev)
+            i_hpm, i_mpm = hpm(posterior), mpm(posterior)
+            coefs = shrink * beta_hat[:, None, :]  # row i: the model of size i + 1
+            bma = (posterior.posterior_prob[:, None, :] @ coefs)[:, 0]
+            picked = np.stack([coefs[rows, i_hpm], coefs[rows, i_mpm], bma], axis=1)
+            losses[out, mi] = loss_fn(alpha_hat[:, None], picked)
+            sizes[out, mi, 0], sizes[out, mi, 1] = space.sizes[i_hpm], space.sizes[i_mpm]
     return losses, sizes
 
 
@@ -485,7 +497,9 @@ def run_study(
 
     One row per (method, selector) with the average loss (see
     ``_make_loss_fn`` for the two loss conventions), its standard error,
-    and (for the selected-model rows) the average size.
+    and (for the selected-model rows) the average size.  ``_study_chunk``
+    scores the replicates a block at a time, and a replicate's values do
+    not depend on its block, so the rows do not depend on ``threads``.
     """
     methods = tuple(methods)
     for method in methods:

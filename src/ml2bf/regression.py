@@ -661,7 +661,7 @@ def load_dataset_csv(path) -> tuple[Dataset, list[str]]:
     predictors named ``x0_*`` (an intercept is added when none are present),
     and candidate predictors named ``x1`` .. ``xp``; no name may repeat.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

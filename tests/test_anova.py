@@ -8,11 +8,8 @@ import pytest
 
 from ml2bf import anova
 from ml2bf.anova import (
-    AnovaStats,
     AnovaTruth,
-    anova_log_bf_bic,
-    anova_log_bf_fixed_normal,
-    anova_log_bf_ml2,
+    anova_log_bf,
     consistency_threshold,
     simulate_consistency,
 )
@@ -22,11 +19,10 @@ from ml2bf.regression import Dataset, fit_suffstats
 
 class TestClosedForms:
     def test_zero_means(self):
-        s = AnovaStats(p=7, r=4, mu_hat_norm2=0.0)
         expected = -3.5 * math.log(5)
-        assert anova_log_bf_ml2(s) == pytest.approx(expected)
-        assert anova_log_bf_fixed_normal(s) == pytest.approx(expected)
-        assert anova_log_bf_bic(s) == pytest.approx(-3.5 * math.log(4))
+        assert anova_log_bf("ml2", 7, 4, 0.0) == pytest.approx(expected)
+        assert anova_log_bf("fixed_normal", 7, 4, 0.0) == pytest.approx(expected)
+        assert anova_log_bf("bic", 7, 4, 0.0) == pytest.approx(-3.5 * math.log(4))
 
     @pytest.mark.parametrize("p,r,norm2", [(1, 1, 2.5), (5, 2, 3.0), (200, 10, 1e6)])
     def test_upper_branch_closed_form(self, p, r, norm2):
@@ -34,16 +30,14 @@ class TestClosedForms:
         # -log(r ||mu_hat||^2 / (r + 1))/2 - (p/2) log(r + 1) + (r ||mu_hat||^2 - 1)/2.
         expected = (-0.5 * math.log(r * norm2 / (r + 1.0)) - 0.5 * p * math.log(r + 1.0)
                     + (r * norm2 - 1.0) / 2.0)
-        got = anova_log_bf_ml2(AnovaStats(p=p, r=r, mu_hat_norm2=norm2))
+        got = anova_log_bf("ml2", p, r, norm2)
         assert got == pytest.approx(expected, rel=1e-14)
 
     @pytest.mark.parametrize("p,r", [(1, 1), (5, 2), (10, 3), (50, 5), (200, 10)])
     def test_branch_continuity_at_knot(self, p, r):
         knot = 1.0 + 1.0 / r
         expected = -0.5 * p * math.log(r + 1) + r / 2.0
-        below = anova_log_bf_ml2(AnovaStats(p=p, r=r, mu_hat_norm2=knot * (1 - 1e-12)))
-        at = anova_log_bf_ml2(AnovaStats(p=p, r=r, mu_hat_norm2=knot))
-        above = anova_log_bf_ml2(AnovaStats(p=p, r=r, mu_hat_norm2=knot * (1 + 1e-12)))
+        below, at, above = anova_log_bf("ml2", p, r, knot * np.array([1 - 1e-12, 1, 1 + 1e-12]))
         assert at == pytest.approx(expected, abs=1e-9)
         assert below == pytest.approx(above, abs=1e-9)
 
@@ -53,12 +47,21 @@ class TestClosedForms:
             p = int(rng.integers(1, 40))
             r = int(rng.integers(1, 10))
             norm2 = float(rng.exponential(2.0) * p)
-            s = AnovaStats(p=p, r=r, mu_hat_norm2=norm2)
-            assert anova_log_bf_ml2(s) >= anova_log_bf_fixed_normal(s) - 1e-12
+            ml2 = anova_log_bf("ml2", p, r, norm2)
+            assert ml2 >= anova_log_bf("fixed_normal", p, r, norm2) - 1e-12
+
+    @pytest.mark.parametrize("method", ["ml2", "fixed_normal", "bic"])
+    def test_broadcasts_over_norms_as_scalars(self, method):
+        # An array of squared norms gives each entry's scalar value, bit for bit.
+        norm2 = np.array([[0.0, 0.5, 4.0 / 3.0], [1.0 + 1.0 / 3.0 + 1e-9, 40.0, 1e6]])
+        got = anova_log_bf(method, 12, 3, norm2)
+        assert got.shape == norm2.shape
+        for i, value in np.ndenumerate(norm2):
+            assert got[i] == anova_log_bf(method, 12, 3, float(value))
 
     def test_fixed_normal_equals_ml2_in_lower_branch(self):
-        s = AnovaStats(p=6, r=3, mu_hat_norm2=0.9)
-        assert anova_log_bf_ml2(s) == pytest.approx(anova_log_bf_fixed_normal(s))
+        fixed_normal = anova_log_bf("fixed_normal", 6, 3, 0.9)
+        assert anova_log_bf("ml2", 6, 3, 0.9) == pytest.approx(fixed_normal)
 
     def test_bic_likelihood_difference_oracle(self):
         # Direct evaluation of the unit-variance log likelihood on data.
@@ -73,20 +76,18 @@ class TestClosedForms:
             return -0.5 * y.size * math.log(2 * math.pi) - 0.5 * float((resid**2).sum())
 
         direct = (loglik(mu_hat) - 0.5 * p * math.log(r)) - loglik(np.zeros(p))
-        s = AnovaStats(p=p, r=r, mu_hat_norm2=float(mu_hat @ mu_hat))
-        assert anova_log_bf_bic(s) == pytest.approx(direct, abs=1e-10)
+        bic = anova_log_bf("bic", p, r, float(mu_hat @ mu_hat))
+        assert bic == pytest.approx(direct, abs=1e-10)
 
     def test_bic_r1_has_no_penalty(self):
-        s = AnovaStats(p=9, r=1, mu_hat_norm2=2.0)
-        assert anova_log_bf_bic(s) == pytest.approx(1.0)  # r*norm2/2 - 0
+        assert anova_log_bf("bic", 9, 1, 2.0) == pytest.approx(1.0)  # r*norm2/2 - 0
 
     def test_fixed_normal_monte_carlo_oracle(self):
         # Marginal of mu_hat under prior N(0, I) vs the closed form, by MC.
         rng = np.random.default_rng(2)
         p, r = 3, 5
         mu_hat = rng.normal(0, 0.8, p)
-        s = AnovaStats(p=p, r=r, mu_hat_norm2=float(mu_hat @ mu_hat))
-        exact = anova_log_bf_fixed_normal(s)
+        exact = anova_log_bf("fixed_normal", p, r, float(mu_hat @ mu_hat))
         draws = rng.standard_normal((10**7, p))
         quad = ((mu_hat[None, :] - draws) ** 2).sum(axis=1) * (r / 2.0)
         base = (mu_hat @ mu_hat) * (r / 2.0)
@@ -107,7 +108,7 @@ class TestClosedForms:
         stats = fit_suffstats(ds, range(p))
         general, _ = ml2_known_variance_log_bf(stats, 1.0, unit_scale=r)
         mu_hat = y.reshape(p, r).mean(axis=1)
-        direct = anova_log_bf_ml2(AnovaStats(p=p, r=r, mu_hat_norm2=float(mu_hat @ mu_hat)))
+        direct = anova_log_bf("ml2", p, r, float(mu_hat @ mu_hat))
         assert general == pytest.approx(direct, abs=1e-9)
 
 
@@ -174,9 +175,9 @@ class TestSimulation:
         # and 2200 at tau2 = 1, a few tens either way, so every rule's log
         # Bayes factor lies beyond -750 or +750 and its weight underflows.
         p, r = 2000, 10
-        for log_bf in (anova_log_bf_ml2, anova_log_bf_fixed_normal, anova_log_bf_bic):
-            assert log_bf(AnovaStats(p=p, r=r, mu_hat_norm2=300.0)) < -750
-            assert log_bf(AnovaStats(p=p, r=r, mu_hat_norm2=1900.0)) > 750
+        for method in ("ml2", "fixed_normal", "bic"):
+            assert anova_log_bf(method, p, r, 300.0) < -750
+            assert anova_log_bf(method, p, r, 1900.0) > 750
         with np.errstate(all="raise"), warnings.catch_warnings():
             warnings.simplefilter("error")
             for tau2, want in ((0.0, 1.0), (1.0, 1.0), (1e-12, 0.0)):
@@ -213,9 +214,15 @@ class TestSimulation:
             assert mu @ mu == pytest.approx(0.37 * p, rel=1e-12)
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            AnovaStats(p=0, r=1, mu_hat_norm2=0.0)
-        with pytest.raises(ValueError):
-            AnovaStats(p=1, r=1, mu_hat_norm2=-1.0)
+        with pytest.raises(ValueError, match="need p >= 1 groups"):
+            anova_log_bf("ml2", 0, 1, 0.0)
+        with pytest.raises(ValueError, match="r >= 1 replicates"):
+            anova_log_bf("ml2", 1, 0, 0.0)
+        with pytest.raises(ValueError, match="mu_hat_norm2 must be nonnegative"):
+            anova_log_bf("ml2", 1, 1, -1.0)
+        with pytest.raises(ValueError, match="mu_hat_norm2 must be nonnegative"):
+            anova_log_bf("bic", 3, 2, np.array([1.0, -1e-300, 2.0]))
+        with pytest.raises(ValueError, match="unknown method 'lb'"):
+            anova_log_bf("lb", 3, 2, 1.0)
         with pytest.raises(ValueError):
             AnovaTruth(-0.1)

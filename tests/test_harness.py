@@ -547,6 +547,21 @@ class TestCli:
         err = capsys.readouterr().err
         assert "malformed CSV: " in err and message in err
 
+    def test_byte_order_mark_is_not_part_of_the_header(self, tmp_path):
+        # Spreadsheet "CSV UTF-8" exports start with a byte-order mark; the
+        # first header must still read "y".
+        text = "y,x1,x2\n1.2,0.5,-0.3\n2.1,1.5,0.4\n0.7,-0.2,1.1\n3.3,2.0,-0.8\n1.9,0.9,0.2\n"
+        methods = {}
+        for name, encoding in (("plain", "utf-8"), ("bom", "utf-8-sig")):
+            path = tmp_path / f"{name}.csv"
+            path.write_text(text, encoding=encoding)
+            out = tmp_path / f"out_{name}"
+            assert main(["bf", str(path), "--out", str(out)]) == 0
+            report = json.loads((out / "bf_results.json").read_text(encoding="utf-8"))
+            methods[name] = report["methods"]
+        assert (tmp_path / "bom.csv").read_bytes().startswith(b"\xef\xbb\xbf")
+        assert methods["bom"] == methods["plain"]
+
     def test_unknown_experiment_rejected(self):
         with pytest.raises(SystemExit) as info:
             main(["frobnicate"])

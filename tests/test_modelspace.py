@@ -58,6 +58,13 @@ class TestModelSpace:
         with pytest.raises(ValueError, match="empty model space"):
             ModelSpace.nested(0)
         assert ModelSpace.nested(0, include_null=True).models == ((),)
+
+    @pytest.mark.parametrize("size", [0, 2])
+    def test_all_subsets_without_the_null_model_is_rejected(self, size):
+        # Every all-subsets space enumerates the empty model.
+        with pytest.raises(ValueError, match="include_null=False applies to nested spaces"):
+            ModelSpace(kind="all_subsets", size=size, include_null=False)
+        assert () in ModelSpace(kind="all_subsets", size=size).models
         assert ModelSpace.all_subsets(0).models == ((),)
 
     def test_uniform_size_prior(self):

@@ -20,7 +20,9 @@ from ml2bf.nonparametric import (
     _LN10,
     _LOG10C_HI,
     _LOG10C_LO,
+    LOSS_KINDS,
     PRESETS,
+    STUDY_METHODS,
     NonparametricConfig,
     _evidence_and_shrinkage,
     _fit_nested_power_law,
@@ -29,6 +31,7 @@ from ml2bf.nonparametric import (
     _make_loss_fn,
     _nested_power_law,
     _power_law_log_bf,
+    _study_chunk,
     _summaries,
     chebyshev_design,
     predictive_loss_integral,
@@ -399,15 +402,31 @@ class TestLossIntegral:
     def test_study_loss_matches_predictive_loss_integral(self, k):
         # The study's integrated loss evaluates the basis through a stored
         # Chebyshev matrix; predictive_loss_integral, the tested oracle,
-        # sums the series with chebval.
+        # sums the series with chebval.  One stacked call scores all 20
+        # fits, as the study does.
         loss_fn = _make_loss_fn("integrated", k)
         rng = np.random.default_rng(k)
         alpha, coef = series_coefficients(k)
-        for _ in range(20):
-            a = alpha + 0.3 * rng.standard_normal()
-            c = coef * rng.uniform(0.0, 1.5, k) + 0.05 * rng.standard_normal(k)
-            want = predictive_loss_integral(a, c)
-            assert abs(loss_fn(a, c) - want) <= 1e-14 * want
+        a, c = np.empty(20), np.empty((20, k))
+        for i in range(20):
+            a[i] = alpha + 0.3 * rng.standard_normal()
+            c[i] = coef * rng.uniform(0.0, 1.5, k) + 0.05 * rng.standard_normal(k)
+        got = loss_fn(a, c)
+        assert got.shape == (20,)
+        for i in range(20):
+            want = predictive_loss_integral(a[i], c[i])
+            assert abs(got[i] - want) <= 1e-14 * want
+
+    @pytest.mark.parametrize("loss_kind", LOSS_KINDS)
+    def test_stacked_loss_is_the_bits_of_one_call_each(self, loss_kind):
+        loss_fn = _make_loss_fn(loss_kind, 29)
+        rng = np.random.default_rng(4)
+        a = rng.standard_normal((5, 3))
+        c = rng.standard_normal((5, 3, 29))
+        got = loss_fn(a, c)
+        assert got.shape == (5, 3)
+        for i in np.ndindex(5, 3):
+            assert got[i] == loss_fn(a[i], c[i])
 
 
 class TestRunStudy:
@@ -434,6 +453,21 @@ class TestRunStudy:
         cfg = NonparametricConfig(n=30, k=29, sigma2=1.0, replicates=5, seed=4)
         with pytest.raises(ValueError, match=match):
             run_study(cfg, **kwargs)
+
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    @pytest.mark.parametrize("loss_kind", LOSS_KINDS)
+    @pytest.mark.parametrize("refit", [True, False], ids=["refit", "full_fit"])
+    def test_chunk_rows_are_the_bits_of_one_replicate_chunks(self, preset, loss_kind, refit):
+        # Replicates 3..19 fill two blocks of nonparametric._BLOCK and part
+        # of a third; each row must equal its replicate scored alone.
+        n, k, sigma2 = PRESETS[preset]
+        cell = (n, k, sigma2, 11, STUDY_METHODS, refit, loss_kind)
+        losses, sizes = _study_chunk(cell, 3, 20)
+        assert losses.shape == (17, len(STUDY_METHODS), 3)
+        for i in range(3, 20):
+            one_loss, one_size = _study_chunk(cell, i, i + 1)
+            np.testing.assert_array_equal(losses[i - 3], one_loss[0])
+            np.testing.assert_array_equal(sizes[i - 3], one_size[0])
 
     def test_worker_count_invariance(self):
         cfg = NonparametricConfig(n=30, k=29, sigma2=1.0, replicates=10, seed=5)
